@@ -29,7 +29,7 @@ from .compositions import (composition_from_signs, compositions_of,
                            descent_set, sign_word, weight)
 from .forests import (Forest, Tree, enumerate_forests, enumerate_trees,
                       forest_size, polish_code, reverse_polish_code)
-from .hopf import c_to_x
+from .hopf import c_expand
 from .laurent import LaurentPoly
 from .lincomb import LinComb
 from .linalg import solve
@@ -145,10 +145,7 @@ def d_lambda(lam: tuple[int, ...]) -> LinComb:
 
 def d_lambda_x(lam: tuple[int, ...]) -> LinComb:
     """D_lambda expanded in the X basis."""
-    out = LinComb.zero()
-    for f, c in d_lambda(lam).items():
-        out = out + c_to_x(f).scale(c)
-    return out
+    return c_expand(d_lambda(lam))
 
 
 def d_lambda_ribbon(lam: tuple[int, ...]) -> LinComb:
@@ -157,14 +154,11 @@ def d_lambda_ribbon(lam: tuple[int, ...]) -> LinComb:
     n = sum(lam) + 1
     target = d_lambda_x(lam)
     comps = list(compositions_of(n))
-    forests = list(enumerate_forests(n))
-    matrix = []
-    rhs = []
-    for f in forests:
-        matrix.append([embed_r(i).coeff(f) for i in comps])
-        rhs.append(target.coeff(f))
-    coords = solve(matrix, rhs)
-    return LinComb({i: c for i, c in zip(comps, coords)})
+    columns = [embed_r(i) for i in comps]
+    forests = enumerate_forests(n)
+    coords = solve([[col.coeff(f) for col in columns] for f in forests],
+                   [target.coeff(f) for f in forests])
+    return LinComb(zip(comps, coords))
 
 
 # ---------------------------------------------------------------------------
@@ -185,46 +179,28 @@ def p_bracket(i: tuple[int, ...], eps: str, a: LaurentPoly) -> LaurentPoly:
 def sigma_plus_s(n: int, a: LaurentPoly) -> LinComb:
     """sigma_a^+ in the S basis:
     sum over I of (-1)^(l(I)-1) P^I_{-...-+}(a) S^I."""
-    out = LinComb.zero()
-    for i in compositions_of(n):
-        eps = "-" * (len(i) - 1) + "+"
-        coeff = p_bracket(i, eps, a)
-        out = out + LinComb.monomial(i, _laurent_scale(coeff, (-1) ** (len(i) - 1)))
-    return out
-
-
-def _laurent_scale(f: LaurentPoly, c) -> LaurentPoly:
-    return f * LaurentPoly.const(c, f.window)
+    return LinComb((i, p_bracket(i, "-" * (len(i) - 1) + "+", a) * (-1) ** (len(i) - 1))
+                   for i in compositions_of(n))
 
 
 def sigma_minus_s(n: int, a: LaurentPoly) -> LinComb:
     """sigma_a^- in the S basis: sum over I of (-1)^l(I) P^I_{-...-}(a) S^I."""
-    out = LinComb.zero()
-    for i in compositions_of(n):
-        coeff = p_bracket(i, "-" * len(i), a)
-        out = out + LinComb.monomial(i, _laurent_scale(coeff, (-1) ** len(i)))
-    return out
+    return LinComb((i, p_bracket(i, "-" * len(i), a) * (-1) ** len(i))
+                   for i in compositions_of(n))
 
 
 def sigma_plus_lambda(n: int, a: LaurentPoly) -> LinComb:
     """sigma_a^+ in the Lambda basis:
     sum over I of (-1)^(|I|+l(I)) P^I_{+...+}(a) Lambda^I."""
-    out = LinComb.zero()
-    for i in compositions_of(n):
-        coeff = p_bracket(i, "+" * len(i), a)
-        out = out + LinComb.monomial(i, _laurent_scale(coeff, (-1) ** (n + len(i))))
-    return out
+    return LinComb((i, p_bracket(i, "+" * len(i), a) * (-1) ** (n + len(i)))
+                   for i in compositions_of(n))
 
 
 def sigma_plus_ribbon(n: int, a: LaurentPoly) -> LinComb:
     """sigma_a^+ in the ribbon basis: 1 + sum over sign words eps of
     P_{eps,+}(a) R_{eps .}, with R_{eps .} = (-1)^(l(I)-1) R_I."""
-    out = LinComb.zero()
-    for i in compositions_of(n):
-        eps = sign_word(i)[:-1]
-        coeff = p_bracket((1,) * n, eps + "+", a)
-        out = out + LinComb.monomial(i, _laurent_scale(coeff, (-1) ** (len(i) - 1)))
-    return out
+    return LinComb((i, p_bracket((1,) * n, sign_word(i)[:-1] + "+", a)
+                    * (-1) ** (len(i) - 1)) for i in compositions_of(n))
 
 
 # ---------------------------------------------------------------------------

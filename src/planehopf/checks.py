@@ -7,9 +7,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import birkhoff, hopf, tamari
-from .forests import enumerate_forests, enumerate_trees, forest_code
+from .forests import enumerate_forests, enumerate_trees, forest_code, forest_size
 from .laurent import LaurentPoly
-from .lincomb import LinComb
+from .lincomb import LinComb, bilinear
 from .polynomials import MultiPoly
 
 
@@ -20,13 +20,11 @@ def suite_hopf(n: int) -> list[str]:
     for size in range(0, n + 1):
         for f in enumerate_forests(size):
             for name, cop in (("Y", hopf.y_coproduct), ("X", hopf.x_coproduct)):
-                left = LinComb.zero()
-                right = LinComb.zero()
-                for (f1, f2), c in cop(f).items():
-                    for (g1, g2), d in cop(f1).items():
-                        left = left + LinComb.monomial((g1, g2, f2), c * d)
-                    for (g1, g2), d in cop(f2).items():
-                        right = right + LinComb.monomial((f1, g1, g2), c * d)
+                delta = cop(f).items()
+                left = LinComb(((g1, g2, f2), c * d) for (f1, f2), c in delta
+                               for (g1, g2), d in cop(f1).items())
+                right = LinComb(((f1, g1, g2), c * d) for (f1, f2), c in delta
+                                for (g1, g2), d in cop(f2).items())
                 if left != right:
                     bad.append(f"coassociativity[{name}] fails at {forest_code(f)}")
     # duality: <X_F X_G, Y_H> = <X_F (x) X_G, Delta Y_H>
@@ -46,10 +44,9 @@ def suite_hopf(n: int) -> list[str]:
             for f in enumerate_forests(n1):
                 for g in enumerate_forests(n2):
                     lhs = hopf.y_coproduct(f + g)
-                    rhs = LinComb.zero()
-                    for (f1, f2), c in hopf.y_coproduct(f).items():
-                        for (g1, g2), d in hopf.y_coproduct(g).items():
-                            rhs = rhs + LinComb.monomial((f1 + g1, f2 + g2), c * d)
+                    rhs = bilinear(
+                        lambda x, y: LinComb.monomial((x[0] + y[0], x[1] + y[1])),
+                        hopf.y_coproduct(f), hopf.y_coproduct(g))
                     if lhs != rhs:
                         bad.append(f"bialgebra fails at {forest_code(f)},"
                                    f"{forest_code(g)}")
@@ -70,13 +67,6 @@ def suite_dendriform(n: int) -> list[str]:
                                    f"{forest_code(g)}")
     bullet = ((),)
 
-    def half_lin(op, a, b):
-        out = LinComb.zero()
-        for f, cf in a.terms.items():
-            for g, cg in b.terms.items():
-                out = out + op(f, g).scale(cf * cg)
-        return out
-
     # axioms on triples of single trees with total size <= n
     for s1 in range(1, n - 1):
         for s2 in range(1, n - s1):
@@ -89,12 +79,12 @@ def suite_dendriform(n: int) -> list[str]:
                             z = LinComb.monomial((t3,), Fraction(1))
                             xy = hopf.x_product_lin(x, y)
                             yz = hopf.x_product_lin(y, z)
-                            a1 = half_lin(hopf.x_prec, half_lin(hopf.x_prec, x, y), z)
-                            a2 = half_lin(hopf.x_prec, x, yz)
-                            b1 = half_lin(hopf.x_prec, half_lin(hopf.x_succ, x, y), z)
-                            b2 = half_lin(hopf.x_succ, x, half_lin(hopf.x_prec, y, z))
-                            c1 = half_lin(hopf.x_succ, xy, z)
-                            c2 = half_lin(hopf.x_succ, x, half_lin(hopf.x_succ, y, z))
+                            a1 = bilinear(hopf.x_prec, bilinear(hopf.x_prec, x, y), z)
+                            a2 = bilinear(hopf.x_prec, x, yz)
+                            b1 = bilinear(hopf.x_prec, bilinear(hopf.x_succ, x, y), z)
+                            b2 = bilinear(hopf.x_succ, x, bilinear(hopf.x_prec, y, z))
+                            c1 = bilinear(hopf.x_succ, xy, z)
+                            c2 = bilinear(hopf.x_succ, x, bilinear(hopf.x_succ, y, z))
                             if a1 != a2 or b1 != b2 or c1 != c2:
                                 bad.append(
                                     "dendriform axiom fails at "
@@ -102,11 +92,11 @@ def suite_dendriform(n: int) -> list[str]:
                                     f"{forest_code((t3,))}")
     # Lambda_n = X_bullet < Lambda_{n-1}; S_n = S_{n-1} > X_bullet
     for k in range(2, n + 1):
-        lam = half_lin(hopf.x_prec, LinComb.monomial(bullet, Fraction(1)),
+        lam = bilinear(hopf.x_prec, LinComb.monomial(bullet, Fraction(1)),
                        hopf.lambda_n(k - 1))
         if lam != hopf.lambda_n(k):
             bad.append(f"Lambda recursion fails at degree {k}")
-        sn = half_lin(hopf.x_succ, hopf.s_n(k - 1),
+        sn = bilinear(hopf.x_succ, hopf.s_n(k - 1),
                       LinComb.monomial(bullet, Fraction(1)))
         if sn != hopf.s_n(k):
             bad.append(f"S recursion fails at degree {k}")
@@ -148,18 +138,12 @@ def suite_factorization(n: int) -> list[str]:
                 for t in f1:
                     left = left * birkhoff.phi_minus(t, a)
                 right = LaurentPoly.const(1, a.window)
-                for _ in range(_forest_size(f2)):
+                for _ in range(forest_size(f2)):
                     right = right * a
                 conv = conv + left * right
             if conv != birkhoff.phi_plus(f, a):
                 bad.append(f"factorization fails at {forest_code(f)}")
     return bad
-
-
-def _forest_size(f) -> int:
-    from .forests import forest_size
-
-    return forest_size(f)
 
 
 def suite_words(n: int) -> list[str]:
@@ -193,7 +177,6 @@ def suite_quotient(n: int) -> list[str]:
     """X product through the 132-pattern quotient against the coproduct
     transpose."""
     from . import fqsym
-    from .forests import forest_size
 
     bad = []
     for n1 in range(1, n):

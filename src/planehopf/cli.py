@@ -30,6 +30,10 @@ EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_GUARD = 4
 
+# nsym embed enumerates the linear extensions of every forest of the degree;
+# degree 8 costs about 12 times degree 7
+MAX_EMBED_DEGREE = 7
+
 
 class DomainError(ValueError):
     pass
@@ -157,6 +161,8 @@ def _cmd_hopf(args) -> int:
 def _cmd_nsym(args) -> int:
     i = _parse_composition(args.I)
     if args.action == "embed":
+        if sum(i) > MAX_EMBED_DEGREE:
+            raise DegreeGuard(f"nsym embed needs degree {sum(i)} > {MAX_EMBED_DEGREE}")
         emb = {"R": ncsf.embed_r, "S": ncsf.embed_s, "L": ncsf.embed_lambda}
         result = emb[args.basis](i)
         return _emit(args, {"command": "nsym embed", "basis": args.basis,
@@ -170,6 +176,8 @@ def _cmd_nsym(args) -> int:
 
 def _cmd_birkhoff(args) -> int:
     if args.action == "sigma-plus":
+        if args.n is None:
+            raise DomainError("birkhoff sigma-plus needs --n")
         a = birkhoff.a_series_ab(args.n) if args.spec else birkhoff.a_series(args.n)
         sp = birkhoff.sigma_plus(args.n, a)
         return _emit(args, {"command": "birkhoff sigma-plus", "n": args.n,

@@ -17,6 +17,7 @@ enumeration in the test suite.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from itertools import product as iter_product
 
 from .forests import Forest, forest_size, strict_below_pairs
@@ -98,12 +99,8 @@ def word_merges(u: PackedWord) -> tuple[PackedWord, ...]:
 def minus_alphabet(a: LinComb) -> LinComb:
     """Sign change of alphabet on a packed-word expansion:
     M_u(-A) = (-1)^max(u) sum of M_v over merges v of u."""
-    out = LinComb.zero()
-    for u, c in a.terms.items():
-        sign = Fraction((-1) ** (max(u) if u else 0))
-        for v in word_merges(u):
-            out = out + LinComb.monomial(v, sign * c)
-    return out
+    return LinComb((v, Fraction((-1) ** (max(u) if u else 0)) * c)
+                   for u, c in a.terms.items() for v in word_merges(u))
 
 
 def signed_gamma_by_transform(f: Forest) -> LinComb:
@@ -121,10 +118,7 @@ def word_to_composition(u: PackedWord) -> tuple[int, ...]:
 
 def wqsym_to_qsym(a: LinComb) -> LinComb:
     """Project a packed-word expansion to the monomial basis of QSym."""
-    out = LinComb.zero()
-    for u, c in a.terms.items():
-        out = out + LinComb.monomial(word_to_composition(u), c)
-    return out
+    return LinComb((word_to_composition(u), c) for u, c in a.terms.items())
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +152,8 @@ def q_count(f: Forest, n: int, interior: bool = False) -> dict[int, Fraction]:
     contributes q^(k-1) per occurrence).  Interior: evaluate the strict
     words on {q^-1, ..., q^-(n-1)} and carry the global sign (-1)^|F|; the
     absolute value matches the interior points weighted by q^(-sum)."""
+    if n < 0:
+        raise ValueError("dilation factor must be nonnegative")
     words = gamma_wqsym(f, signed=interior)
     letters = n if not interior else n - 1
     sign = (-1) ** forest_size(f) if interior else 1
@@ -167,17 +163,11 @@ def q_count(f: Forest, n: int, interior: bool = False) -> dict[int, Fraction]:
         if m > letters + (0 if interior else 1):
             continue
         # strictly increasing assignments of the word's values to letters
-        for js in _increasing_maps(m, letters + (0 if interior else 1)):
+        for js in combinations(range(letters + (0 if interior else 1)), m):
             e = sum((js[x - 1] + (1 if interior else 0)) for x in u)
             e = -e if interior else e
             out[e] = out.get(e, Fraction(0)) + sign
     return {e: c for e, c in out.items() if c}
-
-
-def _increasing_maps(m: int, letters: int):
-    from itertools import combinations
-
-    return combinations(range(letters), m)
 
 
 def q_count_points(f: Forest, n: int, interior: bool = False) -> dict[int, Fraction]:

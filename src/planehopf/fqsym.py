@@ -16,9 +16,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 
 from .forests import Forest, forest_from_max_extension, max_linear_extension
-from .lincomb import LinComb
+from .lincomb import LinComb, bilinear
 from .perms import (all_perms, contains_132, inverse, inversions,
                     shifted_shuffle, standardize)
 
@@ -31,22 +32,14 @@ class DegreeGuard(ValueError):
 
 def f_product(a: LinComb, b: LinComb) -> LinComb:
     """Product in the F basis: shifted shuffles."""
-    out = LinComb.zero()
-    for u, cu in a.terms.items():
-        for v, cv in b.terms.items():
-            c = cu * cv
-            for w in shifted_shuffle(u, v):
-                out = out + LinComb.monomial(w, c)
-    return out
+    return bilinear(lambda u, v: LinComb((w, 1) for w in shifted_shuffle(u, v)),
+                    a, b)
 
 
 def f_coproduct(sigma: tuple[int, ...]) -> LinComb:
     """Coproduct in the F basis: standardized deconcatenations."""
-    out = LinComb.zero()
-    for k in range(len(sigma) + 1):
-        out = out + LinComb.monomial((standardize(sigma[:k]),
-                                      standardize(sigma[k:])))
-    return out
+    return LinComb(((standardize(sigma[:k]), standardize(sigma[k:])), 1)
+                   for k in range(len(sigma) + 1))
 
 
 def g_to_f(sigma: tuple[int, ...]) -> tuple[int, ...]:
@@ -92,19 +85,15 @@ def f_to_m(a: LinComb) -> LinComb:
 @lru_cache(maxsize=None)
 def _m_in_f(sigma: tuple[int, ...]) -> LinComb:
     # F_sigma = sum of M_tau over tau >= sigma in the left weak order
-    acc = LinComb.monomial(sigma, Fraction(1))
-    for tau in all_perms(len(sigma)):
-        if tau != sigma and sigma in _left_weak_below(tau):
-            acc = acc - _m_in_f(tau)
-    return acc
+    return LinComb(chain(((sigma, Fraction(1)),),
+                         ((rho, -c) for tau in all_perms(len(sigma))
+                          if tau != sigma and sigma in _left_weak_below(tau)
+                          for rho, c in _m_in_f(tau).terms.items())))
 
 
 def m_to_f(a: LinComb) -> LinComb:
     """Rewrite an M-expansion in the F basis (triangular recursion)."""
-    out = LinComb.zero()
-    for sigma, c in a.terms.items():
-        out = out + _m_in_f(sigma).scale(c)
-    return out
+    return a.map_basis(_m_in_f)
 
 
 def m_product(a: LinComb, b: LinComb) -> LinComb:
@@ -114,12 +103,8 @@ def m_product(a: LinComb, b: LinComb) -> LinComb:
 
 def m_quotient(a: LinComb) -> LinComb:
     """Image of an M-expansion in the 132-quotient, in the X basis."""
-    out = LinComb.zero()
-    for sigma, c in a.terms.items():
-        if contains_132(sigma):
-            continue
-        out = out + LinComb.monomial(forest_from_max_extension(inverse(sigma)), c)
-    return out
+    return LinComb((forest_from_max_extension(inverse(sigma)), c)
+                   for sigma, c in a.terms.items() if not contains_132(sigma))
 
 
 def x_to_m(f: Forest) -> LinComb:

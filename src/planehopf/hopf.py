@@ -18,13 +18,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 
 from . import tamari
 from .forests import (EMPTY_FOREST, Forest, Tree, aut_order, b_plus,
                       enumerate_forests, enumerate_trees, forest_size,
                       labelled_forest, plane_representatives, restrict_forest,
                       tree_size)
-from .lincomb import LinComb
+from .lincomb import LinComb, bilinear
 
 
 # ---------------------------------------------------------------------------
@@ -55,22 +56,14 @@ def lower_subsets(f: Forest):
 
 def y_coproduct(f: Forest) -> LinComb:
     """Coproduct of Y_F as a combination of (F1, F2) pairs."""
-    n = forest_size(f)
-    out = LinComb.zero()
-    for s1 in lower_subsets(f):
-        s2 = set(range(1, n + 1)) - s1
-        out = out + LinComb.monomial((restrict_forest(f, set(s1)),
-                                      restrict_forest(f, s2)))
-    return out
+    labels = set(range(1, forest_size(f) + 1))
+    return LinComb(((restrict_forest(f, set(s1)), restrict_forest(f, labels - s1)), 1)
+                   for s1 in lower_subsets(f))
 
 
 def y_product(a: LinComb, b: LinComb) -> LinComb:
     """Concatenation product on the Y basis, extended bilinearly."""
-    out = LinComb.zero()
-    for f, cf in a.terms.items():
-        for g, cg in b.terms.items():
-            out = out + LinComb.monomial(f + g, cf * cg)
-    return out
+    return bilinear(lambda f, g: LinComb.monomial(f + g), a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -123,19 +116,12 @@ def x_succ(f: Forest, g: Forest) -> LinComb:
 
 
 def x_product_lin(a: LinComb, b: LinComb) -> LinComb:
-    out = LinComb.zero()
-    for f, cf in a.terms.items():
-        for g, cg in b.terms.items():
-            out = out + x_product(f, g).scale(cf * cg)
-    return out
+    return bilinear(x_product, a, b)
 
 
 def x_coproduct(f: Forest) -> LinComb:
     """Deconcatenation coproduct of X_F."""
-    out = LinComb.zero()
-    for cut in range(len(f) + 1):
-        out = out + LinComb.monomial((f[:cut], f[cut:]))
-    return out
+    return LinComb(((f[:cut], f[cut:]), 1) for cut in range(len(f) + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -178,10 +164,7 @@ def _graft_tree(t: Tree, trees: tuple[Tree, ...]):
 def brace(forest: Forest, t: Tree) -> LinComb:
     """Brace product <X_{T1...Tr}, X_T>: graft T1..Tr on nodes of T, keeping
     their planar order."""
-    out = LinComb.zero()
-    for res in _graft_tree(t, tuple(forest)):
-        out = out + LinComb.monomial((res,))
-    return out
+    return LinComb(((res,), 1) for res in _graft_tree(t, tuple(forest)))
 
 
 def prelie_graft(t1: Tree, t2: Tree) -> LinComb:
@@ -193,10 +176,7 @@ def x_tau(tau, n: int) -> LinComb:
     """Chapoton-Livernet element: |Aut(tau)| times the sum of X_T over plane
     trees T whose underlying non-plane tree is tau."""
     coeff = Fraction(aut_order(tau))
-    out = LinComb.zero()
-    for t in plane_representatives(tau, n):
-        out = out + LinComb.monomial((t,), coeff)
-    return out
+    return LinComb(((t,), coeff) for t in plane_representatives(tau, n))
 
 
 # ---------------------------------------------------------------------------
@@ -210,27 +190,18 @@ def c_to_x(f: Forest) -> LinComb:
 
 @lru_cache(maxsize=None)
 def _x_in_c(f: Forest) -> LinComb:
-    out = LinComb.monomial(f)
-    for g in tamari.downset(f):
-        if g != f:
-            out = out - _x_in_c(g)
-    return out
+    return LinComb(chain(((f, 1),), ((h, -c) for g in tamari.downset(f) if g != f
+                                     for h, c in _x_in_c(g).terms.items())))
 
 
 def x_to_c(a: LinComb) -> LinComb:
     """Rewrite a combination of X_F as a combination of C_F."""
-    out = LinComb.zero()
-    for f, c in a.terms.items():
-        out = out + _x_in_c(f).scale(c)
-    return out
+    return a.map_basis(_x_in_c)
 
 
 def c_expand(a: LinComb) -> LinComb:
     """Rewrite a combination of C_F as a combination of X_F."""
-    out = LinComb.zero()
-    for f, c in a.terms.items():
-        out = out + c_to_x(f).scale(c)
-    return out
+    return a.map_basis(c_to_x)
 
 
 # ---------------------------------------------------------------------------

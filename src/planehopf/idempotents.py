@@ -15,15 +15,16 @@ convolution orientations coincide, so the orientation choice is inert here.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 
+from . import perms
 from .compositions import compositions_of, descent_set, maj, weight
 from .forests import Forest, Tree, enumerate_forests
-from .lincomb import LinComb
+from .lincomb import LinComb, bilinear
 from .ncsf import (embed_r, eval_binomial, gamma_qsym_m, psi_n, psi_bar_n,
-                   r_product, s_to_r)
-from .perms import all_perms
+                   r_product, s_coproduct_n, s_to_r)
 from .polynomials import (MultiPoly, RationalFn, discrete_integral,
-                          gaussian_binomial, ratfn_equal)
+                          gaussian_binomial)
 
 MAX_GROUP_DEGREE = 6
 
@@ -48,10 +49,7 @@ def dynkin_x(n: int) -> tuple[LinComb, LinComb]:
 
 def embed_x(a: LinComb) -> LinComb:
     """Embed a ribbon-basis element of Sym into the X basis."""
-    out = LinComb.zero()
-    for i, c in a.terms.items():
-        out = out + embed_r(i).scale(c)
-    return out
+    return a.map_basis(embed_r)
 
 
 # ---------------------------------------------------------------------------
@@ -128,22 +126,9 @@ def s_n_over_1mq(n: int) -> LinComb:
 
 def transform_over_1mq(a: LinComb) -> LinComb:
     """A -> A/(1-q) on an S-basis element, output in the ribbon basis."""
-    out = LinComb.zero()
-    for i, c in a.terms.items():
-        term = LinComb.monomial((), RationalFn(1))
-        for part in i:
-            term = r_product(term, s_n_over_1mq(part))
-        out = out + term.scale(RationalFn.coerce(c))
-    return out
-
-
-def lincomb_ratfn_equal(a: LinComb, b: LinComb) -> bool:
-    """Coefficientwise cross-multiplied equality of two ribbon elements."""
-    for key in set(a.terms) | set(b.terms):
-        if not ratfn_equal(a.coeff(key) or RationalFn(0),
-                           b.coeff(key) or RationalFn(0)):
-            return False
-    return True
+    one = LinComb.monomial((), RationalFn(1))
+    return LinComb((j, RationalFn.coerce(c) * cj) for i, c in a.terms.items()
+                   for j, cj in reduce(r_product, map(s_n_over_1mq, i), one).items())
 
 
 # ---------------------------------------------------------------------------
@@ -152,27 +137,23 @@ def lincomb_ratfn_equal(a: LinComb, b: LinComb) -> bool:
 def s_coproduct(a: LinComb) -> LinComb:
     """Coproduct of an S-basis element, as a combination of pairs (I, J):
     Delta S_n = sum of S_i (x) S_j, extended multiplicatively."""
-    out = LinComb.zero()
-    for i, c in a.terms.items():
+
+    def concat(x, y):
+        return LinComb.monomial((x[0] + y[0], x[1] + y[1]))
+
+    def delta(i):
         pairs = LinComb.monomial(((), ()), Fraction(1))
         for part in i:
-            step = LinComb.zero()
-            for (left, right), pc in pairs.terms.items():
-                for p in range(part + 1):
-                    new_left = left + ((p,) if p else ())
-                    new_right = right + ((part - p,) if part - p else ())
-                    step = step + LinComb.monomial((new_left, new_right), pc)
-            pairs = step
-        out = out + pairs.scale(c)
-    return out
+            pairs = bilinear(concat, pairs, s_coproduct_n(part))
+        return pairs
+
+    return a.map_basis(delta)
 
 
 def is_primitive(a: LinComb) -> bool:
     """Whether Delta a = a (x) 1 + 1 (x) a (S-basis input, nonzero degree)."""
-    expected = LinComb.zero()
-    for i, c in a.terms.items():
-        expected = expected + LinComb.monomial((i, ()), c)
-        expected = expected + LinComb.monomial(((), i), c)
+    expected = LinComb((key, c) for i, c in a.terms.items()
+                       for key in ((i, ()), ((), i)))
     return s_coproduct(a) == expected
 
 
@@ -184,9 +165,8 @@ def beta(a: LinComb, n: int) -> dict:
     R_I -> sum of the permutations with descent set D(I)."""
     out: dict = {}
     classes: dict = {}
-    for sigma in all_perms(n):
-        d = frozenset(k for k in range(1, n) if sigma[k - 1] > sigma[k])
-        classes.setdefault(d, []).append(sigma)
+    for sigma in perms.all_perms(n):
+        classes.setdefault(perms.descent_set(sigma), []).append(sigma)
     for i, c in a.terms.items():
         if weight(i) != n:
             raise ValueError(f"composition {i} is not of weight {n}")

@@ -151,7 +151,3 @@ class LaurentPoly:
 
     def __repr__(self):
         return f"LaurentPoly({self.text()})"
-
-
-def polar_split(f: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
-    return f.polar_split()

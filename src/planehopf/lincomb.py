@@ -7,26 +7,37 @@ are ``+``, ``-``, ``*`` and truthiness (zero coefficients are dropped).
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from itertools import chain
+from typing import Callable
 
 
 class LinComb:
-    """Sparse mapping basis label -> coefficient."""
+    """Sparse mapping basis label -> coefficient.
+
+    The constructor is the way to sum terms: it adds up ``(basis, coeff)``
+    pairs, repeated labels included, in order into one dict.
+    """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        self.terms = {}
+        self.terms = out = {}
         if terms:
             for b, c in (terms.items() if isinstance(terms, dict) else terms):
-                if c:
-                    self.terms[b] = self.terms[b] + c if b in self.terms else c
-                    if not self.terms[b]:
-                        del self.terms[b]
+                if not c:
+                    continue
+                if b in out:
+                    s = out[b] + c
+                    if s:
+                        out[b] = s
+                    else:
+                        del out[b]
+                else:
+                    out[b] = c
 
     @classmethod
     def monomial(cls, basis, coeff=1) -> "LinComb":
-        return cls({basis: coeff} if coeff else {})
+        return cls(((basis, coeff),))
 
     @classmethod
     def zero(cls) -> "LinComb":
@@ -40,45 +51,27 @@ class LinComb:
             return NotImplemented
         if set(self.terms) != set(other.terms):
             return False
-        return all(_coeff_eq(c, other.terms[b]) for b, c in self.terms.items())
+        return all(c == other.terms[b] for b, c in self.terms.items())
 
     def __hash__(self):
         raise TypeError("LinComb is mutable-by-construction; not hashable")
 
     def __add__(self, other: "LinComb") -> "LinComb":
-        out = dict(self.terms)
-        for b, c in other.terms.items():
-            s = out[b] + c if b in out else c
-            if s:
-                out[b] = s
-            else:
-                out.pop(b, None)
-        res = LinComb.__new__(LinComb)
-        res.terms = out
-        return res
+        return LinComb(chain(self.terms.items(), other.terms.items()))
 
     def __sub__(self, other: "LinComb") -> "LinComb":
         return self + (-other)
 
     def __neg__(self) -> "LinComb":
-        res = LinComb.__new__(LinComb)
-        res.terms = {b: -c for b, c in self.terms.items()}
-        return res
+        return LinComb((b, -c) for b, c in self.terms.items())
 
     def scale(self, coeff) -> "LinComb":
-        if not coeff:
-            return LinComb()
-        res = LinComb.__new__(LinComb)
-        res.terms = {b: _mul(coeff, c) for b, c in self.terms.items()}
-        res.terms = {b: c for b, c in res.terms.items() if c}
-        return res
+        return LinComb((b, coeff * c) for b, c in self.terms.items())
 
     def map_basis(self, fn: Callable) -> "LinComb":
         """Apply ``fn: basis -> LinComb`` linearly."""
-        out = LinComb()
-        for b, c in self.terms.items():
-            out = out + fn(b).scale(c)
-        return out
+        return LinComb((b2, c * c2) for b, c in self.terms.items()
+                       for b2, c2 in fn(b).terms.items())
 
     def coeff(self, basis):
         return self.terms.get(basis, 0)
@@ -102,29 +95,8 @@ class LinComb:
         return "LinComb(" + " + ".join(bits) + ")"
 
 
-def _mul(a, b):
-    return a * b
-
-
-def _coeff_eq(a, b) -> bool:
-    # RationalFn defines a semantic __eq__; everything else compares directly.
-    return a == b
-
-
-def tensor(*combs: LinComb) -> LinComb:
-    """Tensor product: basis labels become tuples."""
-    out = LinComb.monomial(())
-    for c in combs:
-        nxt = LinComb()
-        for b1, c1 in out.items():
-            for b2, c2 in c.items():
-                nxt = nxt + LinComb.monomial(b1 + (b2,), _mul(c1, c2))
-        out = nxt
-    return out
-
-
-def sum_lincombs(combs: Iterable[LinComb]) -> LinComb:
-    out = LinComb()
-    for c in combs:
-        out = out + c
-    return out
+def bilinear(op: Callable, a: LinComb, b: LinComb) -> LinComb:
+    """Extend ``op: (basis, basis) -> LinComb`` bilinearly to ``a`` and ``b``."""
+    return LinComb((h, c * ch)
+                   for x, cx in a.terms.items() for y, cy in b.terms.items()
+                   for c in (cx * cy,) for h, ch in op(x, y).terms.items())

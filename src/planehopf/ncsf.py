@@ -15,6 +15,7 @@ compared in the test suite.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 
 from . import compositions as comps
@@ -22,7 +23,7 @@ from .compositions import (coarsenings, complement, compositions_of,
                            refinements, reverse, weight)
 from .forests import (Forest, enumerate_forests, forest_size,
                       linear_extensions, strict_below_pairs)
-from .lincomb import LinComb
+from .lincomb import LinComb, bilinear
 from .perms import descent_composition
 from .polynomials import MultiPoly, RationalFn, binomial_poly
 
@@ -34,20 +35,13 @@ Composition = tuple
 
 def s_to_r(a: LinComb) -> LinComb:
     """S^I = sum of R_J over J coarser than I."""
-    out = LinComb.zero()
-    for i, c in a.terms.items():
-        for j in coarsenings(i):
-            out = out + LinComb.monomial(j, c)
-    return out
+    return LinComb((j, c) for i, c in a.terms.items() for j in coarsenings(i))
 
 
 def r_to_s(a: LinComb) -> LinComb:
     """R_I = sum over coarser J of (-1)^(l(I)-l(J)) S^J."""
-    out = LinComb.zero()
-    for i, c in a.terms.items():
-        for j in coarsenings(i):
-            out = out + LinComb.monomial(j, c * (-1) ** (len(i) - len(j)))
-    return out
+    return LinComb((j, c * (-1) ** (len(i) - len(j)))
+                   for i, c in a.terms.items() for j in coarsenings(i))
 
 
 def lambda_n_in_s(n: int) -> LinComb:
@@ -65,37 +59,24 @@ def lambda_comp_in_s(i: Composition) -> LinComb:
 
 def s_product(a: LinComb, b: LinComb) -> LinComb:
     """Product in the S basis: concatenation of compositions."""
-    out = LinComb.zero()
-    for i, ci in a.terms.items():
-        for j, cj in b.terms.items():
-            out = out + LinComb.monomial(i + j, ci * cj)
-    return out
+    return bilinear(lambda i, j: LinComb.monomial(i + j), a, b)
 
 
 def r_product(a: LinComb, b: LinComb) -> LinComb:
     """Product in the R basis: R_I R_J = R_{I.J} + R_{I|>J}."""
-    out = LinComb.zero()
-    for i, ci in a.terms.items():
-        for j, cj in b.terms.items():
-            c = ci * cj
-            if not i:
-                out = out + LinComb.monomial(j, c)
-            elif not j:
-                out = out + LinComb.monomial(i, c)
-            else:
-                out = out + LinComb.monomial(i + j, c)
-                out = out + LinComb.monomial(i[:-1] + (i[-1] + j[0],) + j[1:], c)
-    return out
+
+    def ribbons(i, j):
+        if not i or not j:
+            return LinComb.monomial(i + j)
+        return LinComb(((i + j, 1), (i[:-1] + (i[-1] + j[0],) + j[1:], 1)))
+
+    return bilinear(ribbons, a, b)
 
 
 def s_coproduct_n(n: int) -> LinComb:
     """Delta S_n = sum of S_i tensor S_j over i + j = n, as composition pairs."""
-    out = LinComb.zero()
-    for i in range(n + 1):
-        left = (i,) if i else ()
-        right = (n - i,) if n - i else ()
-        out = out + LinComb.monomial((left, right))
-    return out
+    return LinComb((((i,) if i else (), (n - i,) if n - i else ()), 1)
+                   for i in range(n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -103,20 +84,13 @@ def s_coproduct_n(n: int) -> LinComb:
 
 def f_to_m(a: LinComb) -> LinComb:
     """F_I = sum of M_J over J finer than I."""
-    out = LinComb.zero()
-    for i, c in a.terms.items():
-        for j in refinements(i):
-            out = out + LinComb.monomial(j, c)
-    return out
+    return LinComb((j, c) for i, c in a.terms.items() for j in refinements(i))
 
 
 def m_to_f(a: LinComb) -> LinComb:
     """M_I = sum over finer J of (-1)^(l(J)-l(I)) F_J."""
-    out = LinComb.zero()
-    for i, c in a.terms.items():
-        for j in refinements(i):
-            out = out + LinComb.monomial(j, c * (-1) ** (len(j) - len(i)))
-    return out
+    return LinComb((j, c * (-1) ** (len(j) - len(i)))
+                   for i, c in a.terms.items() for j in refinements(i))
 
 
 def _quasi_shuffles(i: Composition, j: Composition):
@@ -136,13 +110,8 @@ def _quasi_shuffles(i: Composition, j: Composition):
 
 def m_product(a: LinComb, b: LinComb) -> LinComb:
     """Quasi-shuffle product in the M basis."""
-    out = LinComb.zero()
-    for i, ci in a.terms.items():
-        for j, cj in b.terms.items():
-            c = ci * cj
-            for k in _quasi_shuffles(i, j):
-                out = out + LinComb.monomial(k, c)
-    return out
+    return bilinear(lambda i, j: LinComb((k, 1) for k in _quasi_shuffles(i, j)),
+                    a, b)
 
 
 def pair(s_elem: LinComb, m_elem: LinComb):
@@ -157,21 +126,15 @@ def pair(s_elem: LinComb, m_elem: LinComb):
 def minus_x_m(a: LinComb) -> LinComb:
     """The involution X -> -X in the M basis:
     M_I(-X) = (-1)^l(I) sum of M_J over J coarser than I."""
-    out = LinComb.zero()
-    for i, c in a.terms.items():
-        sign = (-1) ** len(i)
-        for j in coarsenings(i):
-            out = out + LinComb.monomial(j, c * sign)
-    return out
+    return LinComb((j, c * (-1) ** len(i))
+                   for i, c in a.terms.items() for j in coarsenings(i))
 
 
 def minus_x_f(a: LinComb) -> LinComb:
     """The involution X -> -X in the F basis:
     F_I(-X) = (-1)^|I| F of the descent complement."""
-    out = LinComb.zero()
-    for i, c in a.terms.items():
-        out = out + LinComb.monomial(complement(i), c * (-1) ** weight(i))
-    return out
+    return LinComb((complement(i), c * (-1) ** weight(i))
+                   for i, c in a.terms.items())
 
 
 # ---------------------------------------------------------------------------
@@ -219,52 +182,33 @@ def _labelling_count(f: Forest, i: Composition, strict: bool) -> int:
 
 def embed_r(i: Composition) -> LinComb:
     """R_I in the X basis: linear extensions of ribbon shape I."""
-    out = LinComb.zero()
-    for f in enumerate_forests(weight(i)):
-        c = sum(1 for sigma in linear_extensions(f)
-                if descent_composition(sigma) == i)
-        if c:
-            out = out + LinComb.monomial(f, Fraction(c))
-    return out
+    return LinComb((f, Fraction(sum(1 for sigma in linear_extensions(f)
+                                    if descent_composition(sigma) == i)))
+                   for f in enumerate_forests(weight(i)))
 
 
 def embed_s(i: Composition) -> LinComb:
     """S^I in the X basis: nondecreasing labellings of evaluation I."""
-    out = LinComb.zero()
-    for f in enumerate_forests(weight(i)):
-        c = nondecreasing_labellings(f, i)
-        if c:
-            out = out + LinComb.monomial(f, Fraction(c))
-    return out
+    return LinComb((f, Fraction(nondecreasing_labellings(f, i)))
+                   for f in enumerate_forests(weight(i)))
 
 
 def embed_lambda(i: Composition) -> LinComb:
     """Lambda^I in the X basis: strict labellings of evaluation I."""
-    out = LinComb.zero()
-    for f in enumerate_forests(weight(i)):
-        c = strict_labellings(f, i)
-        if c:
-            out = out + LinComb.monomial(f, Fraction(c))
-    return out
+    return LinComb((f, Fraction(strict_labellings(f, i)))
+                   for f in enumerate_forests(weight(i)))
 
 
 def gamma_qsym_m(f: Forest) -> LinComb:
     """Gamma_F(X) in the M basis: nondecreasing labelling counts."""
-    n = forest_size(f)
-    out = LinComb.zero()
-    for i in compositions_of(n):
-        c = nondecreasing_labellings(f, i)
-        if c:
-            out = out + LinComb.monomial(i, Fraction(c))
-    return out
+    return LinComb((i, Fraction(nondecreasing_labellings(f, i)))
+                   for i in compositions_of(forest_size(f)))
 
 
 def gamma_qsym_f(f: Forest) -> LinComb:
     """Gamma_F(X) in the F basis: descent compositions of linear extensions."""
-    out = LinComb.zero()
-    for sigma in linear_extensions(f):
-        out = out + LinComb.monomial(descent_composition(sigma), Fraction(1))
-    return out
+    return LinComb((descent_composition(sigma), Fraction(1))
+                   for sigma in linear_extensions(f))
 
 
 def chi_qsym_m(f: Forest) -> LinComb:
@@ -280,22 +224,15 @@ def s_n_1mq(n: int) -> LinComb:
     q = MultiPoly.var("q")
     if n == 0:
         return LinComb.monomial((), MultiPoly.const(1))
-    out = LinComb.zero()
-    for k in range(n):
-        i = (1,) * k + (n - k,)
-        out = out + LinComb.monomial(i, (1 - q) * (-q) ** k)
-    return out
+    return LinComb(((1,) * k + (n - k,), (1 - q) * (-q) ** k)
+                   for k in range(n))
 
 
 def transform_1mq(a: LinComb) -> LinComb:
     """A -> (1-q)A on an S-basis element, output in the R basis."""
-    out = LinComb.zero()
-    for i, c in a.terms.items():
-        term = LinComb.monomial((), MultiPoly.const(1))
-        for part in i:
-            term = r_product(term, s_n_1mq(part))
-        out = out + term.scale(MultiPoly.coerce(c))
-    return out
+    one = LinComb.monomial((), MultiPoly.const(1))
+    return LinComb((j, MultiPoly.coerce(c) * cj) for i, c in a.terms.items()
+                   for j, cj in reduce(r_product, map(s_n_1mq, i), one).items())
 
 
 def psi_n(n: int) -> LinComb:
@@ -307,11 +244,9 @@ def psi_n(n: int) -> LinComb:
 def psi_n_via_limit(n: int) -> LinComb:
     """Psi_n as the limit of S_n((1-q)A)/(1-q) at q = 1 (exact division)."""
     q = MultiPoly.var("q")
-    out = LinComb.zero()
-    for i, c in s_n_1mq(n).terms.items():
-        quot = MultiPoly.coerce(c).divexact(1 - q)
-        out = out + LinComb.monomial(i, quot.substitute({"q": Fraction(1)}).as_constant())
-    return out
+    return LinComb((i, MultiPoly.coerce(c).divexact(1 - q)
+                    .substitute({"q": Fraction(1)}).as_constant())
+                   for i, c in s_n_1mq(n).terms.items())
 
 
 def psi_bar_n(n: int) -> LinComb:
@@ -346,14 +281,9 @@ def eval_geometric(a: LinComb, m: int) -> "MultiPoly":
 def eval_geometric_inf(a: LinComb) -> RationalFn:
     """Evaluate on the infinite alphabet {1, q, q^2, ...}:
     M_I -> q^(sum (k-1) i_k) / prod_k (1 - q^(i_k + ... + i_l))."""
-    q = MultiPoly.var("q")
     out = RationalFn(MultiPoly.zero(), MultiPoly.const(1))
     for i, c in a.terms.items():
-        num = q ** sum((k - 1) * part for k, part in enumerate(i, start=1))
-        den = MultiPoly.const(1)
-        for k in range(len(i)):
-            den = den * (1 - q ** sum(i[k:]))
-        out = out + RationalFn(num, den) * RationalFn(MultiPoly.coerce(c), MultiPoly.const(1))
+        out = out + _even_factor(i) * RationalFn(MultiPoly.coerce(c), MultiPoly.const(1))
     return out
 
 
@@ -424,7 +354,4 @@ def omega_f(a: LinComb, kind: str = "conjugate") -> LinComb:
         raise ValueError(f"unknown omega kind {kind!r}")
     fn = {"conjugate": comps.conjugate, "reverse": reverse,
           "complement": complement}[kind]
-    out = LinComb.zero()
-    for i, c in a.terms.items():
-        out = out + LinComb.monomial(fn(i), c)
-    return out
+    return LinComb((fn(i), c) for i, c in a.terms.items())

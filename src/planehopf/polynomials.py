@@ -338,10 +338,6 @@ class RationalFn:
         return f"RationalFn({self.text()})"
 
 
-def ratfn_equal(f, g) -> bool:
-    return RationalFn.coerce(f) == RationalFn.coerce(g)
-
-
 # ---------------------------------------------------------------------------
 # Special polynomials
 

@@ -48,6 +48,19 @@ def test_cost_guard_exit_code(capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (("birkhoff", "sigma-plus"), 3),
+    (("ehrhart", "qcount", "--forest", "200", "--n", "-1"), 3),
+    (("nsym", "embed", "--I", "9"), 4),
+    (("nsym", "embed", "--I", "4,4"), 4),
+])
+def test_contract_exit_code(capsys, argv, expected):
+    assert main(list(argv)) == expected
+    err = capsys.readouterr().err
+    assert err.startswith("cost guard:" if expected == 4 else "error:")
+    assert "Traceback" not in err
+
+
 def test_tamari_upset_golden(capsys):
     data = run_json(capsys, "tamari", "upset", "--forest", "1200",
                     "--format", "json")
