@@ -21,19 +21,18 @@ W(I) and S(I) whose cardinalities are products of Catalan numbers.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import comb
 
 from . import tamari
-from .compositions import (composition_from_signs, compositions_of,
-                           descent_set, sign_word, weight)
+from .compositions import (compositions_of, descent_set, from_descent_set,
+                           sign_word, weight)
 from .forests import (Forest, Tree, enumerate_forests, enumerate_trees,
-                      forest_size, polish_code, reverse_polish_code)
+                      polish_code, reverse_polish_code)
 from .hopf import c_expand
 from .laurent import LaurentPoly
 from .lincomb import LinComb
 from .linalg import solve
-from .ncsf import embed_r
+from .ncsf import gamma_qsym_f
 from .polynomials import MultiPoly
 
 
@@ -150,14 +149,14 @@ def d_lambda_x(lam: tuple[int, ...]) -> LinComb:
 
 def d_lambda_ribbon(lam: tuple[int, ...]) -> LinComb:
     """D_lambda in the ribbon basis of Sym (it lies in the image of the
-    embedding; the coordinates are found by exact linear solving)."""
+    embedding; the coordinates are found by exact linear solving).  Row F of
+    the matrix of the R_I in the X basis is Gamma_F in the F basis."""
     n = sum(lam) + 1
     target = d_lambda_x(lam)
     comps = list(compositions_of(n))
-    columns = [embed_r(i) for i in comps]
     forests = enumerate_forests(n)
-    coords = solve([[col.coeff(f) for col in columns] for f in forests],
-                   [target.coeff(f) for f in forests])
+    rows = [[g.coeff(i) for i in comps] for g in map(gamma_qsym_f, forests)]
+    coords = solve(rows, [target.coeff(f) for f in forests])
     return LinComb(zip(comps, coords))
 
 
@@ -263,8 +262,6 @@ def ribbon_from_word(w: tuple[int, ...]) -> tuple[int, ...]:
         total += x
         if total >= k:
             descents.add(k)
-    from .compositions import from_descent_set
-
     return from_descent_set(descents, n)
 
 

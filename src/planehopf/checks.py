@@ -6,7 +6,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import birkhoff, hopf, tamari
+from . import birkhoff, fqsym, hopf, tamari
+from .compositions import compositions_of
 from .forests import enumerate_forests, enumerate_trees, forest_code, forest_size
 from .laurent import LaurentPoly
 from .lincomb import LinComb, bilinear
@@ -151,8 +152,6 @@ def suite_words(n: int) -> list[str]:
     sigma_a^+ is (-1)^(l(I)-1) times the generating sum of W(I), and |W(I)|
     is the Catalan block product."""
     bad = []
-    from .compositions import compositions_of, weight
-
     a = birkhoff.a_series(n)
     for size in range(1, n + 1):
         expansion = birkhoff.sigma_plus_ribbon(size, a)
@@ -176,8 +175,6 @@ def suite_words(n: int) -> list[str]:
 def suite_quotient(n: int) -> list[str]:
     """X product through the 132-pattern quotient against the coproduct
     transpose."""
-    from . import fqsym
-
     bad = []
     for n1 in range(1, n):
         for n2 in range(1, n + 1 - n1):

@@ -1,28 +1,29 @@
 """Order polytopes of forest posets and their Ehrhart data.
 
 The order polytope of the canonically labelled forest poset is cut out by
-0 <= x_i <= 1 together with x_i <= x_j whenever i lies below j.  The packed
-words of the points of the dilated polytopes assemble into a word-indexed
-generating function whose quasi-symmetric image is the generating function
-of the poset's (P, omega)-partitions; evaluating the latter on alpha ones
-gives the Ehrhart polynomial at alpha - 1.
+0 <= x_i <= 1 together with x_i <= x_j whenever i lies below j.  The
+integral points of its dilations are the (P, omega)-partitions of the poset,
+counted by Gamma_F (:func:`planehopf.ncsf.gamma_qsym_m`), and the interior
+points are the strict ones, counted by chi_F.  Gamma_F on alpha ones gives
+the Ehrhart polynomial at alpha - 1; Gamma_F and chi_F on finite geometric
+alphabets give the q-counts.
 
+The packed words of the points assemble into a word-indexed lift of Gamma_F.
 The sign change of alphabet on packed words,
 M_u(-A) = (-1)^max(u) sum of M_v over merges v of u, turns the weak words
 into the strict ones and yields the interior points, hence an exact lift of
-Ehrhart reciprocity; everything is cross-checked against brute-force point
-enumeration in the test suite.
+Ehrhart reciprocity.  The packed words and brute-force point enumeration are
+the test oracles for the Gamma_F routes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from itertools import product as iter_product
 
 from .forests import Forest, forest_size, strict_below_pairs
 from .lincomb import LinComb
-from .ncsf import eval_binomial, gamma_qsym_m
+from .ncsf import chi_qsym_m, eval_binomial, eval_geometric, gamma_qsym_m
 from .polynomials import MultiPoly
 
 PackedWord = tuple[int, ...]
@@ -148,26 +149,22 @@ def q_count(f: Forest, n: int, interior: bool = False) -> dict[int, Fraction]:
     """q-count of the points of the n-th dilation by sum of coordinates,
     as a dict exponent -> coefficient.
 
-    Boundary: evaluate the weak words on {1, q, ..., q^n} (letter value k
-    contributes q^(k-1) per occurrence).  Interior: evaluate the strict
-    words on {q^-1, ..., q^-(n-1)} and carry the global sign (-1)^|F|; the
-    absolute value matches the interior points weighted by q^(-sum)."""
+    Boundary: Gamma_F on the alphabet {1, q, ..., q^n}, one letter per
+    coordinate value 0..n.  Interior: chi_F on {1, q, ..., q^(n-2)}, with
+    each exponent shifted by |F| (coordinate values 1..n-1), negated, and
+    the global sign (-1)^|F| carried; the absolute value matches the
+    interior points weighted by q^(-sum)."""
     if n < 0:
         raise ValueError("dilation factor must be nonnegative")
-    words = gamma_wqsym(f, signed=interior)
-    letters = n if not interior else n - 1
-    sign = (-1) ** forest_size(f) if interior else 1
-    out: dict[int, Fraction] = {}
-    for u in words.support():
-        m = max(u) if u else 0
-        if m > letters + (0 if interior else 1):
-            continue
-        # strictly increasing assignments of the word's values to letters
-        for js in combinations(range(letters + (0 if interior else 1)), m):
-            e = sum((js[x - 1] + (1 if interior else 0)) for x in u)
-            e = -e if interior else e
-            out[e] = out.get(e, Fraction(0)) + sign
-    return {e: c for e, c in out.items() if c}
+    if not interior:
+        return _q_exponents(eval_geometric(gamma_qsym_m(f), n + 1))
+    size = forest_size(f)
+    return {-(size + e): (-1) ** size * c for e, c in
+            _q_exponents(eval_geometric(chi_qsym_m(f), n - 1)).items()}
+
+
+def _q_exponents(p: MultiPoly) -> dict[int, Fraction]:
+    return {dict(m).get("q", 0): c for m, c in p.coeffs.items()}
 
 
 def q_count_points(f: Forest, n: int, interior: bool = False) -> dict[int, Fraction]:

@@ -13,7 +13,8 @@ of labels with the maximum at its root.  All poset-dependent operations
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator, Sequence
+from math import factorial
+from typing import Sequence
 
 Tree = tuple            # nested tuples of children
 Forest = tuple          # tuple of Trees
@@ -322,8 +323,6 @@ def non_plane_class(t: Tree):
 def aut_order(tau) -> int:
     """|Aut| of a canonical non-plane tree: product over nodes of the
     factorials of multiplicities of identical child subtrees."""
-    from math import factorial
-
     order = 1
     i = 0
     kids = list(tau)

@@ -18,7 +18,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 
-from .forests import Forest, forest_from_max_extension, max_linear_extension
+from .forests import (Forest, forest_from_max_extension, linear_extensions,
+                      max_linear_extension)
 from .lincomb import LinComb, bilinear
 from .perms import (all_perms, contains_132, inverse, inversions,
                     shifted_shuffle, standardize)
@@ -124,6 +125,4 @@ def quotient_product(f: Forest, g: Forest) -> LinComb:
 
 def gamma_fqsym(f: Forest) -> LinComb:
     """Free generating function of the forest poset, in the F basis."""
-    from .forests import linear_extensions
-
     return LinComb({sigma: Fraction(1) for sigma in linear_extensions(f)})

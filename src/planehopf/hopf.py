@@ -21,10 +21,8 @@ from functools import lru_cache
 from itertools import chain
 
 from . import tamari
-from .forests import (EMPTY_FOREST, Forest, Tree, aut_order, b_plus,
-                      enumerate_forests, enumerate_trees, forest_size,
-                      labelled_forest, plane_representatives, restrict_forest,
-                      tree_size)
+from .forests import (Forest, Tree, aut_order, enumerate_forests, forest_size,
+                      labelled_forest, plane_representatives, restrict_forest)
 from .lincomb import LinComb, bilinear
 
 

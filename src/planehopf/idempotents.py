@@ -166,7 +166,7 @@ def beta(a: LinComb, n: int) -> dict:
     out: dict = {}
     classes: dict = {}
     for sigma in perms.all_perms(n):
-        classes.setdefault(perms.descent_set(sigma), []).append(sigma)
+        classes.setdefault(perms.descents(sigma), []).append(sigma)
     for i, c in a.terms.items():
         if weight(i) != n:
             raise ValueError(f"composition {i} is not of weight {n}")

@@ -8,21 +8,23 @@ subset of D(I).
 
 The embedding of Sym spanned by the S_n = sum of all X_F (equivalently the
 Lambda_n = X on a singleton forest) sends R_I, S^I and Lambda^I to explicit
-X-expansions counted by labellings of forests; three independent routes are
-compared in the test suite.
+X-expansions counted by labellings of forests.  Every count is read off one
+memoized enumeration, Gamma_F = sum of F_{Des s} over the linear extensions
+s of F; the tests compare them with X-basis products of the S_n and
+Lambda_n and with packed-word counts in :mod:`planehopf.ehrhart`.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import combinations
 
 from . import compositions as comps
 from .compositions import (coarsenings, complement, compositions_of,
                            refinements, reverse, weight)
-from .forests import (Forest, enumerate_forests, forest_size,
-                      linear_extensions, strict_below_pairs)
+from .forests import Forest, enumerate_forests, forest_size, linear_extensions
 from .lincomb import LinComb, bilinear
 from .perms import descent_composition
 from .polynomials import MultiPoly, RationalFn, binomial_poly
@@ -140,50 +142,32 @@ def minus_x_f(a: LinComb) -> LinComb:
 # ---------------------------------------------------------------------------
 # Labelling counts and the embedding into the X basis
 
+@lru_cache(maxsize=None)
+def gamma_qsym_f(f: Forest) -> LinComb:
+    """Gamma_F(X) in the F basis: descent compositions of linear extensions,
+    the one enumeration of the forest poset that every count below reads."""
+    return LinComb((i, Fraction(c)) for i, c in
+                   Counter(map(descent_composition, linear_extensions(f))).items())
+
+
 def nondecreasing_labellings(f: Forest, i: Composition) -> int:
     """Labellings u of the forest with evaluation I and u weakly increasing
-    from the leaves toward the roots."""
-    return _labelling_count(f, i, strict=False)
+    from the leaves toward the roots: the M_I coefficient of Gamma_F, i.e.
+    its F_J coefficients summed over J coarser than I."""
+    g = gamma_qsym_f(f)
+    return int(sum(g.coeff(j) for j in coarsenings(i)))
 
 
 def strict_labellings(f: Forest, i: Composition) -> int:
-    """Labellings with evaluation I, strictly increasing toward the roots."""
-    return _labelling_count(f, i, strict=True)
-
-
-def _labelling_count(f: Forest, i: Composition, strict: bool) -> int:
-    n = forest_size(f)
-    if weight(i) != n:
-        return 0
-    below = strict_below_pairs(f)
-    counts = 0
-    # assign to each node a letter in 1..l(I) with the given multiplicities
-    letters = []
-    for k, part in enumerate(i, start=1):
-        letters.extend([k] * part)
-
-    from itertools import permutations
-
-    seen = set()
-    for perm in permutations(letters):
-        if perm in seen:
-            continue
-        seen.add(perm)
-        ok = True
-        for lo, hi in below:
-            a, b = perm[lo - 1], perm[hi - 1]
-            if a > b or (strict and a == b):
-                ok = False
-                break
-        if ok:
-            counts += 1
-    return counts
+    """Labellings with evaluation I, strictly increasing toward the roots:
+    the F_J of Gamma_F summed over J finer than the complement of I."""
+    g = gamma_qsym_f(f)
+    return int(sum(g.coeff(j) for j in refinements(complement(i))))
 
 
 def embed_r(i: Composition) -> LinComb:
     """R_I in the X basis: linear extensions of ribbon shape I."""
-    return LinComb((f, Fraction(sum(1 for sigma in linear_extensions(f)
-                                    if descent_composition(sigma) == i)))
+    return LinComb((f, gamma_qsym_f(f).coeff(i))
                    for f in enumerate_forests(weight(i)))
 
 
@@ -203,12 +187,6 @@ def gamma_qsym_m(f: Forest) -> LinComb:
     """Gamma_F(X) in the M basis: nondecreasing labelling counts."""
     return LinComb((i, Fraction(nondecreasing_labellings(f, i)))
                    for i in compositions_of(forest_size(f)))
-
-
-def gamma_qsym_f(f: Forest) -> LinComb:
-    """Gamma_F(X) in the F basis: descent compositions of linear extensions."""
-    return LinComb((descent_composition(sigma), Fraction(1))
-                   for sigma in linear_extensions(f))
 
 
 def chi_qsym_m(f: Forest) -> LinComb:

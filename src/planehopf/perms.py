@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from itertools import permutations as _permutations
 
+from .compositions import from_descent_set
+
 
 def all_perms(n: int):
     return (tuple(p) for p in _permutations(range(1, n + 1)))
@@ -35,15 +37,14 @@ def weak_leq(tau: tuple[int, ...], sigma: tuple[int, ...]) -> bool:
     return inversions(tau) <= inversions(sigma)
 
 
-def descent_set(sigma: tuple[int, ...]) -> frozenset[int]:
+def descents(sigma: tuple[int, ...]) -> frozenset[int]:
+    """Positions i with sigma(i) > sigma(i + 1)."""
     return frozenset(i for i in range(1, len(sigma)) if sigma[i - 1] > sigma[i])
 
 
 def descent_composition(sigma: tuple[int, ...]) -> tuple[int, ...]:
     """Ribbon shape of a permutation."""
-    from .compositions import from_descent_set
-
-    return from_descent_set(descent_set(sigma), len(sigma))
+    return from_descent_set(descents(sigma), len(sigma))
 
 
 def standardize(word: tuple[int, ...]) -> tuple[int, ...]:

@@ -7,7 +7,7 @@ import pytest
 
 from planehopf import ehrhart as eh
 from planehopf.forests import enumerate_forests, parse_forest
-from planehopf.ncsf import eval_geometric, gamma_qsym_m
+from planehopf.ncsf import chi_qsym_m, eval_geometric, gamma_qsym_m
 from planehopf.polynomials import MultiPoly
 
 CHERRY = parse_forest("200")
@@ -41,6 +41,8 @@ def test_commutative_image():
     for n in range(1, 6):
         for f in enumerate_forests(n):
             assert eh.wqsym_to_qsym(eh.gamma_wqsym(f)) == gamma_qsym_m(f)
+            assert eh.wqsym_to_qsym(eh.gamma_wqsym(f, signed=True)) \
+                == chi_qsym_m(f)
 
 
 def test_ehrhart_polynomial_fixtures():
@@ -84,13 +86,12 @@ def test_interior_q_count_fixture():
 
 
 def test_q_routes_agree():
-    for sz in range(1, 5):
+    for sz in range(0, 5):
         for f in enumerate_forests(sz):
             for n in range(0, 4):
                 assert eh.q_count(f, n) == eh.q_count_points(f, n)
-                if n >= 1:
-                    assert eh.q_count(f, n, interior=True) \
-                        == eh.q_count_points(f, n, interior=True)
+                assert eh.q_count(f, n, interior=True) \
+                    == eh.q_count_points(f, n, interior=True)
 
 
 def test_negative_dilation_rejected():

@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from planehopf import hopf, ncsf
+from planehopf import birkhoff, hopf, ncsf
 from planehopf.compositions import compositions_of
-from planehopf.forests import enumerate_forests, forest_code, parse_forest
+from planehopf.forests import (enumerate_forests, forest_code,
+                               linear_extensions, parse_forest)
 from planehopf.lincomb import LinComb
 from planehopf.polynomials import MultiPoly, RationalFn
 
@@ -40,7 +41,7 @@ def test_embed_r_via_gamma_duality():
 
 
 def test_embed_s_routes():
-    for i in [(2,), (1, 1), (2, 1), (1, 2), (2, 2), (3, 1)]:
+    for i in (i for n in range(6) for i in compositions_of(n)):
         via_r = ncsf.s_to_r(mono(i)).map_basis(ncsf.embed_r)
         assert via_r == ncsf.embed_s(i)
         prod = LinComb.monomial(())
@@ -50,11 +51,32 @@ def test_embed_s_routes():
 
 
 def test_embed_lambda_routes():
-    for i in [(2, 1), (1, 2), (2, 2), (3, 1)]:
+    for i in (i for n in range(6) for i in compositions_of(n)):
         prod = LinComb.monomial(())
         for part in i:
             prod = hopf.x_product_lin(prod, hopf.lambda_n(part))
         assert prod == ncsf.embed_lambda(i)
+
+
+def test_one_enumeration_per_forest(monkeypatch):
+    # every count reads the memoized Gamma_F: the 14 forests of size 4 are
+    # each enumerated once, however many compositions ask about them
+    seen = []
+
+    def counted(f):
+        seen.append(f)
+        return linear_extensions(f)
+
+    monkeypatch.setattr(ncsf, "linear_extensions", counted)
+    ncsf.gamma_qsym_f.cache_clear()
+    for i in compositions_of(4):
+        ncsf.embed_r(i)
+        ncsf.embed_s(i)
+        ncsf.embed_lambda(i)
+    for f in enumerate_forests(4):
+        ncsf.gamma_qsym_m(f)
+    birkhoff.d_lambda_ribbon((2, 1))
+    assert len(seen) == len(set(seen)) == len(enumerate_forests(4)) == 14
 
 
 def test_r_s_round_trip():
