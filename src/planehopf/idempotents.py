@@ -5,6 +5,8 @@ e_n^(k), and the q-interpolating phi_n(q).  Under the embedding into the
 dual Connes-Kreimer algebra, Psi_n lands on the chain tree and the mirror
 Psi-bar_n on the sum of all trees; the Eulerian pieces expand with the
 coefficient of X_F given by [alpha^k] of the order polynomial Gamma_F.
+phi_n(q) and the A/(1-q) transform have RationalFn coefficients in lowest
+terms, so their identities are checked with ``==``.
 
 Certification is two-fold: primitivity for the coproduct of Sym, and
 quasi-idempotency beta(e)^2 = c beta(e) after sending each ribbon to its
@@ -24,7 +26,7 @@ from .lincomb import LinComb, bilinear
 from .ncsf import (embed_r, eval_binomial, gamma_qsym_m, psi_n, psi_bar_n,
                    r_product, s_coproduct_n, s_to_r)
 from .polynomials import (MultiPoly, RationalFn, discrete_integral,
-                          gaussian_binomial)
+                          over_one_minus_q)
 
 MAX_GROUP_DEGREE = 6
 
@@ -102,25 +104,25 @@ def solomon_x(n: int) -> LinComb:
 
 def q_solomon(n: int) -> LinComb:
     """phi_n(q) in the ribbon basis, with RationalFn coefficients:
-    (1/n) sum over I of (-1)^(l-1) q^(maj(I) - l(l-1)/2) / qbin(n-1, l-1) R_I.
+    (1/n) sum over I of (-1)^(l-1) q^(maj(I) - l(l-1)/2) / qbin(n-1, l-1) R_I,
+    each Gaussian binomial entered as its cyclotomic factors.
     """
     q = MultiPoly.var("q")
     out = {}
     for i in compositions_of(n):
         l = len(i)
         num = q ** (maj(i) - l * (l - 1) // 2) * Fraction((-1) ** (l - 1), n)
-        out[i] = RationalFn(num, gaussian_binomial(n - 1, l - 1))
+        # 1 / qbin(n-1, l-1) = prod_{k < l} (1 - q^k) / (1 - q^(n-k))
+        out[i] = over_one_minus_q(num, range(n - l + 1, n), range(1, l))
     return LinComb(out)
 
 
 def s_n_over_1mq(n: int) -> LinComb:
     """S_n(A/(1-q)) in the ribbon basis:
-    sum over I of q^maj(I) R_I / ((1-q)(1-q^2)...(1-q^n))."""
+    sum over I of q^maj(I) R_I / ((1-q)(1-q^2)...(1-q^n)), the denominator
+    entered as its cyclotomic factors."""
     q = MultiPoly.var("q")
-    den = MultiPoly.const(1)
-    for k in range(1, n + 1):
-        den = den * (1 - q ** k)
-    return LinComb({i: RationalFn(q ** maj(i), den)
+    return LinComb({i: over_one_minus_q(q ** maj(i), range(1, n + 1))
                     for i in compositions_of(n)})
 
 

@@ -12,6 +12,10 @@ X-expansions counted by labellings of forests.  Every count is read off one
 memoized enumeration, Gamma_F = sum of F_{Des s} over the linear extensions
 s of F; the tests compare them with X-basis products of the S_n and
 Lambda_n and with packed-word counts in :mod:`planehopf.ehrhart`.
+
+Evaluations on the infinite alphabets {1, q, q^2, ...} and (q, t) return
+canonical RationalFns: each M_I has a denominator prod (1 - q^k), entered
+as its cyclotomic factors, and every sum is kept in lowest terms.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import combinations
+from itertools import accumulate, combinations
 
 from . import compositions as comps
 from .compositions import (coarsenings, complement, compositions_of,
@@ -27,7 +31,7 @@ from .compositions import (coarsenings, complement, compositions_of,
 from .forests import Forest, enumerate_forests, forest_size, linear_extensions
 from .lincomb import LinComb, bilinear
 from .perms import descent_composition
-from .polynomials import MultiPoly, RationalFn, binomial_poly
+from .polynomials import MultiPoly, RationalFn, binomial_poly, over_one_minus_q
 
 Composition = tuple
 
@@ -222,8 +226,8 @@ def psi_n(n: int) -> LinComb:
 def psi_n_via_limit(n: int) -> LinComb:
     """Psi_n as the limit of S_n((1-q)A)/(1-q) at q = 1 (exact division)."""
     q = MultiPoly.var("q")
-    return LinComb((i, MultiPoly.coerce(c).divexact(1 - q)
-                    .substitute({"q": Fraction(1)}).as_constant())
+    return LinComb((i, RationalFn(c, 1 - q).substitute({"q": Fraction(1)})
+                    .num.as_constant())
                    for i, c in s_n_1mq(n).terms.items())
 
 
@@ -238,54 +242,39 @@ def psi_bar_n(n: int) -> LinComb:
 
 def eval_binomial(a: LinComb, var: str = "alpha") -> "MultiPoly":
     """Evaluate on an alphabet of ``var`` ones: M_I -> binomial(var, l(I))."""
-    out = MultiPoly.zero()
-    for i, c in a.terms.items():
-        out = out + binomial_poly(var, len(i)) * MultiPoly.coerce(c)
-    return out
+    return MultiPoly.sum(binomial_poly(var, len(i)) * MultiPoly.coerce(c)
+                         for i, c in a.terms.items())
 
 
 def eval_geometric(a: LinComb, m: int) -> "MultiPoly":
     """Evaluate on the alphabet {1, q, ..., q^(m-1)}."""
-    q = MultiPoly.var("q")
-    out = MultiPoly.zero()
-    for i, c in a.terms.items():
-        term = MultiPoly.zero()
-        for js in combinations(range(m), len(i)):
-            term = term + q ** sum(part * j for part, j in zip(i, js))
-        out = out + term * MultiPoly.coerce(c)
-    return out
+    return MultiPoly.sum(
+        MultiPoly.sum(MultiPoly.var("q", sum(part * j for part, j in zip(i, js)))
+                      for js in combinations(range(m), len(i)))
+        * MultiPoly.coerce(c) for i, c in a.terms.items())
 
 
 def eval_geometric_inf(a: LinComb) -> RationalFn:
     """Evaluate on the infinite alphabet {1, q, q^2, ...}:
     M_I -> q^(sum (k-1) i_k) / prod_k (1 - q^(i_k + ... + i_l))."""
-    out = RationalFn(MultiPoly.zero(), MultiPoly.const(1))
-    for i, c in a.terms.items():
-        out = out + _even_factor(i) * RationalFn(MultiPoly.coerce(c), MultiPoly.const(1))
-    return out
+    return sum((_even_factor(i) * c for i, c in a.terms.items()),
+               RationalFn(0))
 
 
 def eval_xqt(a: LinComb) -> RationalFn:
     """Evaluate on the (q, t) alphabet: even letters q^i (i >= 0) ascending,
     odd letters q^j t (j >= 1) descending; each M_I splits as an even prefix
     and an odd suffix."""
-    out = RationalFn(MultiPoly.zero(), MultiPoly.const(1))
-    for i, c in a.terms.items():
-        val = RationalFn(MultiPoly.zero(), MultiPoly.const(1))
-        for cut in range(len(i) + 1):
-            even, odd = i[:cut], i[cut:]
-            val = val + _even_factor(even) * _odd_part_factor(odd)
-        out = out + val * RationalFn(MultiPoly.coerce(c), MultiPoly.const(1))
-    return out
+    return sum((_even_factor(i[:cut]) * _odd_part_factor(i[cut:]) * c
+                for i, c in a.terms.items() for cut in range(len(i) + 1)),
+               RationalFn(0))
 
 
 def _even_factor(i: Composition) -> RationalFn:
     q = MultiPoly.var("q")
-    num = q ** sum((k - 1) * part for k, part in enumerate(i, start=1))
-    den = MultiPoly.const(1)
-    for k in range(len(i)):
-        den = den * (1 - q ** sum(i[k:]))
-    return RationalFn(num, den)
+    return over_one_minus_q(
+        q ** sum((k - 1) * part for k, part in enumerate(i, start=1)),
+        [sum(i[k:]) for k in range(len(i))])
 
 
 def _odd_part_factor(i: Composition) -> RationalFn:
@@ -293,9 +282,6 @@ def _odd_part_factor(i: Composition) -> RationalFn:
     decreasing j along the blocks; within a block the letters coincide."""
     q = MultiPoly.var("q")
     t = MultiPoly.var("t")
-    if not i:
-        return RationalFn(MultiPoly.const(1), MultiPoly.const(1))
-    total = RationalFn(MultiPoly.zero(), MultiPoly.const(1))
 
     def blockings(parts):
         if not parts:
@@ -305,19 +291,13 @@ def _odd_part_factor(i: Composition) -> RationalFn:
             for rest in blockings(parts[cut:]):
                 yield (parts[:cut],) + rest
 
-    sign = (-1) ** len(i)
-    for blocks in blockings(i):
-        nblocks = len(blocks)
-        num_exp = 0
-        den = MultiPoly.const(1)
-        prefix = 0
-        for m, block in enumerate(blocks, start=1):
-            prefix += sum(block)
-            den = den * (1 - q ** prefix)
-            num_exp += (nblocks - m + 1) * sum(block)
-        num = MultiPoly.const(sign) * (q ** num_exp) * (t ** weight(i))
-        total = total + RationalFn(num, den)
-    return total
+    def term(blocks):
+        sizes = [sum(block) for block in blocks]
+        num_exp = sum((len(blocks) - m) * size for m, size in enumerate(sizes))
+        return over_one_minus_q((-1) ** len(i) * q ** num_exp * t ** weight(i),
+                                list(accumulate(sizes)))
+
+    return sum(map(term, blockings(i)), RationalFn(0))
 
 
 # ---------------------------------------------------------------------------

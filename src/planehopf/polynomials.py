@@ -1,23 +1,21 @@
-"""Sparse exact multivariate polynomials and unnormalized rational functions.
+"""Sparse exact multivariate polynomials and canonical rational functions.
 
 Monomials are sorted tuples of (variable name, positive exponent); coefficients
-are ``fractions.Fraction``.  Rational functions are kept as unnormalized
-numerator/denominator pairs, compared by cross-multiplication.
+are ``fractions.Fraction``.  The denominator of a rational function is a
+product of cyclotomic polynomials Phi_d in one variable, as every (1 - q^k)
+of the q-series is.  It is kept in lowest terms, the numerator coprime to
+every Phi_d of the denominator, so equal values are equal structurally.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from math import comb, factorial
 
 Monomial = tuple  # sorted tuple of (var, exp) pairs, exps > 0
 
 ONE_MONO: Monomial = ()
-
-
-class ExactDivisionError(ArithmeticError):
-    """Raised when an exact polynomial division leaves a remainder."""
 
 
 def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
@@ -31,20 +29,8 @@ def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
     return tuple(sorted(d.items()))
 
 
-def _mono_divides(m1: Monomial, m2: Monomial) -> bool:
-    d = dict(m2)
-    return all(d.get(v, 0) >= e for v, e in m1)
-
-
-def _mono_div(m2: Monomial, m1: Monomial) -> Monomial:
-    d = dict(m2)
-    for v, e in m1:
-        d[v] -= e
-    return tuple(sorted((v, e) for v, e in d.items() if e))
-
-
 def _mono_key(m: Monomial):
-    # graded-lex order used for division and deterministic output
+    # graded-lex order for deterministic output
     return (sum(e for _, e in m), m)
 
 
@@ -75,6 +61,15 @@ class MultiPoly:
         if exp == 0:
             return cls.const(1)
         return cls({((name, exp),): Fraction(1)})
+
+    @classmethod
+    def sum(cls, polys) -> "MultiPoly":
+        """Sum of polynomials or scalars, added up in one dict."""
+        out: dict[Monomial, Fraction] = {}
+        for p in polys:
+            for m, c in cls.coerce(p).coeffs.items():
+                out[m] = out.get(m, 0) + c
+        return cls(out)
 
     @classmethod
     def coerce(cls, x) -> "MultiPoly":
@@ -190,35 +185,14 @@ class MultiPoly:
 
     def substitute(self, values: dict) -> "MultiPoly":
         """Substitute variables by polynomials or scalars."""
-        out = MultiPoly.zero()
-        for m, c in self.coeffs.items():
-            term = MultiPoly.const(c)
-            for v, e in m:
-                if v in values:
-                    term = term * MultiPoly.coerce(values[v]) ** e
-                else:
-                    term = term * MultiPoly.var(v, e)
-            out = out + term
-        return out
 
-    def divexact(self, divisor: "MultiPoly") -> "MultiPoly":
-        """Exact division; raises ExactDivisionError on a nonzero remainder."""
-        divisor = MultiPoly.coerce(divisor)
-        if not divisor:
-            raise ZeroDivisionError("division by zero polynomial")
-        lead = max(divisor.coeffs, key=_mono_key)
-        lead_c = divisor.coeffs[lead]
-        rem = self
-        quot: dict[Monomial, Fraction] = {}
-        while rem:
-            m = max(rem.coeffs, key=_mono_key)
-            if not _mono_divides(lead, m):
-                raise ExactDivisionError(f"{self} is not divisible by {divisor}")
-            qm = _mono_div(m, lead)
-            qc = rem.coeffs[m] / lead_c
-            quot[qm] = quot.get(qm, Fraction(0)) + qc
-            rem = rem - MultiPoly({qm: qc}) * divisor
-        return MultiPoly(quot)
+        def term(m, c):
+            for v, e in m:
+                c = c * (MultiPoly.coerce(values[v]) ** e if v in values
+                         else MultiPoly.var(v, e))
+            return c
+
+        return MultiPoly.sum(term(m, c) for m, c in self.coeffs.items())
 
     # -- serialization -----------------------------------------------------
     def sorted_terms(self):
@@ -253,22 +227,160 @@ class MultiPoly:
         return f"MultiPoly({self.text()})"
 
 
+# ---------------------------------------------------------------------------
+# Cyclotomic polynomials; univariate polynomials here are dense lists of
+# coefficients, constant term first
+
+@lru_cache(maxsize=None)
+def _cyclotomic(d: int) -> tuple[int, ...]:
+    """Coefficients of Phi_d: q^d - 1 divided by Phi_e for every proper
+    divisor e of d."""
+    p = [-1] + [0] * (d - 1) + [1]
+    for e in range(1, d):
+        if d % e == 0:
+            p = _divmod_monic(p, _cyclotomic(e))[0]
+    return tuple(p)
+
+
+def _divmod_monic(p: list, m: tuple) -> tuple[list, list]:
+    """Quotient and remainder of p by the monic m."""
+    k = len(m) - 1
+    rem = list(p)
+    quot = [0] * max(len(rem) - k, 0)
+    for i in reversed(range(len(quot))):
+        c = quot[i] = rem[i + k]
+        if c:
+            for j in range(k):
+                if m[j]:
+                    rem[i + j] -= c * m[j]
+    return quot, rem[:k]
+
+
+def _phi_divides(d: int, p: list) -> bool:
+    """Whether Phi_d divides p: fold exponents mod d (Phi_d | q^d - 1),
+    then take the remainder."""
+    if len(p) > d:
+        folded = [0] * d
+        for e, c in enumerate(p):
+            folded[e % d] += c
+        p = folded
+    return not any(_divmod_monic(p, _cyclotomic(d))[1])
+
+
+def _totient(d: int) -> int:
+    out, rest, p = d, d, 2
+    while p * p <= rest:
+        if rest % p == 0:
+            out -= out // p
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    return out - out // rest if rest > 1 else out
+
+
+def _cyclotomic_factors(den: MultiPoly) -> tuple[Fraction, dict]:
+    """(unit, {(var, d): multiplicity}) with den = unit * prod Phi_d(var)^m;
+    ValueError if den is not of that form."""
+    if not den:
+        raise ZeroDivisionError("zero denominator")
+    variables = den.variables()
+    if len(variables) > 1:
+        raise ValueError(f"denominator {den.text()} is not univariate")
+    if not variables:
+        return den.constant_term(), {}
+    (var,) = variables
+    p = [Fraction(0)] * (den.degree() + 1)
+    for m, c in den.coeffs.items():
+        p[m[0][1] if m else 0] = c
+    factors = {}
+    d = 1
+    # Phi_d has degree phi(d) >= sqrt(d / 2): only d <= 2 deg^2 can divide
+    while len(p) > 1 and d <= 2 * (len(p) - 1) ** 2:
+        while _totient(d) < len(p) and _phi_divides(d, p):
+            p = _divmod_monic(p, _cyclotomic(d))[0]
+            factors[(var, d)] = factors.get((var, d), 0) + 1
+        d += 1
+    if len(p) > 1:
+        raise ValueError(f"denominator {den.text()} is not a product of "
+                         "cyclotomic polynomials")
+    return p[0], factors
+
+
+def _cyclotomic_product(den: dict) -> MultiPoly:
+    """prod Phi_d(var)^m over the map {(var, d): m}."""
+    out = MultiPoly.const(1)
+    for (var, d), m in sorted(den.items()):
+        phi = MultiPoly({((var, e),) if e else ONE_MONO: c
+                         for e, c in enumerate(_cyclotomic(d))})
+        out = out * phi ** m
+    return out
+
+
+def _lowest_terms(num: MultiPoly, den: dict) -> tuple[MultiPoly, dict]:
+    """Divide num and den by every Phi_d of den that divides num.  The
+    division is in var with the other variables as coefficients: num is
+    split into one dense polynomial in var per monomial of the others."""
+    if not num:
+        return num, {}
+    den = dict(den)
+    for var in {v for v, _ in den}:
+        parts: dict[Monomial, list] = {}
+        for m, c in num.coeffs.items():
+            e = 0
+            for k, (v, ve) in enumerate(m):
+                if v == var:
+                    e, m = ve, m[:k] + m[k + 1:]
+                    break
+            p = parts.setdefault(m, [])
+            p.extend([0] * (e + 1 - len(p)))
+            p[e] = c
+        divided = False
+        for key in [k for k in den if k[0] == var]:
+            d = key[1]
+            while den[key] and all(_phi_divides(d, p) for p in parts.values()):
+                parts = {m: _divmod_monic(p, _cyclotomic(d))[0]
+                         for m, p in parts.items()}
+                den[key] -= 1
+                divided = True
+            if not den[key]:
+                del den[key]
+        if divided:
+            num = MultiPoly({_mono_mul(m, ((var, e),)) if e else m: c
+                             for m, p in parts.items()
+                             for e, c in enumerate(p) if c})
+    return num, den
+
+
 class RationalFn:
-    """Unnormalized fraction of MultiPolys; equality by cross-multiplication."""
+    """Canonical rational function: a MultiPoly numerator over a product of
+    cyclotomic polynomials, ``den`` = {(var, d): multiplicity of Phi_d(var)}.
+
+    The numerator is coprime to every Phi_d in ``den``; since Phi_d is
+    monic and irreducible, equal values have equal (num, den), so ``==``
+    and ``hash`` are structural.
+    """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=1):
-        self.num = MultiPoly.coerce(num)
-        self.den = MultiPoly.coerce(den)
-        if not self.den:
-            raise ZeroDivisionError("zero denominator")
+        """num / den, with den a constant or a univariate polynomial that
+        is a product of cyclotomic polynomials (ValueError otherwise)."""
+        unit, factors = _cyclotomic_factors(MultiPoly.coerce(den))
+        self.num, self.den = _lowest_terms(MultiPoly.coerce(num) * (1 / unit),
+                                           factors)
+
+    @classmethod
+    def _make(cls, num: MultiPoly, den: dict) -> "RationalFn":
+        """The value num / den, with num already coprime to den."""
+        out = cls.__new__(cls)
+        out.num, out.den = num, den
+        return out
 
     @classmethod
     def coerce(cls, x) -> "RationalFn":
         if isinstance(x, RationalFn):
             return x
-        return cls(MultiPoly.coerce(x))
+        return cls._make(MultiPoly.coerce(x), {})
 
     def __bool__(self):
         return bool(self.num)
@@ -278,20 +390,32 @@ class RationalFn:
             other = RationalFn.coerce(other)
         if not isinstance(other, RationalFn):
             return NotImplemented
-        return self.num * other.den == other.num * self.den
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        raise TypeError("RationalFn equality is semantic; not hashable")
+        return hash((self.num, frozenset(self.den.items())))
 
     def __add__(self, other):
         other = RationalFn.coerce(other)
-        return RationalFn(self.num * other.den + other.num * self.den,
-                          self.den * other.den)
+        if not other.num:
+            return self
+        if not self.num:
+            return other
+        den = {key: max(self.den.get(key, 0), other.den.get(key, 0))
+               for key in self.den.keys() | other.den.keys()}
+        return RationalFn._make(*_lowest_terms(
+            self._num_over(den) + other._num_over(den), den))
+
+    def _num_over(self, den: dict) -> MultiPoly:
+        """The numerator of self over den, a multiple of its denominator."""
+        cofactor = {key: m - self.den.get(key, 0) for key, m in den.items()
+                    if m > self.den.get(key, 0)}
+        return self.num * _cyclotomic_product(cofactor) if cofactor else self.num
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalFn(-self.num, self.den)
+        return RationalFn._make(-self.num, self.den)
 
     def __sub__(self, other):
         return self + (-RationalFn.coerce(other))
@@ -301,41 +425,52 @@ class RationalFn:
 
     def __mul__(self, other):
         other = RationalFn.coerce(other)
-        return RationalFn(self.num * other.num, self.den * other.den)
+        # each numerator is already coprime to its own denominator
+        num1, den2 = _lowest_terms(self.num, other.den)
+        num2, den1 = _lowest_terms(other.num, self.den)
+        den = dict(den1)
+        for key, m in den2.items():
+            den[key] = den.get(key, 0) + m
+        return RationalFn._make(num1 * num2, den)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = RationalFn.coerce(other)
-        if not other.num:
-            raise ZeroDivisionError("division by zero rational function")
-        return RationalFn(self.num * other.den, self.den * other.num)
+    def den_poly(self) -> MultiPoly:
+        return _cyclotomic_product(self.den)
 
     def substitute(self, values: dict) -> "RationalFn":
-        return RationalFn(self.num.substitute(values), self.den.substitute(values))
-
-    def cancel(self) -> "RationalFn":
-        """Best-effort cleanup: try exact division of num by den (or den by num)."""
-        try:
-            return RationalFn(self.num.divexact(self.den))
-        except (ExactDivisionError, ZeroDivisionError):
-            pass
-        try:
-            q = self.den.divexact(self.num)
-            return RationalFn(MultiPoly.const(1), q)
-        except (ExactDivisionError, ZeroDivisionError):
-            return self
+        num = self.num.substitute(values)
+        if any(var in values for var, _ in self.den):
+            return RationalFn(num, self.den_poly().substitute(values))
+        return RationalFn._make(*_lowest_terms(num, self.den))
 
     def text(self) -> str:
-        if self.den == MultiPoly.const(1):
+        if not self.den:
             return self.num.text()
-        return f"({self.num.text()}) / ({self.den.text()})"
+        return f"({self.num.text()}) / ({self.den_poly().text()})"
 
     def to_json(self) -> dict:
-        return {"num": self.num.to_json(), "den": self.den.to_json()}
+        return {"num": self.num.to_json(), "den": self.den_poly().to_json()}
 
     def __repr__(self):
         return f"RationalFn({self.text()})"
+
+
+def over_one_minus_q(num, den_ks, num_ks=(), var: str = "q") -> RationalFn:
+    """num * prod_{k in num_ks} (1 - var^k) / prod_{k in den_ks} (1 - var^k),
+    read off cyclotomic multiplicities: 1 - q^k = -prod_{d | k} Phi_d(q)."""
+    mult: dict = {}
+    for ks, sign in ((den_ks, 1), (num_ks, -1)):
+        for k in ks:
+            for d in range(1, k + 1):
+                if k % d == 0:
+                    mult[(var, d)] = mult.get((var, d), 0) + sign
+    num = MultiPoly.coerce(num) * (-1) ** (len(den_ks) + len(num_ks))
+    extra = {key: -m for key, m in mult.items() if m < 0}
+    if extra:
+        num = num * _cyclotomic_product(extra)
+    return RationalFn._make(*_lowest_terms(
+        num, {key: m for key, m in mult.items() if m > 0}))
 
 
 # ---------------------------------------------------------------------------
@@ -357,9 +492,7 @@ def bernoulli_polynomial(m: int, var: str = "t") -> MultiPoly:
     t = MultiPoly.var(var)
     for k in range(m + 1):
         rhs = Fraction(k + 1) * t ** k
-        acc = MultiPoly.zero()
-        for j in range(k):
-            acc = acc + Fraction(comb(k + 1, j)) * bs[j]
+        acc = MultiPoly.sum(Fraction(comb(k + 1, j)) * bs[j] for j in range(k))
         bs.append(Fraction(1, k + 1) * (rhs - acc))
     return bs[m]
 
@@ -372,22 +505,17 @@ def discrete_integral(p: MultiPoly, var: str = "t") -> MultiPoly:
     extra = p.variables() - {var}
     if extra:
         raise ValueError(f"polynomial must be univariate in {var}, found {extra}")
-    out = MultiPoly.zero()
-    for m, c in p.coeffs.items():
-        e = dict(m).get(var, 0)
+
+    def term(e, c):
         b = bernoulli_polynomial(e + 1, var)
-        out = out + (c * Fraction(1, e + 1)) * (b - MultiPoly.const(b.constant_term()))
-    return out
+        return (c * Fraction(1, e + 1)) * (b - MultiPoly.const(b.constant_term()))
+
+    return MultiPoly.sum(term(dict(m).get(var, 0), c) for m, c in p.coeffs.items())
 
 
 def gaussian_binomial(n: int, k: int, var: str = "q") -> MultiPoly:
-    """q-binomial coefficient via the product formula with exact division."""
+    """q-binomial coefficient prod_{i < k} (1 - q^(n-i)) / (1 - q^(i+1)),
+    multiplied out from its cyclotomic factors."""
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got ({n}, {k})")
-    q = MultiPoly.var(var)
-    num = MultiPoly.const(1)
-    den = MultiPoly.const(1)
-    for i in range(k):
-        num = num * (MultiPoly.const(1) - q ** (n - i))
-        den = den * (MultiPoly.const(1) - q ** (i + 1))
-    return num.divexact(den)
+    return over_one_minus_q(1, range(1, k + 1), range(n - k + 1, n + 1), var).num

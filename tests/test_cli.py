@@ -53,6 +53,12 @@ def test_cost_guard_exit_code(capsys):
     (("ehrhart", "qcount", "--forest", "200", "--n", "-1"), 3),
     (("nsym", "embed", "--I", "9"), 4),
     (("nsym", "embed", "--I", "4,4"), 4),
+    (("tamari", "downset", "--forest", "0" * 10), 4),
+    (("tamari", "upset", "--forest", "1" * 9 + "0"), 4),
+    (("hopf", "product", "--left", "20000", "--right", "10000"), 4),
+    (("hopf", "product", "--left", "2000", "--right", "10000", "--basis", "C"),
+     4),
+    (("ehrhart", "points", "--forest", "0000000", "--n", "9"), 4),
 ])
 def test_contract_exit_code(capsys, argv, expected):
     assert main(list(argv)) == expected

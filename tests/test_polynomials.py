@@ -1,8 +1,12 @@
 """Exact polynomial, rational function, Laurent window, and linalg layers."""
 
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planehopf.laurent import LaurentPoly, LaurentWindowOverflow
 from planehopf.linalg import SingularMatrix, invert, solve
@@ -23,7 +27,7 @@ def test_multipoly_arithmetic():
 
 def test_divexact():
     p = (x + 1) * (x + 2)
-    assert p.divexact(x + 1) == x + 2
+    assert RationalFn(p, x + 1) == x + 2
 
 
 def test_rationalfn_cross_equality():
@@ -31,6 +35,74 @@ def test_rationalfn_cross_equality():
     b = RationalFn(x + 1, MultiPoly.const(1))
     assert a == b
     assert a != RationalFn(x, MultiPoly.const(1))
+
+
+@pytest.mark.parametrize("den", [1 + 2 * q, q - 2, q * (1 - q), 1 - q * x])
+def test_rationalfn_rejects_non_cyclotomic_denominator(den):
+    with pytest.raises(ValueError):
+        RationalFn(x, den)
+
+
+class CrossRef:
+    """Reference rational function: unreduced num/den pairs, a sum by
+    cross-multiplication."""
+
+    def __init__(self, num, den):
+        self.num, self.den = num, den
+
+    def __add__(self, other):
+        return CrossRef(self.num * other.den + other.num * self.den,
+                        self.den * other.den)
+
+    def __mul__(self, other):
+        return CrossRef(self.num * other.num, self.den * other.den)
+
+    def __neg__(self):
+        return CrossRef(-self.num, self.den)
+
+
+t = MultiPoly.var("t")
+POINTS = [{"q": Fraction(2), "t": Fraction(3, 7)},
+          {"q": Fraction(-1, 3), "t": Fraction(-2)},
+          {"q": Fraction(5, 2), "t": Fraction(1)}]
+
+
+@st.composite
+def q_series(draw):
+    """A p(q, t) / prod (1 - q^k) with k <= 6, as a (RationalFn, CrossRef)
+    pair."""
+    num = MultiPoly.sum(c * q ** a * t ** b for (a, b), c in draw(
+        st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 2)),
+                        st.integers(-2, 2), max_size=4)).items())
+    ks = draw(st.lists(st.integers(1, 6), max_size=3))
+    den = reduce(mul, (1 - q ** k for k in ks), MultiPoly.const(1))
+    return RationalFn(num, den), CrossRef(num, den)
+
+
+def _combine(children):
+    return st.one_of(
+        st.tuples(children, children).map(
+            lambda ab: (ab[0][0] + ab[1][0], ab[0][1] + ab[1][1])),
+        st.tuples(children, children).map(
+            lambda ab: (ab[0][0] * ab[1][0], ab[0][1] * ab[1][1])),
+        children.map(lambda a: (-a[0], -a[1])))
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.recursive(q_series(), _combine, max_leaves=5))
+def test_rationalfn_is_canonical(pair):
+    got, ref = pair
+    for point in POINTS:
+        want = (ref.num.substitute(point).as_constant()
+                / ref.den.substitute(point).as_constant())
+        assert (got.num.substitute(point).as_constant()
+                / got.den_poly().substitute(point).as_constant()) == want
+    # the same value built by factoring the expanded denominator
+    again = RationalFn(ref.num, ref.den)
+    assert again.num == got.num
+    assert again.den == got.den
+    assert hash(again) == hash(got)
+    assert (got - again).num == MultiPoly.zero()
 
 
 def test_binomial_poly():
