@@ -91,6 +91,10 @@ class MultiPoly:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
+        if not self.coeffs:
+            return hash(0)
+        if len(self.coeffs) == 1 and () in self.coeffs:
+            return hash(self.coeffs[()])  # equal constants hash equal
         return hash(frozenset(self.coeffs.items()))
 
     def __add__(self, other):
@@ -393,6 +397,8 @@ class RationalFn:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
+        if not self.den:
+            return hash(self.num)  # equal to a MultiPoly, so hash like one
         return hash((self.num, frozenset(self.den.items())))
 
     def __add__(self, other):
@@ -439,10 +445,8 @@ class RationalFn:
         return _cyclotomic_product(self.den)
 
     def substitute(self, values: dict) -> "RationalFn":
-        num = self.num.substitute(values)
-        if any(var in values for var, _ in self.den):
-            return RationalFn(num, self.den_poly().substitute(values))
-        return RationalFn._make(*_lowest_terms(num, self.den))
+        return RationalFn(self.num.substitute(values),
+                          self.den_poly().substitute(values))
 
     def text(self) -> str:
         if not self.den:
@@ -456,15 +460,15 @@ class RationalFn:
         return f"RationalFn({self.text()})"
 
 
-def over_one_minus_q(num, den_ks, num_ks=(), var: str = "q") -> RationalFn:
-    """num * prod_{k in num_ks} (1 - var^k) / prod_{k in den_ks} (1 - var^k),
+def over_one_minus_q(num, den_ks, num_ks=()) -> RationalFn:
+    """num * prod_{k in num_ks} (1 - q^k) / prod_{k in den_ks} (1 - q^k),
     read off cyclotomic multiplicities: 1 - q^k = -prod_{d | k} Phi_d(q)."""
     mult: dict = {}
     for ks, sign in ((den_ks, 1), (num_ks, -1)):
         for k in ks:
             for d in range(1, k + 1):
                 if k % d == 0:
-                    mult[(var, d)] = mult.get((var, d), 0) + sign
+                    mult[("q", d)] = mult.get(("q", d), 0) + sign
     num = MultiPoly.coerce(num) * (-1) ** (len(den_ks) + len(num_ks))
     extra = {key: -m for key, m in mult.items() if m < 0}
     if extra:
@@ -511,11 +515,3 @@ def discrete_integral(p: MultiPoly, var: str = "t") -> MultiPoly:
         return (c * Fraction(1, e + 1)) * (b - MultiPoly.const(b.constant_term()))
 
     return MultiPoly.sum(term(dict(m).get(var, 0), c) for m, c in p.coeffs.items())
-
-
-def gaussian_binomial(n: int, k: int, var: str = "q") -> MultiPoly:
-    """q-binomial coefficient prod_{i < k} (1 - q^(n-i)) / (1 - q^(i+1)),
-    multiplied out from its cyclotomic factors."""
-    if not 0 <= k <= n:
-        raise ValueError(f"need 0 <= k <= n, got ({n}, {k})")
-    return over_one_minus_q(1, range(1, k + 1), range(n - k + 1, n + 1), var).num

@@ -12,7 +12,7 @@ from planehopf.laurent import LaurentPoly, LaurentWindowOverflow
 from planehopf.linalg import SingularMatrix, invert, solve
 from planehopf.polynomials import (MultiPoly, RationalFn, bernoulli_polynomial,
                                    binomial_poly, discrete_integral,
-                                   gaussian_binomial)
+                                   over_one_minus_q)
 
 x = MultiPoly.var("x")
 q = MultiPoly.var("q")
@@ -28,6 +28,10 @@ def test_multipoly_arithmetic():
 def test_divexact():
     p = (x + 1) * (x + 2)
     assert RationalFn(p, x + 1) == x + 2
+    # equal to a MultiPoly, int or Fraction, so it must hash like one
+    assert hash(RationalFn(p, x + 1)) == hash(x + 2)
+    assert hash(RationalFn(2 * x - 2, x - 1)) == hash(MultiPoly.const(2)) == hash(2)
+    assert len({RationalFn(p, x + 1), x + 2}) == 1
 
 
 def test_rationalfn_cross_equality():
@@ -127,9 +131,13 @@ def test_discrete_integral():
 
 
 def test_gaussian_binomial():
-    assert gaussian_binomial(4, 2) == (1 + q * q) * (1 + q + q * q)
-    assert gaussian_binomial(3, 1) == 1 + q + q * q
-    assert gaussian_binomial(5, 0) == MultiPoly.const(1)
+    # qbin(n, k) = prod_{i < k} (1 - q^(n-i)) / (1 - q^(i+1)), a polynomial
+    def qbin(n, k):
+        return over_one_minus_q(1, range(1, k + 1), range(n - k + 1, n + 1))
+    assert qbin(4, 2) == (1 + q * q) * (1 + q + q * q)
+    assert qbin(3, 1) == 1 + q + q * q
+    assert qbin(5, 0) == MultiPoly.const(1)
+    assert qbin(6, 3).den == {}
 
 
 def test_laurent_polar_split():
