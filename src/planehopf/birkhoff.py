@@ -15,11 +15,15 @@ homogeneous pieces split into the quasi-idempotents D_lambda.
 
 The S, Lambda and ribbon expansions of sigma_a(+/-) are driven by the
 iterated Rota-Baxter brackets P^I_eps and, combinatorially, by the word sets
-W(I) and S(I) whose cardinalities are products of Catalan numbers.
+W(I) and S(I) whose cardinalities are products of Catalan numbers.  The
+ribbon expansion of D_lambda is read from the word model: the residue keeps
+the words of sum n-1, and those with letters lambda padded with zeros are
+counted by their ribbon I.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -31,8 +35,6 @@ from .forests import (Forest, Tree, enumerate_forests, enumerate_trees,
 from .hopf import c_expand
 from .laurent import LaurentPoly
 from .lincomb import LinComb
-from .linalg import solve
-from .ncsf import gamma_qsym_f
 from .polynomials import MultiPoly
 
 
@@ -64,14 +66,6 @@ def a_series_ab(terms: int, window: int | None = None) -> LaurentPoly:
     for k in range(1, terms + 1):
         coeffs[k - 1] = MultiPoly.var("b")
     return LaurentPoly(coeffs, window=window)
-
-
-def a_weight(f: Forest) -> MultiPoly:
-    """a_F: the product of a_c over the code letters c of F."""
-    out = MultiPoly.const(1)
-    for c in reverse_polish_code(f):
-        out = out * a_var(c)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -148,16 +142,32 @@ def d_lambda_x(lam: tuple[int, ...]) -> LinComb:
 
 
 def d_lambda_ribbon(lam: tuple[int, ...]) -> LinComb:
-    """D_lambda in the ribbon basis of Sym (it lies in the image of the
-    embedding; the coordinates are found by exact linear solving).  Row F of
-    the matrix of the R_I in the X basis is Gamma_F in the F basis."""
+    """D_lambda in the ribbon basis of Sym, read from the word model.
+
+    D_lambda is the coefficient of a_0^(n-l) a_lambda in the residue of
+    sigma_a^+, whose R_I coefficient is (-1)^(l(I)-1) times the generating
+    sum of W(I).  The residue collects the words of sum n-1, so the R_I
+    coordinate is (-1)^(l(I)-1) times the number of arrangements of lambda
+    padded with zeros to length n that lie in W(I)."""
     n = sum(lam) + 1
-    target = d_lambda_x(lam)
-    comps = list(compositions_of(n))
-    forests = enumerate_forests(n)
-    rows = [[g.coeff(i) for i in comps] for g in map(gamma_qsym_f, forests)]
-    coords = solve(rows, [target.coeff(f) for f in forests])
-    return LinComb(zip(comps, coords))
+    letters = Counter(lam)
+    letters[0] = n - len(lam)
+    counts = Counter(map(ribbon_from_word, _arrangements(letters)))
+    return LinComb((i, Fraction((-1) ** (len(i) - 1) * c))
+                   for i, c in counts.items())
+
+
+def _arrangements(letters: Counter):
+    """The distinct words with letter multiplicities ``letters``."""
+    if not any(letters.values()):
+        yield ()
+        return
+    for x in sorted(letters):
+        if letters[x]:
+            letters[x] -= 1
+            for w in _arrangements(letters):
+                yield (x,) + w
+            letters[x] += 1
 
 
 # ---------------------------------------------------------------------------

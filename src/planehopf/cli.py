@@ -16,6 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import birkhoff, ehrhart, hopf, idempotents, ncsf, tamari
+from .compositions import refinements
 from .forests import (CodeError, enumerate_forests, enumerate_trees,
                       forest_code, forest_size, parse_forest)
 from .fqsym import DegreeGuard
@@ -33,12 +34,14 @@ EXIT_GUARD = 4
 # nsym embed enumerates the linear extensions of every forest of the degree;
 # degree 8 costs about 12 times degree 7
 MAX_EMBED_DEGREE = 7
-# tamari downset scans every forest of the size: 1.9 s at 9 nodes, 22.7 s at 10
+# tamari downset scans every forest of the size: 1.9 s at 9 nodes, 22.7 s at
+# 10; birkhoff d-lambda in the X basis takes one down-set per tree
 MAX_TAMARI_SIZE = 9
 # hopf product: 1.4 s at 8 nodes in total, 24.9 s at 10; through the C
 # basis 2.7 s at 8 and 47 s at 9
 MAX_PRODUCT_SIZE = {"X": 9, "Y": 9, "C": 8}
-# ehrhart points tries every point of {0..n}^|F|
+# ehrhart points tries every point of {0..n}^|F|; birkhoff words lists every
+# word of the model
 MAX_LATTICE_CANDIDATES = 10 ** 6
 
 
@@ -206,16 +209,35 @@ def _cmd_birkhoff(args) -> int:
         if args.basis == "C":
             d = birkhoff.d_lambda(lam)
         elif args.basis == "X":
+            if sum(lam) + 1 > MAX_TAMARI_SIZE:
+                raise DegreeGuard(f"birkhoff d-lambda in the X basis needs size "
+                                  f"{sum(lam) + 1} > {MAX_TAMARI_SIZE}")
             d = birkhoff.d_lambda_x(lam)
         else:
             d = birkhoff.d_lambda_ribbon(lam)
         return _emit(args, {"command": "birkhoff d-lambda", "lambda": args.lam,
                             "basis": args.basis, "terms": _terms_payload(d)})
     i = _parse_composition(args.I)
+    size = _words_size(i, args.model)
+    if size > MAX_LATTICE_CANDIDATES:
+        raise DegreeGuard(f"birkhoff words needs |{args.model}(I)| = {size} "
+                          f"> {MAX_LATTICE_CANDIDATES}")
     words = birkhoff.words_w(i) if args.model == "W" else birkhoff.words_s(i)
     return _emit(args, {"command": "birkhoff words", "I": args.I,
                         "model": args.model, "count": len(words),
                         "words": sorted("".join(map(str, w)) for w in words)})
+
+
+def _words_size(i: tuple[int, ...], model: str) -> int:
+    """|W(I)| or |S(I)|.  S(I) is the disjoint union of W(J) over the J finer
+    than I; it contains W(1^n), so when that alone is over the budget its
+    size is returned instead of summing over 2^(n-1) refinements."""
+    if model == "W":
+        return birkhoff.catalan_block_count(i)
+    finest = birkhoff.catalan_block_count((1,) * sum(i))
+    if finest > MAX_LATTICE_CANDIDATES:
+        return finest
+    return sum(map(birkhoff.catalan_block_count, refinements(i)))
 
 
 def _cmd_idem(args) -> int:

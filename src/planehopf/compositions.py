@@ -11,12 +11,6 @@ from __future__ import annotations
 from itertools import combinations
 
 
-def check_composition(parts: tuple[int, ...]) -> tuple[int, ...]:
-    if any(p <= 0 for p in parts):
-        raise ValueError(f"composition parts must be positive: {parts}")
-    return tuple(parts)
-
-
 def weight(parts: tuple[int, ...]) -> int:
     return sum(parts)
 
@@ -61,11 +55,6 @@ def conjugate(parts: tuple[int, ...]) -> tuple[int, ...]:
     return reverse(complement(parts))
 
 
-def coarser_leq(j: tuple[int, ...], i: tuple[int, ...]) -> bool:
-    """True iff J is coarser than I (merge adjacent parts; D(J) subset of D(I))."""
-    return weight(j) == weight(i) and descent_set(j) <= descent_set(i)
-
-
 def coarsenings(parts: tuple[int, ...]):
     """All J <= I (merging adjacent parts), including I itself."""
     n = weight(parts)
@@ -101,13 +90,6 @@ def sign_word(parts: tuple[int, ...]) -> str:
     n = weight(parts)
     ds = descent_set(parts)
     return "".join("-" if k in ds else "+" for k in range(1, n + 1))
-
-
-def composition_from_signs(eps: str) -> tuple[int, ...]:
-    """Composition of n = len(eps)+1 whose descent set marks the '-' signs."""
-    n = len(eps) + 1
-    ds = {k for k, s in enumerate(eps, start=1) if s == "-"}
-    return from_descent_set(ds, n)
 
 
 def partitions_of(n: int):

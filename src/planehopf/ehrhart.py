@@ -4,9 +4,10 @@ The order polytope of the canonically labelled forest poset is cut out by
 0 <= x_i <= 1 together with x_i <= x_j whenever i lies below j.  The
 integral points of its dilations are the (P, omega)-partitions of the poset,
 counted by Gamma_F (:func:`planehopf.ncsf.gamma_qsym_m`), and the interior
-points are the strict ones, counted by chi_F.  Gamma_F on alpha ones gives
-the Ehrhart polynomial at alpha - 1; Gamma_F and chi_F on finite geometric
-alphabets give the q-counts.
+points are the strict ones, counted by chi_F.  The order polynomial
+Gamma_F(alpha) (:func:`planehopf.idempotents.gamma_alpha`, built by the
+tree recursion) is the Ehrhart polynomial at alpha - 1; Gamma_F and chi_F
+on finite geometric alphabets give the q-counts.
 
 The packed words of the points assemble into a word-indexed lift of Gamma_F.
 The sign change of alphabet on packed words,
@@ -22,8 +23,9 @@ from fractions import Fraction
 from itertools import product as iter_product
 
 from .forests import Forest, forest_size, strict_below_pairs
+from .idempotents import gamma_alpha
 from .lincomb import LinComb
-from .ncsf import chi_qsym_m, eval_binomial, eval_geometric, gamma_qsym_m
+from .ncsf import chi_qsym_m, eval_geometric, gamma_qsym_m
 from .polynomials import MultiPoly
 
 PackedWord = tuple[int, ...]
@@ -127,8 +129,7 @@ def wqsym_to_qsym(a: LinComb) -> LinComb:
 
 def ehrhart_polynomial(f: Forest, var: str = "x") -> MultiPoly:
     """E(x) with E(n) = number of integral points of the n-th dilation."""
-    g = eval_binomial(gamma_qsym_m(f), "alpha")
-    return g.substitute({"alpha": MultiPoly.var(var) + 1})
+    return gamma_alpha(f).substitute({"alpha": MultiPoly.var(var) + 1})
 
 
 def interior_count_poly(f: Forest, n: int) -> Fraction:

@@ -43,10 +43,6 @@ def f_coproduct(sigma: tuple[int, ...]) -> LinComb:
                    for k in range(len(sigma) + 1))
 
 
-def g_to_f(sigma: tuple[int, ...]) -> tuple[int, ...]:
-    return inverse(sigma)
-
-
 @lru_cache(maxsize=None)
 def _left_weak_below(sigma: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """All tau <= sigma in the left weak order (Inv(tau^-1) within Inv(sigma^-1))."""
@@ -55,18 +51,8 @@ def _left_weak_below(sigma: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
                  if inversions(inverse(tau)) <= target)
 
 
-def s_in_g(sigma: tuple[int, ...]) -> LinComb:
-    """S^sigma expanded in the G basis."""
-    return LinComb({tau: Fraction(1) for tau in _left_weak_below(sigma)})
-
-
 def s_in_f(sigma: tuple[int, ...]) -> LinComb:
     return LinComb({inverse(tau): Fraction(1) for tau in _left_weak_below(sigma)})
-
-
-def s_check_in_f(sigma: tuple[int, ...]) -> LinComb:
-    """The dual-side series with S-check of sigma equal to S of the inverse."""
-    return s_in_f(inverse(sigma))
 
 
 def f_to_m(a: LinComb) -> LinComb:

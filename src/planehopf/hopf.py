@@ -59,11 +59,6 @@ def y_coproduct(f: Forest) -> LinComb:
                    for s1 in lower_subsets(f))
 
 
-def y_product(a: LinComb, b: LinComb) -> LinComb:
-    """Concatenation product on the Y basis, extended bilinearly."""
-    return bilinear(lambda f, g: LinComb.monomial(f + g), a, b)
-
-
 # ---------------------------------------------------------------------------
 # X basis: product (transpose of the Y coproduct) and dendriform halves
 

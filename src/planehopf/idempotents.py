@@ -5,6 +5,10 @@ e_n^(k), and the q-interpolating phi_n(q).  Under the embedding into the
 dual Connes-Kreimer algebra, Psi_n lands on the chain tree and the mirror
 Psi-bar_n on the sum of all trees; the Eulerian pieces expand with the
 coefficient of X_F given by [alpha^k] of the order polynomial Gamma_F.
+Gamma_F comes from the tree recursion for the strict order polynomials
+chi_T (a discrete integral per node, memoized per tree) by reciprocity,
+Gamma_F(alpha) = (-1)^|F| prod over trees of chi_T(-alpha); the tests
+compare it with Gamma_F in the M basis evaluated on alpha ones.
 phi_n(q) and the A/(1-q) transform have RationalFn coefficients in lowest
 terms, so their identities are checked with ``==``.
 
@@ -17,14 +21,14 @@ convolution orientations coincide, so the orientation choice is inert here.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 
 from . import perms
 from .compositions import compositions_of, descent_set, maj, weight
-from .forests import Forest, Tree, enumerate_forests
+from .forests import Forest, Tree, enumerate_forests, forest_size
 from .lincomb import LinComb, bilinear
-from .ncsf import (embed_r, eval_binomial, gamma_qsym_m, psi_n, psi_bar_n,
-                   r_product, s_coproduct_n, s_to_r)
+from .ncsf import (embed_r, psi_n, psi_bar_n, r_product, s_coproduct_n,
+                   s_to_r)
 from .polynomials import (MultiPoly, RationalFn, discrete_integral,
                           over_one_minus_q)
 
@@ -57,6 +61,7 @@ def embed_x(a: LinComb) -> LinComb:
 # ---------------------------------------------------------------------------
 # Tree characteristic polynomials
 
+@lru_cache(maxsize=None)
 def chi_poly(t: Tree) -> MultiPoly:
     """chi_T(t): put t at each leaf, and at each internal node take the
     discrete integral (Delta g = f, g(0) = 0) of the product of the
@@ -67,9 +72,15 @@ def chi_poly(t: Tree) -> MultiPoly:
     return discrete_integral(prod, "t")
 
 
+@lru_cache(maxsize=None)
 def gamma_alpha(f: Forest) -> MultiPoly:
-    """The order polynomial Gamma_F(alpha) of the forest poset."""
-    return eval_binomial(gamma_qsym_m(f), "alpha")
+    """The order polynomial Gamma_F(alpha) of the forest poset, by
+    reciprocity from the strict one: the product over the trees T of F of
+    (-1)^|T| chi_T(-alpha)."""
+    chi = MultiPoly.const(1)
+    for t in f:
+        chi = chi * chi_poly(t)
+    return chi.substitute({"t": -MultiPoly.var("alpha")}) * (-1) ** forest_size(f)
 
 
 # ---------------------------------------------------------------------------

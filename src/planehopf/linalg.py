@@ -1,4 +1,4 @@
-"""Exact linear algebra over Fraction: Gaussian elimination and inversion."""
+"""Exact linear algebra over Fraction: Gaussian elimination."""
 
 from __future__ import annotations
 
@@ -43,23 +43,3 @@ def solve(matrix, rhs) -> list[Fraction]:
     for r, col in enumerate(pivots):
         x[col] = m[r][ncols]
     return x
-
-
-def invert(matrix) -> list[list[Fraction]]:
-    """Exact inverse of a square matrix."""
-    n = len(matrix)
-    m = [[Fraction(x) for x in row] +
-         [Fraction(1 if i == j else 0) for j in range(n)]
-         for i, row in enumerate(matrix)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col]), None)
-        if piv is None:
-            raise SingularMatrix("matrix is singular")
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return [row[n:] for row in m]

@@ -32,11 +32,6 @@ def inversions(sigma: tuple[int, ...]) -> frozenset[tuple[int, int]]:
     return frozenset(out)
 
 
-def weak_leq(tau: tuple[int, ...], sigma: tuple[int, ...]) -> bool:
-    """Right weak order: containment of value-inversion sets."""
-    return inversions(tau) <= inversions(sigma)
-
-
 def descents(sigma: tuple[int, ...]) -> frozenset[int]:
     """Positions i with sigma(i) > sigma(i + 1)."""
     return frozenset(i for i in range(1, len(sigma)) if sigma[i - 1] > sigma[i])

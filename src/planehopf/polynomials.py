@@ -219,14 +219,6 @@ class MultiPoly:
             ]
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "MultiPoly":
-        out = {}
-        for mono in data["monomials"]:
-            m = tuple(sorted(mono["exps"].items()))
-            out[m] = Fraction(mono["coeff"])
-        return cls(out)
-
     def __repr__(self):
         return f"MultiPoly({self.text()})"
 
@@ -487,6 +479,7 @@ def binomial_poly(var: str, k: int) -> MultiPoly:
     return Fraction(1, factorial(k)) * num
 
 
+@lru_cache(maxsize=None)
 def bernoulli_polynomial(m: int, var: str = "t") -> MultiPoly:
     """Bernoulli polynomial B_m, pinned by the defining recursion
     sum_{j<=m} C(m+1, j) B_j(t) = (m+1) t^m."""

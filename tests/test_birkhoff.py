@@ -9,7 +9,7 @@ import pytest
 from planehopf import birkhoff as bk
 from planehopf import hopf, ncsf
 from planehopf.checks import suite_factorization, suite_words
-from planehopf.compositions import compositions_of, refinements
+from planehopf.compositions import compositions_of, partitions_of, refinements
 from planehopf.forests import (enumerate_forests, enumerate_trees,
                                parse_forest)
 from planehopf.laurent import LaurentPoly
@@ -104,8 +104,6 @@ def test_d_supported_on_trees():
 
 def test_d_lambda_reassembles_d():
     # sum over lambda of a_lambda D_lambda equals the residue series
-    from planehopf.compositions import partitions_of
-
     for n in range(1, 6):
         d = LinComb.zero()
         for g, coeff in bk.series_d(n, A).items():
@@ -119,6 +117,36 @@ def test_d_lambda_reassembles_d():
                 total = total + LinComb.monomial(f, mono * c)
         assert LinComb({f: MultiPoly.coerce(c) for f, c in total.items()}) \
             == LinComb({f: c for f, c in d.items()})
+
+
+def a_monomial(lam, n):
+    """The monomial key of a_0^(n - l(lambda)) a_lambda."""
+    mono = MultiPoly.var("a0", n - len(lam))
+    for part in lam:
+        mono = mono * MultiPoly.var(f"a{part}")
+    (key,) = mono.coeffs
+    return key
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_d_lambda_ribbon_embeds_to_x(n):
+    # the word route lands on the X expansion, as an exact solve of the
+    # ribbon coordinates would
+    for lam in partitions_of(n - 1):
+        assert bk.d_lambda_ribbon(lam).map_basis(ncsf.embed_r) \
+            == bk.d_lambda_x(lam)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_d_lambda_ribbon_is_residue(n):
+    # D_lambda is the a_0^(n-l) a_lambda part of the residue of sigma_a^+,
+    # here from the bracket route
+    residue = {i: c.coefficient(-1)
+               for i, c in bk.sigma_plus_ribbon(n, bk.a_series(n)).items()}
+    for lam in partitions_of(n - 1):
+        key = a_monomial(lam, n)
+        assert bk.d_lambda_ribbon(lam) == LinComb(
+            (i, c.coeffs.get(key, 0)) for i, c in residue.items())
 
 
 @pytest.mark.parametrize("n", range(1, 5))

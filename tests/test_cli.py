@@ -1,10 +1,15 @@
 """Command line interface: golden JSON outputs, exit codes, determinism."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from planehopf.cli import main
+from planehopf import birkhoff
+from planehopf.cli import _words_size, main
+from planehopf.compositions import compositions_of
 
 
 def run(capsys, *argv):
@@ -59,12 +64,41 @@ def test_cost_guard_exit_code(capsys):
     (("hopf", "product", "--left", "2000", "--right", "10000", "--basis", "C"),
      4),
     (("ehrhart", "points", "--forest", "0000000", "--n", "9"), 4),
+    (("birkhoff", "words", "--I", "14"), 4),
+    (("birkhoff", "words", "--model", "S", "--I", "2,2,2,2,2,2,2"), 4),
+    (("birkhoff", "d-lambda", "--lambda", "2,2,2,1,1,1", "--basis", "X"), 4),
 ])
 def test_contract_exit_code(capsys, argv, expected):
     assert main(list(argv)) == expected
     err = capsys.readouterr().err
     assert err.startswith("cost guard:" if expected == 4 else "error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_words_size_is_exact(n):
+    # the size the words guard checks is the number of words listed
+    for i in compositions_of(n):
+        assert _words_size(i, "W") == len(birkhoff.words_w(i))
+        assert _words_size(i, "S") == len(birkhoff.words_s(i))
+
+
+def readme_commands():
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    return [shlex.split(line)[1:]
+            for block in re.findall(r"```sh\n(.*?)```", text, re.S)
+            for line in block.splitlines() if line.startswith("planehopf ")]
+
+
+def test_readme_lists_commands():
+    assert len(readme_commands()) >= 10
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+def test_readme_command(capsys, argv):
+    # every documented command runs and prints valid JSON
+    assert main(argv + ["--format", "json"]) == 0
+    json.loads(capsys.readouterr().out)
 
 
 def test_tamari_upset_golden(capsys):

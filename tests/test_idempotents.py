@@ -7,7 +7,8 @@ import pytest
 
 from planehopf import birkhoff, idempotents as idem, ncsf
 from planehopf.compositions import partitions_of
-from planehopf.forests import chain_tree, enumerate_trees, parse_forest
+from planehopf.forests import (chain_tree, enumerate_forests, enumerate_trees,
+                               parse_forest)
 from planehopf.hopf import s_n
 from planehopf.lincomb import LinComb
 from planehopf.ncsf import psi_bar_n, psi_n, r_to_s, s_to_r
@@ -35,14 +36,22 @@ def test_eulerian_sum_is_identity(n):
 
 
 def test_chi_dual_route():
-    # chi_T(t) == (-1)^n Gamma_T(-t)
+    # chi_T(t) == (-1)^n Gamma_T(-t), Gamma_T from the M basis
     t_var = MultiPoly.var("t")
     for n in range(1, 6):
         for t in enumerate_trees(n):
             chi = idem.chi_poly(t)
-            g = idem.gamma_alpha((t,))
+            g = ncsf.eval_binomial(ncsf.gamma_qsym_m((t,)), "alpha")
             assert chi == g.substitute({"alpha": -t_var}) \
                 * Fraction((-1) ** n)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_gamma_alpha_routes(n):
+    # the tree recursion against Gamma_F in the M basis on alpha ones
+    for f in enumerate_forests(n):
+        assert idem.gamma_alpha(f) \
+            == ncsf.eval_binomial(ncsf.gamma_qsym_m(f), "alpha")
 
 
 def test_chi_difference_equation():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planehopf.laurent import LaurentPoly, LaurentWindowOverflow
-from planehopf.linalg import SingularMatrix, invert, solve
+from planehopf.linalg import SingularMatrix, solve
 from planehopf.polynomials import (MultiPoly, RationalFn, bernoulli_polynomial,
                                    binomial_poly, discrete_integral,
                                    over_one_minus_q)
@@ -167,8 +167,6 @@ def test_solve_and_invert():
     m = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(3)]]
     sol = solve(m, [Fraction(5), Fraction(10)])
     assert sol == [Fraction(1), Fraction(3)]
-    inv = invert(m)
-    assert inv[0][0] * 2 + inv[0][1] * 1 == 1
     with pytest.raises(SingularMatrix):
         solve([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]],
               [Fraction(1), Fraction(1)])
