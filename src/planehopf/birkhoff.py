@@ -9,9 +9,12 @@ factorization closes over the Tamari order:
     phi+(Y_T) = sum over F >= T of a_F z^(-r(F))
 
 with a_F the product of the code letters of F and r(F) its number of roots.
-Setting z = 1 gives the grouplike series C = sum of a_G C_G; the residue at
-z = 0 gives the primitive series D = sum over trees of a_T C_T, whose
-homogeneous pieces split into the quasi-idempotents D_lambda.
+``sigma_plus`` reads every X_F coefficient of sigma_a^+ from this sum over
+the Tamari up-set, with no Laurent products; the ``phi_plus`` recursion is
+kept as its oracle.  Setting z = 1 gives the grouplike series
+C = sum of a_G C_G; the residue at z = 0 gives the primitive series
+D = sum over trees of a_T C_T, whose homogeneous pieces split into the
+quasi-idempotents D_lambda.
 
 The S, Lambda and ribbon expansions of sigma_a(+/-) are driven by the
 iterated Rota-Baxter brackets P^I_eps and, combinatorially, by the word sets
@@ -91,10 +94,8 @@ def phi_minus(t: Tree, a: LaurentPoly) -> LaurentPoly:
 
 def phi_plus_closed(t: Tree, a: LaurentPoly) -> LaurentPoly:
     """phi+(Y_T) by the Tamari formula: sum over F >= T of a_F z^(-r(F))."""
-    out = LaurentPoly.zero(a.window)
-    for g in tamari.upset((t,)):
-        out = out + LaurentPoly.term(-len(g), _a_weight_from(a, g), a.window)
-    return out
+    up = tamari.upset((t,))
+    return _tamari_sum(up, _tamari_weights(a, up), a.window)
 
 
 def _a_weight_from(a: LaurentPoly, g: Forest) -> MultiPoly:
@@ -104,10 +105,35 @@ def _a_weight_from(a: LaurentPoly, g: Forest) -> MultiPoly:
     return out
 
 
+def _tamari_weights(a: LaurentPoly, forests) -> dict:
+    """G -> (-r(G), a_G).  The Tamari formula holds for any
+    a(z) = sum over k >= 0 of a_k z^(k-1), so a z-exponent below -1 is
+    refused."""
+    if a.coeffs and min(a.coeffs) < -1:
+        raise ValueError("the Tamari formula needs a(z) with no z-exponent "
+                         f"below -1, got z^{min(a.coeffs)}")
+    return {g: (-len(g), _a_weight_from(a, g)) for g in forests}
+
+
+def _tamari_sum(up, weights: dict, window: int) -> LaurentPoly:
+    """Sum of a_G z^(-r(G)) over the forests G of ``up``, each z-power added
+    up in one MultiPoly.sum."""
+    groups: dict[int, list[MultiPoly]] = {}
+    for g in up:
+        e, w = weights[g]
+        groups.setdefault(e, []).append(w)
+    return LaurentPoly({e: MultiPoly.sum(ws) for e, ws in groups.items()},
+                       window)
+
+
 def sigma_plus(n: int, a: LaurentPoly) -> LinComb:
     """Degree-n part of sigma_a^+ as an X-basis element with Laurent
-    coefficients."""
-    return LinComb({f: phi_plus(f, a) for f in enumerate_forests(n)})
+    coefficients, read from the Tamari formula: the X_F coefficient is
+    phi+(Y_F) = sum over G >= F of a_G z^(-r(G)).  ``phi_plus`` is the
+    recursive oracle of the same values."""
+    weights = _tamari_weights(a, enumerate_forests(n))
+    return LinComb({f: _tamari_sum(tamari.upset(f), weights, a.window)
+                    for f in weights})
 
 
 def series_c(n: int, a: LaurentPoly) -> LinComb:
@@ -220,44 +246,47 @@ def words_w(i: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     exactly at the descents of I (and < k elsewhere, including k = n)."""
     n = weight(i)
     descents = descent_set(i)
-    out = []
-
-    def rec(prefix, total):
-        k = len(prefix)
-        if k:
-            if k in descents:
-                if total < k:
-                    return
-            elif total >= k:
-                return
-        if k == n:
-            out.append(tuple(prefix))
-            return
-        for w in range(n - total):
-            rec(prefix + [w], total + w)
-
-    rec([], 0)
-    return tuple(out)
+    # partial sums never decrease, so the k-th one lies below the next
+    # non-descent j >= k
+    below = [0] * (n + 1)
+    for k in range(n, 0, -1):
+        below[k] = below[k + 1] if k in descents else k
+    return _partial_sum_words(n, lambda k, total: (
+        max(total, k) if k in descents else total, below[k]))
 
 
 def words_s(i: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """S(I): partial sums >= d at the descents d of I, and total < n."""
     n = weight(i)
+    if not n:
+        return ()  # the empty word has total 0, not < 0
     descents = descent_set(i)
+    return _partial_sum_words(n, lambda k, total: (
+        max(total, k) if k in descents else total, n))
+
+
+def _partial_sum_words(n: int, bounds) -> tuple[tuple[int, ...], ...]:
+    """The words of length n whose k-th partial sum lies in the range
+    bounds(k, previous partial sum), in lexicographic order.  The bounds
+    must leave every prefix extendable, so that each branch of the explicit
+    stack ends in a word."""
+    if not n:
+        return ((),)
     out = []
-
-    def rec(prefix, total):
-        k = len(prefix)
-        if k in descents and total < k:
-            return
-        if k == n:
-            if total < n:
-                out.append(tuple(prefix))
-            return
-        for w in range(n - total):
-            rec(prefix + [w], total + w)
-
-    rec([], 0)
+    sums = [0]
+    stack = [iter(range(*bounds(1, 0)))]
+    while stack:
+        depth = len(stack)
+        total = next(stack[-1], None)
+        if total is None:
+            stack.pop()
+            continue
+        del sums[depth:]
+        sums.append(total)
+        if depth == n:
+            out.append(tuple(b - a for a, b in zip(sums, sums[1:])))
+        else:
+            stack.append(iter(range(*bounds(depth + 1, total))))
     return tuple(out)
 
 

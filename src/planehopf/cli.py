@@ -13,7 +13,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from fractions import Fraction
+from math import factorial
 
 from . import birkhoff, ehrhart, hopf, idempotents, ncsf, tamari
 from .compositions import refinements
@@ -35,13 +37,15 @@ EXIT_GUARD = 4
 # degree 8 costs about 12 times degree 7
 MAX_EMBED_DEGREE = 7
 # tamari downset scans every forest of the size: 1.9 s at 9 nodes, 22.7 s at
-# 10; birkhoff d-lambda in the X basis takes one down-set per tree
+# 10; birkhoff d-lambda in the X basis takes one down-set per tree, birkhoff
+# sigma-plus one up-set per forest, and idem eulerian enumerates every forest
 MAX_TAMARI_SIZE = 9
 # hopf product: 1.4 s at 8 nodes in total, 24.9 s at 10; through the C
 # basis 2.7 s at 8 and 47 s at 9
 MAX_PRODUCT_SIZE = {"X": 9, "Y": 9, "C": 8}
 # ehrhart points tries every point of {0..n}^|F|; birkhoff words lists every
-# word of the model
+# word of the model, and birkhoff d-lambda in the ribbon basis every
+# arrangement of the padded partition
 MAX_LATTICE_CANDIDATES = 10 ** 6
 
 
@@ -195,6 +199,9 @@ def _cmd_birkhoff(args) -> int:
     if args.action == "sigma-plus":
         if args.n is None:
             raise DomainError("birkhoff sigma-plus needs --n")
+        if args.n > MAX_TAMARI_SIZE:
+            raise DegreeGuard(f"birkhoff sigma-plus needs size "
+                              f"{args.n} > {MAX_TAMARI_SIZE}")
         a = birkhoff.a_series_ab(args.n) if args.spec else birkhoff.a_series(args.n)
         sp = birkhoff.sigma_plus(args.n, a)
         return _emit(args, {"command": "birkhoff sigma-plus", "n": args.n,
@@ -214,6 +221,10 @@ def _cmd_birkhoff(args) -> int:
                                   f"{sum(lam) + 1} > {MAX_TAMARI_SIZE}")
             d = birkhoff.d_lambda_x(lam)
         else:
+            count = _arrangement_count(lam)
+            if count > MAX_LATTICE_CANDIDATES:
+                raise DegreeGuard(f"birkhoff d-lambda in the ribbon basis needs "
+                                  f"{count} arrangements > {MAX_LATTICE_CANDIDATES}")
             d = birkhoff.d_lambda_ribbon(lam)
         return _emit(args, {"command": "birkhoff d-lambda", "lambda": args.lam,
                             "basis": args.basis, "terms": _terms_payload(d)})
@@ -240,6 +251,16 @@ def _words_size(i: tuple[int, ...], model: str) -> int:
     return sum(map(birkhoff.catalan_block_count, refinements(i)))
 
 
+def _arrangement_count(lam: tuple[int, ...]) -> int:
+    """The number of distinct arrangements of lambda padded with zeros to
+    length |lambda| + 1, the words that d_lambda_ribbon lists."""
+    n = sum(lam) + 1
+    count = factorial(n) // factorial(n - len(lam))
+    for mult in Counter(lam).values():
+        count //= factorial(mult)
+    return count
+
+
 def _cmd_idem(args) -> int:
     n = args.n
     if args.action == "verify":
@@ -249,6 +270,8 @@ def _cmd_idem(args) -> int:
             raise DomainError("eulerian needs --k")
         if args.basis == "R":
             raise DomainError("eulerian pieces live in the X basis only")
+        if n > MAX_TAMARI_SIZE:
+            raise DegreeGuard(f"idem eulerian needs size {n} > {MAX_TAMARI_SIZE}")
         elem_x = idempotents.eulerian(n, args.k)
         return _emit(args, {"command": "idem eulerian", "n": n, "k": args.k,
                             "terms": _terms_payload(elem_x)})

@@ -68,8 +68,10 @@ class MultiPoly:
         out: dict[Monomial, Fraction] = {}
         for p in polys:
             for m, c in cls.coerce(p).coeffs.items():
-                out[m] = out.get(m, 0) + c
-        return cls(out)
+                out[m] = out[m] + c if m in out else c
+        res = cls.__new__(cls)
+        res.coeffs = {m: c for m, c in out.items() if c}
+        return res
 
     @classmethod
     def coerce(cls, x) -> "MultiPoly":

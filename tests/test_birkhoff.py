@@ -2,6 +2,7 @@
 the Catalan Lie idempotents D_lambda, and the word model."""
 
 from fractions import Fraction
+from itertools import accumulate, product
 from math import comb
 
 import pytest
@@ -9,7 +10,8 @@ import pytest
 from planehopf import birkhoff as bk
 from planehopf import hopf, ncsf
 from planehopf.checks import suite_factorization, suite_words
-from planehopf.compositions import compositions_of, partitions_of, refinements
+from planehopf.compositions import (compositions_of, descent_set,
+                                    partitions_of, refinements)
 from planehopf.forests import (enumerate_forests, enumerate_trees,
                                parse_forest)
 from planehopf.laurent import LaurentPoly
@@ -52,6 +54,23 @@ def test_phi_plus_closed_form():
     for n in range(1, 7):
         for t in enumerate_trees(n):
             assert bk.phi_plus((t,), A) == bk.phi_plus_closed(t, A)
+
+
+@pytest.mark.parametrize("n", range(0, 7))
+@pytest.mark.parametrize("series", [bk.a_series, bk.a_series_ab,
+                                    lambda n: bk.a_series(2)],
+                         ids=["generic", "ab", "truncated"])
+def test_sigma_plus_tamari_routes(n, series):
+    # the Tamari sum against the phi_plus recursion, forest by forest
+    a = series(n)
+    assert bk.sigma_plus(n, a) == LinComb(
+        {f: bk.phi_plus(f, a) for f in enumerate_forests(n)})
+
+
+def test_sigma_plus_refuses_double_pole():
+    a = bk.a_series(3) + LaurentPoly.term(-2, MultiPoly.var("c"), W)
+    with pytest.raises(ValueError):
+        bk.sigma_plus(3, a)
 
 
 def test_factorization_suite():
@@ -211,6 +230,22 @@ def test_catalan_block_counts():
     for n in range(1, 8):
         for i in compositions_of(n):
             assert len(bk.words_w(i)) == bk.catalan_block_count(i)
+
+
+@pytest.mark.parametrize("n", range(0, 6))
+def test_words_brute_force(n):
+    # both models, in lexicographic order, against a filter of all words
+    # with letters below n
+    candidates = [(w, tuple(accumulate(w)))
+                  for w in product(range(n), repeat=n)]
+    for i in compositions_of(n):
+        d = descent_set(i)
+        assert bk.words_w(i) == tuple(
+            w for w, sums in candidates
+            if all((t >= k) == (k in d) for k, t in enumerate(sums, 1)))
+        assert bk.words_s(i) == tuple(
+            w for w, sums in candidates if sum(w) < n
+            and all(t >= k for k, t in enumerate(sums, 1) if k in d))
 
 
 def test_words_suite():

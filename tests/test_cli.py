@@ -67,6 +67,10 @@ def test_cost_guard_exit_code(capsys):
     (("birkhoff", "words", "--I", "14"), 4),
     (("birkhoff", "words", "--model", "S", "--I", "2,2,2,2,2,2,2"), 4),
     (("birkhoff", "d-lambda", "--lambda", "2,2,2,1,1,1", "--basis", "X"), 4),
+    (("birkhoff", "sigma-plus", "--n", "10"), 4),
+    (("birkhoff", "d-lambda", "--lambda", "3,3,2,2,1,1,1,1", "--basis", "R"),
+     4),
+    (("idem", "eulerian", "--n", "10", "--k", "2"), 4),
 ])
 def test_contract_exit_code(capsys, argv, expected):
     assert main(list(argv)) == expected
@@ -81,6 +85,13 @@ def test_words_size_is_exact(n):
     for i in compositions_of(n):
         assert _words_size(i, "W") == len(birkhoff.words_w(i))
         assert _words_size(i, "S") == len(birkhoff.words_s(i))
+
+
+def test_words_many_parts(capsys):
+    # the word listing takes no stack frame per letter
+    data = run_json(capsys, "birkhoff", "words", "--I", ",".join(["2"] * 600),
+                    "--format", "json")
+    assert data["count"] == len(data["words"]) == 2
 
 
 def readme_commands():
