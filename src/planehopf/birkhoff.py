@@ -33,8 +33,8 @@ from math import comb
 from . import tamari
 from .compositions import (compositions_of, descent_set, from_descent_set,
                            sign_word, weight)
-from .forests import (Forest, Tree, enumerate_forests, enumerate_trees,
-                      polish_code, reverse_polish_code)
+from .forests import (CodeError, Forest, Tree, enumerate_forests,
+                      enumerate_trees, parse_code, reverse_polish_code)
 from .hopf import c_expand
 from .laurent import LaurentPoly
 from .lincomb import LinComb
@@ -149,17 +149,17 @@ def series_d(n: int, a: LaurentPoly) -> LinComb:
 # ---------------------------------------------------------------------------
 # D_lambda
 
-def tree_code_partition(t: Tree) -> tuple[int, ...]:
-    """The partition of n-1 formed by the nonzero code letters of T."""
-    return tuple(sorted((c for c in polish_code((t,)) if c), reverse=True))
-
-
 def d_lambda(lam: tuple[int, ...]) -> LinComb:
-    """D_lambda = sum of C_T over trees whose nonzero code letters give the
-    partition lambda, in the C basis."""
-    n = sum(lam) + 1
-    return LinComb({(t,): Fraction(1) for t in enumerate_trees(n)
-                    if tree_code_partition(t) == lam})
+    """D_lambda in the C basis: the sum of C_T over the trees whose codes are
+    arrangements of lambda padded with zeros to length n = |lambda| + 1.
+    By the cycle lemma one arrangement in n parses as a tree."""
+    out = {}
+    for code in _arrangements(lam):
+        try:
+            out[parse_code(code)] = Fraction(1)
+        except CodeError:
+            continue
+    return LinComb(out)
 
 
 def d_lambda_x(lam: tuple[int, ...]) -> LinComb:
@@ -175,25 +175,28 @@ def d_lambda_ribbon(lam: tuple[int, ...]) -> LinComb:
     sum of W(I).  The residue collects the words of sum n-1, so the R_I
     coordinate is (-1)^(l(I)-1) times the number of arrangements of lambda
     padded with zeros to length n that lie in W(I)."""
-    n = sum(lam) + 1
-    letters = Counter(lam)
-    letters[0] = n - len(lam)
-    counts = Counter(map(ribbon_from_word, _arrangements(letters)))
+    counts = Counter(map(ribbon_from_word, _arrangements(lam)))
     return LinComb((i, Fraction((-1) ** (len(i) - 1) * c))
                    for i, c in counts.items())
 
 
-def _arrangements(letters: Counter):
-    """The distinct words with letter multiplicities ``letters``."""
-    if not any(letters.values()):
-        yield ()
-        return
-    for x in sorted(letters):
-        if letters[x]:
-            letters[x] -= 1
-            for w in _arrangements(letters):
-                yield (x,) + w
-            letters[x] += 1
+def _arrangements(lam: tuple[int, ...]):
+    """The distinct words of lambda padded with zeros to length |lambda| + 1."""
+    letters = Counter(lam)
+    letters[0] = sum(lam) + 1 - len(lam)
+
+    def words():
+        if not any(letters.values()):
+            yield ()
+            return
+        for x in sorted(letters):
+            if letters[x]:
+                letters[x] -= 1
+                for w in words():
+                    yield (x,) + w
+                letters[x] += 1
+
+    return words()
 
 
 # ---------------------------------------------------------------------------

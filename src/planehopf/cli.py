@@ -5,7 +5,7 @@ Output is text or JSON (``--format``); JSON is deterministic (sorted keys
 and term lists) and coefficients are always exact strings, never floats.
 
 Exit codes: 0 ok, 2 usage error, 3 domain error (bad codes or parameters),
-4 cost-guard rejection.
+4 cost-guard rejection, input nested past the recursion limit included.
 """
 
 from __future__ import annotations
@@ -36,15 +36,15 @@ EXIT_GUARD = 4
 # nsym embed enumerates the linear extensions of every forest of the degree;
 # degree 8 costs about 12 times degree 7
 MAX_EMBED_DEGREE = 7
-# tamari downset scans every forest of the size: 1.9 s at 9 nodes, 22.7 s at
-# 10; birkhoff d-lambda in the X basis takes one down-set per tree, birkhoff
-# sigma-plus one up-set per forest, and idem eulerian enumerates every forest
+# the largest up-set (a chain's) takes 0.02 s at 10 nodes and 0.35 s at 12,
+# the largest down-set 0.02 s at 10; birkhoff sigma-plus takes one up-set per
+# forest, 5.1 s and 190 MB at 9, and idem eulerian every forest, 3.5 s at 9
 MAX_TAMARI_SIZE = 9
 # hopf product: 1.4 s at 8 nodes in total, 24.9 s at 10; through the C
-# basis 2.7 s at 8 and 47 s at 9
+# basis, singletons by singletons, 1.6 s at 8 and 13 s at 9
 MAX_PRODUCT_SIZE = {"X": 9, "Y": 9, "C": 8}
 # ehrhart points tries every point of {0..n}^|F|; birkhoff words lists every
-# word of the model, and birkhoff d-lambda in the ribbon basis every
+# word of the model, and birkhoff d-lambda in the C and ribbon bases every
 # arrangement of the padded partition
 MAX_LATTICE_CANDIDATES = 10 ** 6
 
@@ -135,17 +135,17 @@ def _cmd_forest(args) -> int:
 
 
 def _cmd_tamari(args) -> int:
+    f = _parse_forest_arg(args.lower if args.action == "leq" else args.forest)
     if args.action == "leq":
-        lo = _parse_forest_arg(args.lower)
         hi = _parse_forest_arg(args.upper)
-        if forest_size(lo) != forest_size(hi):
+        if forest_size(f) != forest_size(hi):
             raise DomainError("leq needs forests of equal size")
-        return _emit(args, {"command": "tamari leq", "lower": args.lower,
-                            "upper": args.upper, "result": tamari.leq(lo, hi)})
-    f = _parse_forest_arg(args.forest)
     if forest_size(f) > MAX_TAMARI_SIZE:
         raise DegreeGuard(f"tamari {args.action} needs size "
                           f"{forest_size(f)} > {MAX_TAMARI_SIZE}")
+    if args.action == "leq":
+        return _emit(args, {"command": "tamari leq", "lower": args.lower,
+                            "upper": args.upper, "result": tamari.leq(f, hi)})
     fam = tamari.upset(f) if args.action == "upset" else tamari.downset(f)
     return _emit(args, {"command": f"tamari {args.action}",
                         "forest": forest_code(f),
@@ -213,9 +213,7 @@ def _cmd_birkhoff(args) -> int:
             raise DomainError("--lambda must be a partition")
         if args.n is not None and args.n != sum(lam) + 1:
             raise DomainError("--n must equal 1 + sum of --lambda")
-        if args.basis == "C":
-            d = birkhoff.d_lambda(lam)
-        elif args.basis == "X":
+        if args.basis == "X":
             if sum(lam) + 1 > MAX_TAMARI_SIZE:
                 raise DegreeGuard(f"birkhoff d-lambda in the X basis needs size "
                                   f"{sum(lam) + 1} > {MAX_TAMARI_SIZE}")
@@ -223,16 +221,17 @@ def _cmd_birkhoff(args) -> int:
         else:
             count = _arrangement_count(lam)
             if count > MAX_LATTICE_CANDIDATES:
-                raise DegreeGuard(f"birkhoff d-lambda in the ribbon basis needs "
-                                  f"{count} arrangements > {MAX_LATTICE_CANDIDATES}")
-            d = birkhoff.d_lambda_ribbon(lam)
+                raise DegreeGuard(f"birkhoff d-lambda needs {count} arrangements "
+                                  f"> {MAX_LATTICE_CANDIDATES}")
+            d = (birkhoff.d_lambda(lam) if args.basis == "C"
+                 else birkhoff.d_lambda_ribbon(lam))
         return _emit(args, {"command": "birkhoff d-lambda", "lambda": args.lam,
                             "basis": args.basis, "terms": _terms_payload(d)})
     i = _parse_composition(args.I)
     size = _words_size(i, args.model)
     if size > MAX_LATTICE_CANDIDATES:
-        raise DegreeGuard(f"birkhoff words needs |{args.model}(I)| = {size} "
-                          f"> {MAX_LATTICE_CANDIDATES}")
+        raise DegreeGuard(f"birkhoff words needs |{args.model}(I)| > "
+                          f"{MAX_LATTICE_CANDIDATES}")
     words = birkhoff.words_w(i) if args.model == "W" else birkhoff.words_s(i)
     return _emit(args, {"command": "birkhoff words", "I": args.I,
                         "model": args.model, "count": len(words),
@@ -253,7 +252,7 @@ def _words_size(i: tuple[int, ...], model: str) -> int:
 
 def _arrangement_count(lam: tuple[int, ...]) -> int:
     """The number of distinct arrangements of lambda padded with zeros to
-    length |lambda| + 1, the words that d_lambda_ribbon lists."""
+    length |lambda| + 1, the words that d_lambda and d_lambda_ribbon list."""
     n = sum(lam) + 1
     count = factorial(n) // factorial(n - len(lam))
     for mult in Counter(lam).values():
@@ -436,7 +435,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (DegreeGuard, GroupDegreeGuard, LaurentWindowOverflow) as exc:
+    except (DegreeGuard, GroupDegreeGuard, LaurentWindowOverflow,
+            RecursionError) as exc:
         print(f"cost guard: {exc}", file=sys.stderr)
         return EXIT_GUARD
     except (DomainError, CodeError, ValueError) as exc:

@@ -175,9 +175,8 @@ def x_tau(tau, n: int) -> LinComb:
 # ---------------------------------------------------------------------------
 # C basis
 
-@lru_cache(maxsize=None)
 def c_to_x(f: Forest) -> LinComb:
-    """C_F expanded in the X basis (sum over the Tamari downset)."""
+    """C_F expanded in the X basis: X_G summed over the memoized down-set."""
     return LinComb({g: Fraction(1) for g in tamari.downset(f)})
 
 

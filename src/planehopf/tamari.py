@@ -6,44 +6,32 @@ new root immediately to the left when the node is itself a root).  The forest
 of singletons is the unique maximum in each degree; the chain forests sit at
 the bottom of their fibers.
 
-``upset`` is computed by a product recursion rather than closure of covers:
-the upset of a forest is the concatenation of the upsets of its trees, and
-the upset of B+(F) collects G1 . B+(G2) over all splits G = G1 G2 (at root
-boundaries) of all G in the upset of F.  The two routes are cross-checked in
-the test suite.
+``upset`` and ``downset`` are memoized recursions keyed by the forest; a
+plane tree is the tuple of its children, so B+(H) is H.  The up-set of a
+forest concatenates the up-sets of its trees, and the up-set of B+(H)
+collects G1 . B+(G2) over the splits G = G1 G2 at root boundaries of every
+G >= H.  Read backwards: G <= F exactly when the first tree B+(H) of G lies
+below a prefix T1..Tk of F, with H <= T1..T(k-1) followed by the children
+of Tk, and the rest of G lies below T(k+1)...  The test suite checks both
+against the transitive closure of ``covers``.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .forests import (EMPTY_FOREST, Forest, Tree, b_plus, enumerate_forests,
-                      forest_size, parse_code, polish_code)
+from .forests import EMPTY_FOREST, Forest, Tree, polish_code
 
 
 @lru_cache(maxsize=None)
-def _up_tree(code: tuple[int, ...]) -> frozenset[Forest]:
-    (tree,) = parse_code(code)
-    out: set[Forest] = set()
-    for g in _up_forest(polish_code(tree)):
-        for cut in range(len(g) + 1):
-            out.add(g[:cut] + (b_plus(g[cut:]),))
-    return frozenset(out)
-
-
-@lru_cache(maxsize=None)
-def _up_forest(code: tuple[int, ...]) -> frozenset[Forest]:
-    f = parse_code(code)
-    if not f:
-        return frozenset({EMPTY_FOREST})
-    heads = _up_tree(polish_code((f[0],)))
-    tails = _up_forest(polish_code(f[1:]))
-    return frozenset(h + t for h in heads for t in tails)
-
-
 def upset(f: Forest) -> frozenset[Forest]:
     """All forests G >= F in the Tamari order."""
-    return _up_forest(polish_code(f))
+    if len(f) > 1:
+        return frozenset(h + t for h in upset(f[:1]) for t in upset(f[1:]))
+    if not f:
+        return frozenset({EMPTY_FOREST})
+    return frozenset(g[:cut] + (g[cut:],) for g in upset(f[0])
+                     for cut in range(len(g) + 1))
 
 
 def leq(f: Forest, g: Forest) -> bool:
@@ -51,10 +39,14 @@ def leq(f: Forest, g: Forest) -> bool:
     return g in upset(f)
 
 
+@lru_cache(maxsize=None)
 def downset(f: Forest) -> frozenset[Forest]:
     """All forests G <= F in the Tamari order."""
-    return frozenset(g for g in enumerate_forests(forest_size(f))
-                     if f in upset(g))
+    if not f:
+        return frozenset({EMPTY_FOREST})
+    return frozenset((h,) + g for k in range(1, len(f) + 1)
+                     for h in downset(f[:k - 1] + f[k - 1])
+                     for g in downset(f[k:]))
 
 
 def upset_words(t: Tree) -> tuple[str, ...]:

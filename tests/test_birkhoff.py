@@ -13,7 +13,7 @@ from planehopf.checks import suite_factorization, suite_words
 from planehopf.compositions import (compositions_of, descent_set,
                                     partitions_of, refinements)
 from planehopf.forests import (enumerate_forests, enumerate_trees,
-                               parse_forest)
+                               parse_forest, polish_code)
 from planehopf.laurent import LaurentPoly
 from planehopf.lincomb import LinComb
 from planehopf.polynomials import MultiPoly
@@ -102,6 +102,17 @@ def test_d_lambda_fixtures():
     assert bk.d_lambda_x((3,)) == LinComb(
         {(t,): Fraction(1) for t in enumerate_trees(4)})
     assert bk.d_lambda_x((1, 1, 1)) == ncsf.psi_n(4).map_basis(ncsf.embed_r)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_d_lambda_matches_tree_filter(n):
+    # the arrangements that parse as one tree are the trees whose nonzero
+    # code letters form lambda
+    for lam in partitions_of(n - 1):
+        assert bk.d_lambda(lam) == LinComb(
+            {(t,): Fraction(1) for t in enumerate_trees(n)
+             if sorted(filter(None, polish_code((t,))), reverse=True)
+             == list(lam)})
 
 
 def test_d_lambda_21_ribbon():

@@ -71,6 +71,14 @@ def test_cost_guard_exit_code(capsys):
     (("birkhoff", "d-lambda", "--lambda", "3,3,2,2,1,1,1,1", "--basis", "R"),
      4),
     (("idem", "eulerian", "--n", "10", "--k", "2"), 4),
+    (("tamari", "leq", "--lower", "1" * 12 + "0", "--upper", "0" * 13), 4),
+    (("tamari", "leq", "--lower", "1" * 12 + "0", "--upper", "0" * 12), 3),
+    (("birkhoff", "d-lambda", "--lambda", "3,3,2,2,1,1,1,1", "--basis", "C"),
+     4),
+    # input nested past the recursion limit is refused, not a traceback
+    (("forest", "parse", "--code", "1" * 1499 + "0"), 4),
+    (("birkhoff", "d-lambda", "--basis", "R", "--lambda", ",".join("1" * 1500)),
+     4),
 ])
 def test_contract_exit_code(capsys, argv, expected):
     assert main(list(argv)) == expected
@@ -92,6 +100,13 @@ def test_words_many_parts(capsys):
     data = run_json(capsys, "birkhoff", "words", "--I", ",".join(["2"] * 600),
                     "--format", "json")
     assert data["count"] == len(data["words"]) == 2
+
+
+def test_words_guard_message_is_short(capsys):
+    # |S(I)| for 600 parts has hundreds of digits; the refusal omits it
+    assert main(["birkhoff", "words", "--model", "S",
+                 "--I", ",".join(["2"] * 600)]) == 4
+    assert len(capsys.readouterr().err) < 200
 
 
 def readme_commands():

@@ -72,6 +72,15 @@ def test_downset_corolla():
     assert len(down) == 5
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+def test_downset_matches_upset_scan(n):
+    # the down-set recursion against the scan of every forest of the size
+    # whose up-set holds F
+    for f in enumerate_forests(n):
+        assert tamari.downset(f) == frozenset(
+            g for g in enumerate_forests(n) if f in tamari.upset(g))
+
+
 def test_leq_reflexive_antisymmetric():
     for f in enumerate_forests(4):
         assert tamari.leq(f, f)
