@@ -217,7 +217,12 @@ def restrict_forest(f: Forest, keep: set[int]) -> Forest:
 # Linear extensions
 
 def linear_extensions(f: Forest) -> tuple[tuple[int, ...], ...]:
-    """All permutation words listing nodes so ancestors come after descendants."""
+    """All permutation words listing nodes so ancestors come after descendants.
+
+    There are (2n-1)!! of them over the forests of size n, so only
+    :func:`planehopf.fqsym.gamma_fqsym` and the tests read them; the counts
+    of :mod:`planehopf.ncsf` come from its tree recursion, and the tests
+    check that recursion against this listing."""
     n = forest_size(f)
     parents = parent_array(f)
     nchildren = [0] * (n + 1)

@@ -8,10 +8,13 @@ subset of D(I).
 
 The embedding of Sym spanned by the S_n = sum of all X_F (equivalently the
 Lambda_n = X on a singleton forest) sends R_I, S^I and Lambda^I to explicit
-X-expansions counted by labellings of forests.  Every count is read off one
-memoized enumeration, Gamma_F = sum of F_{Des s} over the linear extensions
-s of F; the tests compare them with X-basis products of the S_n and
-Lambda_n and with packed-word counts in :mod:`planehopf.ehrhart`.
+X-expansions counted by labellings of forests.  Every count is read off
+Gamma_F = sum of F_{Des s} over the linear extensions s of F, built by a
+memoized recursion over the forest in the F basis: the root of B+(H) adds 1
+to the last part of each composition of Gamma_H, and Gamma_{T.G} is the
+QSym product Gamma_T Gamma_G.  The tests compare it with the linear
+extensions themselves, with X-basis products of the S_n and Lambda_n and
+with packed-word counts in :mod:`planehopf.ehrhart`.
 
 Evaluations on the infinite alphabets {1, q, q^2, ...} and (q, t) return
 canonical RationalFns: each M_I has a denominator prod (1 - q^k), entered
@@ -24,13 +27,14 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import accumulate, combinations
+from types import MappingProxyType
 
 from . import compositions as comps
 from .compositions import (coarsenings, complement, compositions_of,
                            refinements, reverse, weight)
-from .forests import Forest, enumerate_forests, forest_size, linear_extensions
+from .forests import Forest, enumerate_forests, forest_size
 from .lincomb import LinComb, bilinear
-from .perms import descent_composition
+from .perms import descent_composition, shifted_shuffle
 from .polynomials import MultiPoly, RationalFn, binomial_poly, over_one_minus_q
 
 Composition = tuple
@@ -146,32 +150,71 @@ def minus_x_f(a: LinComb) -> LinComb:
 # ---------------------------------------------------------------------------
 # Labelling counts and the embedding into the X basis
 
+def _descent_class(i: Composition) -> tuple[int, ...]:
+    """A permutation with descent composition I: increasing runs of lengths
+    I, each run above the next."""
+    out, top = [], weight(i)
+    for part in i:
+        out.extend(range(top - part + 1, top + 1))
+        top -= part
+    return tuple(out)
+
+
 @lru_cache(maxsize=None)
+def _f_product(i: Composition, j: Composition) -> tuple:
+    """F_I F_J in QSym as (K, count) pairs: the descent compositions of the
+    shifted shuffles of any two permutations with descent compositions I
+    and J, which do not depend on the choice (descent compositions are
+    shuffle-compatible)."""
+    return tuple(Counter(map(descent_composition, shifted_shuffle(
+        _descent_class(i), _descent_class(j)))).items())
+
+
+@lru_cache(maxsize=None)
+def _gamma(f: Forest) -> MappingProxyType:
+    """Gamma_F as a read-only map F_I -> count of the linear extensions of
+    F with descent composition I.  A tree is the tuple of its children, so
+    B+(H) is H."""
+    if not f:
+        return MappingProxyType({(): 1})
+    if len(f) == 1:
+        # the root carries the largest postorder label and comes last
+        return MappingProxyType({i[:-1] + (i[-1] + 1,) if i else (1,): c
+                                 for i, c in _gamma(f[0]).items()})
+    out = {}
+    rest = _gamma(f[1:]).items()
+    for i, a in _gamma(f[:1]).items():
+        for j, b in rest:
+            ab = a * b
+            for k, c in _f_product(i, j):
+                out[k] = out.get(k, 0) + ab * c
+    return MappingProxyType(out)
+
+
 def gamma_qsym_f(f: Forest) -> LinComb:
-    """Gamma_F(X) in the F basis: descent compositions of linear extensions,
-    the one enumeration of the forest poset that every count below reads."""
-    return LinComb((i, Fraction(c)) for i, c in
-                   Counter(map(descent_composition, linear_extensions(f))).items())
+    """Gamma_F(X) in the F basis: the descent compositions of the linear
+    extensions of F, read off the tree recursion."""
+    return LinComb((i, Fraction(c)) for i, c in _gamma(f).items())
 
 
 def nondecreasing_labellings(f: Forest, i: Composition) -> int:
     """Labellings u of the forest with evaluation I and u weakly increasing
     from the leaves toward the roots: the M_I coefficient of Gamma_F, i.e.
     its F_J coefficients summed over J coarser than I."""
-    g = gamma_qsym_f(f)
-    return int(sum(g.coeff(j) for j in coarsenings(i)))
+    g = _gamma(f)
+    return sum(g.get(j, 0) for j in coarsenings(i))
 
 
 def strict_labellings(f: Forest, i: Composition) -> int:
     """Labellings with evaluation I, strictly increasing toward the roots:
     the F_J of Gamma_F summed over J finer than the complement of I."""
-    g = gamma_qsym_f(f)
-    return int(sum(g.coeff(j) for j in refinements(complement(i))))
+    g = _gamma(f)
+    return sum(g.get(j, 0) for j in refinements(complement(i)))
 
 
 def embed_r(i: Composition) -> LinComb:
     """R_I in the X basis: linear extensions of ribbon shape I."""
-    return LinComb((f, gamma_qsym_f(f).coeff(i))
+    return LinComb((f, Fraction(_gamma(f).get(i, 0)))
                    for f in enumerate_forests(weight(i)))
 
 

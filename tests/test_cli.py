@@ -75,6 +75,9 @@ def test_cost_guard_exit_code(capsys):
     (("tamari", "leq", "--lower", "1" * 12 + "0", "--upper", "0" * 12), 3),
     (("birkhoff", "d-lambda", "--lambda", "3,3,2,2,1,1,1,1", "--basis", "C"),
      4),
+    (("ehrhart", "qcount", "--forest", "0" * 10, "--n", "1"), 4),
+    (("ehrhart", "qcount", "--forest", "00", "--n", "3000"), 4),
+    (("ehrhart", "qcount", "--forest", "0" * 10, "--n", "-1"), 3),
     # input nested past the recursion limit is refused, not a traceback
     (("forest", "parse", "--code", "1" * 1499 + "0"), 4),
     (("birkhoff", "d-lambda", "--basis", "R", "--lambda", ",".join("1" * 1500)),

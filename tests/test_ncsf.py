@@ -1,15 +1,19 @@
 """Noncommutative symmetric functions, quasi-symmetric functions, the
 embedding into the forest algebra, and alphabet transforms."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from planehopf import birkhoff, hopf, ncsf
+from planehopf import birkhoff, forests, hopf, ncsf
 from planehopf.compositions import compositions_of
 from planehopf.forests import (enumerate_forests, forest_code,
                                linear_extensions, parse_forest)
 from planehopf.lincomb import LinComb
+from planehopf.perms import all_perms, descent_composition, shifted_shuffle
 from planehopf.polynomials import MultiPoly, RationalFn
 
 q = MultiPoly.var("q")
@@ -59,16 +63,14 @@ def test_embed_lambda_routes():
 
 
 def test_one_enumeration_per_forest(monkeypatch):
-    # every count reads the memoized Gamma_F: the 14 forests of size 4 are
-    # each enumerated once, however many compositions ask about them
-    seen = []
+    # every count reads the memoized tree recursion and no linear extension
+    # is listed: each of the 23 forests of size <= 4 misses the memo at most
+    # once, however many compositions ask about it
+    def refuse(f):
+        raise AssertionError(f"linear extensions of {forest_code(f)} listed")
 
-    def counted(f):
-        seen.append(f)
-        return linear_extensions(f)
-
-    monkeypatch.setattr(ncsf, "linear_extensions", counted)
-    ncsf.gamma_qsym_f.cache_clear()
+    monkeypatch.setattr(forests, "linear_extensions", refuse)
+    ncsf._gamma.cache_clear()
     for i in compositions_of(4):
         ncsf.embed_r(i)
         ncsf.embed_s(i)
@@ -76,7 +78,39 @@ def test_one_enumeration_per_forest(monkeypatch):
     for f in enumerate_forests(4):
         ncsf.gamma_qsym_m(f)
     birkhoff.d_lambda_ribbon((2, 1))
-    assert len(seen) == len(set(seen)) == len(enumerate_forests(4)) == 14
+    small = sum(len(enumerate_forests(n)) for n in range(5))
+    assert ncsf._gamma.cache_info().misses <= small == 23
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_gamma_matches_linear_extensions(n):
+    # dual route: the tree recursion against the descent compositions of
+    # the listed linear extensions
+    for f in enumerate_forests(n):
+        want = Counter(map(descent_composition, linear_extensions(f)))
+        assert ncsf.gamma_qsym_f(f) == LinComb(want), forest_code(f)
+
+
+@st.composite
+def descent_class_member(draw, n):
+    """A composition I of n and a permutation drawn from those with
+    descent composition I."""
+    i = draw(st.sampled_from(list(compositions_of(n))))
+    perm = draw(st.sampled_from([p for p in all_perms(n)
+                                 if descent_composition(p) == i]))
+    return i, perm
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.tuples(st.integers(0, 6), st.integers(0, 6))
+       .filter(lambda ab: sum(ab) <= 6)
+       .flatmap(lambda ab: st.tuples(descent_class_member(ab[0]),
+                                     descent_class_member(ab[1]))))
+def test_f_product_is_shuffle_of_any_representatives(pair):
+    # F_I F_J does not depend on the permutations chosen for I and J
+    (i, u), (j, v) = pair
+    want = Counter(map(descent_composition, shifted_shuffle(u, v)))
+    assert dict(ncsf._f_product(i, j)) == want
 
 
 def test_r_s_round_trip():
