@@ -221,12 +221,6 @@ def sigma_plus_s(n: int, a: LaurentPoly) -> LinComb:
                    for i in compositions_of(n))
 
 
-def sigma_minus_s(n: int, a: LaurentPoly) -> LinComb:
-    """sigma_a^- in the S basis: sum over I of (-1)^l(I) P^I_{-...-}(a) S^I."""
-    return LinComb((i, p_bracket(i, "-" * len(i), a) * (-1) ** len(i))
-                   for i in compositions_of(n))
-
-
 def sigma_plus_lambda(n: int, a: LaurentPoly) -> LinComb:
     """sigma_a^+ in the Lambda basis:
     sum over I of (-1)^(|I|+l(I)) P^I_{+...+}(a) Lambda^I."""

@@ -29,13 +29,15 @@ def suite_hopf(n: int) -> list[str]:
                 if left != right:
                     bad.append(f"coassociativity[{name}] fails at {forest_code(f)}")
     # duality: <X_F X_G, Y_H> = <X_F (x) X_G, Delta Y_H>
+    cop = {h: hopf.y_coproduct(h) for size in range(2, n + 1)
+           for h in enumerate_forests(size)}
     for n1 in range(1, n):
         for n2 in range(1, n + 1 - n1):
             for f in enumerate_forests(n1):
                 for g in enumerate_forests(n2):
                     prod = hopf.x_product(f, g)
                     for h in enumerate_forests(n1 + n2):
-                        if prod.coeff(h) != hopf.y_coproduct(h).coeff((f, g)):
+                        if prod.coeff(h) != cop[h].coeff((f, g)):
                             bad.append(
                                 f"duality fails at {forest_code(f)},"
                                 f"{forest_code(g)} vs {forest_code(h)}")

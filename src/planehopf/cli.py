@@ -44,8 +44,9 @@ MAX_EMBED_DEGREE = 7
 # ehrhart qcount builds Gamma_F, 0.27 s for 12 singletons, 3.0 s for 14 and
 # 12.8 s and 204 MB for a 4-node tree followed by 10 singletons
 MAX_TAMARI_SIZE = 9
-# hopf product: 1.4 s at 8 nodes in total, 24.9 s at 10; through the C
-# basis, singletons by singletons, 1.6 s at 8 and 13 s at 9
+# hopf product: 0.3 s at 8 nodes in total, 1.8 s and 54 MB at 9, 12 s and
+# 207 MB at 10 (the cut table of the whole degree); through the C basis,
+# singletons by singletons, 1.3 s at 8 and 11.6 s at 9
 MAX_PRODUCT_SIZE = {"X": 9, "Y": 9, "C": 8}
 # ehrhart points tries every point of {0..n}^|F|, and ehrhart qcount lists
 # C(n+|F|, |F|) monomials, no more than that; birkhoff words lists every

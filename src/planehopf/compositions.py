@@ -1,5 +1,5 @@
-"""Compositions of integers: descent sets, complement/reverse/conjugate,
-refinement, sign words, and integer partitions.
+"""Compositions of integers: descent sets, complement, refinement, sign
+words, and integer partitions.
 
 Orientation convention used throughout (matching the word-model identity
 S(I) = union of W(J) over J finer than I): ``J <= I`` means J is COARSER,
@@ -44,15 +44,6 @@ def maj(parts: tuple[int, ...]) -> int:
 def complement(parts: tuple[int, ...]) -> tuple[int, ...]:
     n = weight(parts)
     return from_descent_set(set(range(1, n)) - descent_set(parts), n)
-
-
-def reverse(parts: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(reversed(parts))
-
-
-def conjugate(parts: tuple[int, ...]) -> tuple[int, ...]:
-    """Ribbon conjugate: reverse of the complement (= complement of the reverse)."""
-    return reverse(complement(parts))
 
 
 def coarsenings(parts: tuple[int, ...]):

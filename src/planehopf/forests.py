@@ -7,7 +7,7 @@ Polish code: the prefix-order sequence of child counts.
 The canonical labelling is postorder: within each tree the subtrees are
 labelled left to right before the root, so every subtree carries an interval
 of labels with the maximum at its root.  All poset-dependent operations
-(linear extensions, coproducts, order polytopes) use this labelling.
+(linear extensions, order polytopes) use this labelling.
 """
 
 from __future__ import annotations
@@ -195,22 +195,6 @@ def strict_below_pairs(f: Forest) -> set[tuple[int, int]]:
             pairs.add((i, j))
             j = parents[j - 1]
     return pairs
-
-
-def restrict_forest(f: Forest, keep: set[int]) -> Forest:
-    """Induced plane forest on the canonically-labelled nodes in ``keep``."""
-
-    def walk_forest(nodes) -> Forest:
-        out = []
-        for label, kids in nodes:
-            sub = walk_forest(kids)
-            if label in keep:
-                out.append(tuple(sub))
-            else:
-                out.extend(sub)
-        return tuple(out)
-
-    return walk_forest(labelled_forest(f))
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,16 @@
 """The noncommutative Connes-Kreimer Hopf algebra on plane forests and its dual.
 
 Y basis: product is concatenation of forests, coproduct by admissible cuts.
-With the canonical postorder labelling, the cuts of Y_F are encoded by the
-colorings u in {1, 2}^n such that i below j implies u_i <= u_j; the color-1
-nodes (a union of complete subtrees) go to the left tensor factor.
+A cut splits F into a lower part, a union of complete subtrees, which goes
+to the left tensor factor, and the upper part that remains.  ``cuts`` lists
+them by a recursion on the forest tuple: a tree is either all lower or keeps
+its root upper over a cut of its children, and the cuts of a forest are
+those of its first tree concatenated with those of the rest.
 
 X basis (dual): coproduct is deconcatenation and the product is the transpose
-of the Y coproduct.  The dendriform halves split each product term by the
-color of the last postfix node (the root of the last tree).  The same product has a constructive
+of the Y coproduct.  The dendriform halves split each product term by whether
+the root of its last tree comes from the left factor (the lower part of the
+cut) or the right one.  The same product has a constructive
 description by grafting, exposed through ``brace`` and ``prelie_graft``; the
 two routes are compared in the test suite.
 
@@ -22,63 +25,49 @@ from itertools import chain
 
 from . import tamari
 from .forests import (Forest, Tree, aut_order, enumerate_forests, forest_size,
-                      labelled_forest, plane_representatives, restrict_forest)
+                      plane_representatives)
 from .lincomb import LinComb, bilinear
 
 
 # ---------------------------------------------------------------------------
 # Admissible cuts
 
-def lower_subsets(f: Forest):
-    """All descendant-closed label sets of the canonically labelled forest."""
+def cuts(f: Forest) -> tuple:
+    """The (lower, upper, last) triples of the admissible cuts of F, where
+    ``last`` says whether the root of F's last tree is in the lower part.
 
-    def per_tree(node):
-        label, kids = node
-        options = [frozenset()]
-        for k in kids:
-            options = [s | o for s in options for o in per_tree(k)]
-        options.append(frozenset(_labels(node)))
-        return options
-
-    def _labels(node):
-        label, kids = node
-        yield label
-        for k in kids:
-            yield from _labels(k)
-
-    subsets = [frozenset()]
-    for root in labelled_forest(f):
-        subsets = [s | o for s in subsets for o in per_tree(root)]
-    return subsets
+    A tree is the tuple of its children, so B+(H) is H: a tree T is either
+    all lower, or its root stays upper over the upper part of a cut of H."""
+    if not f:
+        return (((), (), False),)
+    if len(f) == 1:
+        t = f[0]
+        return (((t,), (), True),) + tuple((lo, (up,), False)
+                                            for lo, up, _ in cuts(t))
+    return tuple((lo1 + lo2, up1 + up2, last) for lo1, up1, _ in cuts(f[:1])
+                 for lo2, up2, last in cuts(f[1:]))
 
 
 def y_coproduct(f: Forest) -> LinComb:
     """Coproduct of Y_F as a combination of (F1, F2) pairs."""
-    labels = set(range(1, forest_size(f) + 1))
-    return LinComb(((restrict_forest(f, set(s1)), restrict_forest(f, labels - s1)), 1)
-                   for s1 in lower_subsets(f))
+    return LinComb(((lo, up), 1) for lo, up, _ in cuts(f))
 
 
 # ---------------------------------------------------------------------------
 # X basis: product (transpose of the Y coproduct) and dendriform halves
 
 @lru_cache(maxsize=None)
-def _product_table(n1: int, n2: int):
-    """For each forest H of size n1+n2, the cut terms with parts of sizes
-    (n1, n2), classified by the color of node n (the root of the last tree).
+def _product_table(n: int):
+    """The cut terms of every forest H of size n, classified by whether the
+    root of H's last tree is in the lower part.
 
-    Returns dict (F1, F2) -> {H: [count_last_node_lower, count_last_node_upper]}.
+    Returns dict (F1, F2) -> {H: [count_last_root_lower, count_last_root_upper]}.
     """
     out: dict[tuple[Forest, Forest], dict[Forest, list[int]]] = {}
-    n = n1 + n2
     for h in enumerate_forests(n):
-        for s1 in lower_subsets(h):
-            if len(s1) != n1:
-                continue
-            s2 = set(range(1, n + 1)) - s1
-            key = (restrict_forest(h, set(s1)), restrict_forest(h, s2))
-            slot = out.setdefault(key, {}).setdefault(h, [0, 0])
-            slot[0 if n in s1 else 1] += 1
+        for lo, up, last in cuts(h):
+            slot = out.setdefault((lo, up), {}).setdefault(h, [0, 0])
+            slot[0 if last else 1] += 1
     return out
 
 
@@ -88,23 +77,23 @@ def x_product(f: Forest, g: Forest) -> LinComb:
         return LinComb.monomial(g)
     if not g:
         return LinComb.monomial(f)
-    terms = _product_table(forest_size(f), forest_size(g)).get((f, g), {})
+    terms = _product_table(forest_size(f) + forest_size(g)).get((f, g), {})
     return LinComb({h: Fraction(c[0] + c[1]) for h, c in terms.items()})
 
 
 def x_prec(f: Forest, g: Forest) -> LinComb:
-    """Dendriform half-product X_F < X_G (last postfix node from F)."""
+    """Dendriform half-product X_F < X_G (root of the last tree from F)."""
     if not f or not g:
         raise ValueError("dendriform half-products exclude the unit")
-    terms = _product_table(forest_size(f), forest_size(g)).get((f, g), {})
+    terms = _product_table(forest_size(f) + forest_size(g)).get((f, g), {})
     return LinComb({h: Fraction(c[0]) for h, c in terms.items() if c[0]})
 
 
 def x_succ(f: Forest, g: Forest) -> LinComb:
-    """Dendriform half-product X_F > X_G (last postfix node from G)."""
+    """Dendriform half-product X_F > X_G (root of the last tree from G)."""
     if not f or not g:
         raise ValueError("dendriform half-products exclude the unit")
-    terms = _product_table(forest_size(f), forest_size(g)).get((f, g), {})
+    terms = _product_table(forest_size(f) + forest_size(g)).get((f, g), {})
     return LinComb({h: Fraction(c[1]) for h, c in terms.items() if c[1]})
 
 

@@ -25,13 +25,12 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import accumulate, combinations
 from types import MappingProxyType
 
-from . import compositions as comps
 from .compositions import (coarsenings, complement, compositions_of,
-                           refinements, reverse, weight)
+                           refinements, weight)
 from .forests import Forest, enumerate_forests, forest_size
 from .lincomb import LinComb, bilinear
 from .perms import descent_composition, shifted_shuffle
@@ -52,24 +51,6 @@ def r_to_s(a: LinComb) -> LinComb:
     """R_I = sum over coarser J of (-1)^(l(I)-l(J)) S^J."""
     return LinComb((j, c * (-1) ** (len(i) - len(j)))
                    for i, c in a.terms.items() for j in coarsenings(i))
-
-
-def lambda_n_in_s(n: int) -> LinComb:
-    """Lambda_n = sum over |I| = n of (-1)^(n - l(I)) S^I."""
-    return LinComb({i: Fraction((-1) ** (n - len(i)))
-                    for i in compositions_of(n)})
-
-
-def lambda_comp_in_s(i: Composition) -> LinComb:
-    out = LinComb.monomial((), Fraction(1))
-    for part in i:
-        out = s_product(out, lambda_n_in_s(part))
-    return out
-
-
-def s_product(a: LinComb, b: LinComb) -> LinComb:
-    """Product in the S basis: concatenation of compositions."""
-    return bilinear(lambda i, j: LinComb.monomial(i + j), a, b)
 
 
 def r_product(a: LinComb, b: LinComb) -> LinComb:
@@ -253,13 +234,6 @@ def s_n_1mq(n: int) -> LinComb:
                    for k in range(n))
 
 
-def transform_1mq(a: LinComb) -> LinComb:
-    """A -> (1-q)A on an S-basis element, output in the R basis."""
-    one = LinComb.monomial((), MultiPoly.const(1))
-    return LinComb((j, MultiPoly.coerce(c) * cj) for i, c in a.terms.items()
-                   for j, cj in reduce(r_product, map(s_n_1mq, i), one).items())
-
-
 def psi_n(n: int) -> LinComb:
     """Power sum Psi_n in the R basis."""
     return LinComb({(1,) * k + (n - k,): Fraction((-1) ** k)
@@ -341,18 +315,3 @@ def _odd_part_factor(i: Composition) -> RationalFn:
                                 list(accumulate(sizes)))
 
     return sum(map(term, blockings(i)), RationalFn(0))
-
-
-# ---------------------------------------------------------------------------
-# omega involutions on QSym (F basis)
-
-OMEGA_KINDS = ("conjugate", "reverse", "complement")
-
-
-def omega_f(a: LinComb, kind: str = "conjugate") -> LinComb:
-    """An involution on the F basis sending F_I to F of a transformed shape."""
-    if kind not in OMEGA_KINDS:
-        raise ValueError(f"unknown omega kind {kind!r}")
-    fn = {"conjugate": comps.conjugate, "reverse": reverse,
-          "complement": complement}[kind]
-    return LinComb((fn(i), c) for i, c in a.terms.items())

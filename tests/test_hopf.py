@@ -2,6 +2,7 @@
 dendriform splitting, braces, and the C basis."""
 
 from fractions import Fraction
+from itertools import combinations
 from itertools import product as iproduct
 
 import pytest
@@ -9,8 +10,9 @@ import pytest
 from planehopf import hopf
 from planehopf.checks import suite_dendriform, suite_hopf
 from planehopf.forests import (enumerate_forests, enumerate_trees,
-                               forest_code, parse_forest, parse_tree,
-                               singletons)
+                               forest_code, forest_size, labelled_forest,
+                               parse_forest, parse_tree, singletons,
+                               strict_below_pairs)
 from planehopf.linalg import SingularMatrix, solve
 from planehopf.lincomb import LinComb
 
@@ -42,15 +44,62 @@ def test_x_product_10_10():
         "1010": 2, "2100": 1, "2010": 1, "1110": 1})
 
 
+def restrict(f, keep):
+    """Induced plane forest on the postorder labels in ``keep``."""
+    def walk(nodes):
+        out = []
+        for label, kids in nodes:
+            sub = walk(kids)
+            if label in keep:
+                out.append(sub)
+            else:
+                out.extend(sub)
+        return tuple(out)
+
+    return walk(labelled_forest(f))
+
+
+def label_cuts(f):
+    """Oracle route for the cuts: every descendant-closed set of postorder
+    labels, as (lower, upper, whether label n, the root of the last tree,
+    is lower)."""
+    n = forest_size(f)
+    below = strict_below_pairs(f)
+    labels = set(range(1, n + 1))
+    for r in range(n + 1):
+        for chosen in combinations(range(1, n + 1), r):
+            lower = set(chosen)
+            if all(i in lower for i, j in below if j in lower):
+                yield restrict(f, lower), restrict(f, labels - lower), n in lower
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_cuts_match_label_sets(n):
+    table = {}
+    for f in enumerate_forests(n):
+        oracle = list(label_cuts(f))
+        assert hopf.y_coproduct(f) == LinComb(
+            ((lo, up), 1) for lo, up, _ in oracle)
+        for lo, up, last in oracle:
+            slot = table.setdefault((lo, up), {}).setdefault(f, [0, 0])
+            slot[0 if last else 1] += 1
+    assert hopf._product_table(n) == table
+
+
 def test_x_product_transposes_y_coproduct():
-    f, g = parse_forest("10"), parse_forest("200")
-    prod = hopf.x_product(f, g)
-    for h in enumerate_forests(5):
-        assert prod.coeff(h) == hopf.y_coproduct(h).coeff((f, g))
+    for n in range(2, 7):
+        cop = {h: hopf.y_coproduct(h) for h in enumerate_forests(n)}
+        for n1 in range(1, n):
+            for f in enumerate_forests(n1):
+                for g in enumerate_forests(n - n1):
+                    prod = hopf.x_product(f, g)
+                    for h, delta in cop.items():
+                        assert prod.coeff(h) == delta.coeff((f, g)), \
+                            (forest_code(f), forest_code(g), forest_code(h))
 
 
 def test_hopf_suite():
-    assert suite_hopf(5) == []
+    assert suite_hopf(6) == []
 
 
 def test_dendriform_suite():
