@@ -27,7 +27,6 @@ counted by their ribbon I.
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from math import comb
 
 from . import tamari
@@ -156,7 +155,7 @@ def d_lambda(lam: tuple[int, ...]) -> LinComb:
     out = {}
     for code in _arrangements(lam):
         try:
-            out[parse_code(code)] = Fraction(1)
+            out[parse_code(code)] = 1
         except CodeError:
             continue
     return LinComb(out)
@@ -176,27 +175,26 @@ def d_lambda_ribbon(lam: tuple[int, ...]) -> LinComb:
     coordinate is (-1)^(l(I)-1) times the number of arrangements of lambda
     padded with zeros to length n that lie in W(I)."""
     counts = Counter(map(ribbon_from_word, _arrangements(lam)))
-    return LinComb((i, Fraction((-1) ** (len(i) - 1) * c))
+    return LinComb((i, (-1) ** (len(i) - 1) * c)
                    for i, c in counts.items())
 
 
 def _arrangements(lam: tuple[int, ...]):
-    """The distinct words of lambda padded with zeros to length |lambda| + 1."""
-    letters = Counter(lam)
-    letters[0] = sum(lam) + 1 - len(lam)
-
-    def words():
-        if not any(letters.values()):
-            yield ()
+    """The distinct words of lambda padded with zeros to length |lambda| + 1,
+    in lexicographic order: next-permutation steps, with no recursion."""
+    w = sorted(lam + (0,) * (sum(lam) + 1 - len(lam)))
+    while True:
+        yield tuple(w)
+        i = len(w) - 2
+        while i >= 0 and w[i] >= w[i + 1]:
+            i -= 1
+        if i < 0:
             return
-        for x in sorted(letters):
-            if letters[x]:
-                letters[x] -= 1
-                for w in words():
-                    yield (x,) + w
-                letters[x] += 1
-
-    return words()
+        j = len(w) - 1
+        while w[j] <= w[i]:
+            j -= 1
+        w[i], w[j] = w[j], w[i]
+        w[i + 1:] = reversed(w[i + 1:])
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,6 @@ counterexample descriptions (empty means the suite passed)."""
 
 from __future__ import annotations
 
-from fractions import Fraction
 
 from . import birkhoff, fqsym, hopf, tamari
 from .compositions import compositions_of
@@ -77,9 +76,9 @@ def suite_dendriform(n: int) -> list[str]:
                 for t1 in enumerate_trees(s1):
                     for t2 in enumerate_trees(s2):
                         for t3 in enumerate_trees(s3):
-                            x = LinComb.monomial((t1,), Fraction(1))
-                            y = LinComb.monomial((t2,), Fraction(1))
-                            z = LinComb.monomial((t3,), Fraction(1))
+                            x = LinComb.monomial((t1,))
+                            y = LinComb.monomial((t2,))
+                            z = LinComb.monomial((t3,))
                             xy = hopf.x_product_lin(x, y)
                             yz = hopf.x_product_lin(y, z)
                             a1 = bilinear(hopf.x_prec, bilinear(hopf.x_prec, x, y), z)
@@ -95,12 +94,12 @@ def suite_dendriform(n: int) -> list[str]:
                                     f"{forest_code((t3,))}")
     # Lambda_n = X_bullet < Lambda_{n-1}; S_n = S_{n-1} > X_bullet
     for k in range(2, n + 1):
-        lam = bilinear(hopf.x_prec, LinComb.monomial(bullet, Fraction(1)),
+        lam = bilinear(hopf.x_prec, LinComb.monomial(bullet),
                        hopf.lambda_n(k - 1))
         if lam != hopf.lambda_n(k):
             bad.append(f"Lambda recursion fails at degree {k}")
         sn = bilinear(hopf.x_succ, hopf.s_n(k - 1),
-                      LinComb.monomial(bullet, Fraction(1)))
+                      LinComb.monomial(bullet))
         if sn != hopf.s_n(k):
             bad.append(f"S recursion fails at degree {k}")
     return bad
@@ -172,7 +171,7 @@ def suite_words(n: int) -> list[str]:
                 for k in w:
                     mono = mono * MultiPoly.var(f"a{k}")
                 gen = gen + LaurentPoly.term(sum(w) - size, mono, a.window)
-            gen = gen * LaurentPoly.const(Fraction((-1) ** (len(i) - 1)),
+            gen = gen * LaurentPoly.const((-1) ** (len(i) - 1),
                                           a.window)
             if gen != expansion.coeff(i):
                 bad.append(f"word sum differs from bracket at I={i}")

@@ -14,10 +14,9 @@ import argparse
 import json
 import sys
 from collections import Counter
-from fractions import Fraction
 from math import factorial
 
-from . import birkhoff, ehrhart, hopf, idempotents, ncsf, tamari
+from . import birkhoff, ehrhart, fqsym, hopf, idempotents, ncsf, tamari
 from .compositions import refinements
 from .forests import (CodeError, enumerate_forests, enumerate_trees,
                       forest_code, forest_size, parse_forest)
@@ -53,6 +52,12 @@ MAX_PRODUCT_SIZE = {"X": 9, "Y": 9, "C": 8}
 # word of the model, and birkhoff d-lambda in the C and ribbon bases every
 # arrangement of the padded partition
 MAX_LATTICE_CANDIDATES = 10 ** 6
+# verify at the cap and one above: factorization 1.4 s, over 25 s; hopf 1.4 s,
+# 10.8 s; words 3.3 s, 16.4 s; dendriform 0.8 s, 4.6 s; tamari 2.5 s, over
+# 25 s; quotient 3.7 s, then it only skips; idem verify primitive 1.5 s, 5.6 s
+MAX_VERIFY_DEGREE = {"factorization": 5, "hopf": 7, "words": 8, "dendriform": 8,
+                     "tamari": 8, "quotient": fqsym.MAX_QUOTIENT_DEGREE,
+                     "primitive": 10, "quasi": idempotents.MAX_GROUP_DEGREE}
 
 
 class DomainError(ValueError):
@@ -82,8 +87,6 @@ def _parse_composition(text: str) -> tuple[int, ...]:
 
 
 def _coeff_str(c) -> str:
-    if isinstance(c, (int, Fraction)):
-        return str(c)
     if isinstance(c, (MultiPoly, RationalFn, LaurentPoly)):
         return c.text()
     return str(c)
@@ -176,7 +179,7 @@ def _cmd_hopf(args) -> int:
     if args.basis == "X":
         prod = hopf.x_product(left, right)
     elif args.basis == "Y":
-        prod = LinComb.monomial(left + right, Fraction(1))
+        prod = LinComb.monomial(left + right)
     else:
         prod = hopf.x_to_c(hopf.x_product_lin(hopf.c_to_x(left),
                                               hopf.c_to_x(right)))
@@ -299,6 +302,7 @@ def _cmd_idem(args) -> int:
 
 
 def _idem_verify(args, n: int) -> int:
+    _verify_guard(f"idem verify --what {args.what}", args.what, n)
     named = {
         "psi": ncsf.psi_n(n),
         "psi_bar": ncsf.psi_bar_n(n),
@@ -315,6 +319,11 @@ def _idem_verify(args, n: int) -> int:
                "results": results,
                "passed": all("FAILED" not in str(v) for v in results.values())}
     return _emit(args, payload)
+
+
+def _verify_guard(command: str, key: str, n: int) -> None:
+    if n > MAX_VERIFY_DEGREE[key]:
+        raise DegreeGuard(f"{command} needs degree {n} > {MAX_VERIFY_DEGREE[key]}")
 
 
 def _cmd_ehrhart(args) -> int:
@@ -354,6 +363,7 @@ def _cmd_verify(args) -> int:
     if args.suite not in suites:
         raise DomainError(f"unknown suite {args.suite!r}; "
                           f"choose from {sorted(suites)}")
+    _verify_guard(f"verify --suite {args.suite}", args.suite, args.n)
     failures = suites[args.suite](args.n)
     payload = {"command": "verify", "suite": args.suite, "n": args.n,
                "passed": not failures, "counterexamples": failures}

@@ -19,7 +19,6 @@ the test oracles for the Gamma_F routes.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product as iter_product
 
 from .forests import Forest, forest_size, strict_below_pairs
@@ -78,7 +77,7 @@ def gamma_wqsym(f: Forest, signed: bool = False) -> LinComb:
         else:
             ok = all(u[i - 1] <= u[j - 1] for i, j in below)
         if ok:
-            out[u] = Fraction(1)
+            out[u] = 1
     return LinComb(out)
 
 
@@ -102,7 +101,7 @@ def word_merges(u: PackedWord) -> tuple[PackedWord, ...]:
 def minus_alphabet(a: LinComb) -> LinComb:
     """Sign change of alphabet on a packed-word expansion:
     M_u(-A) = (-1)^max(u) sum of M_v over merges v of u."""
-    return LinComb((v, Fraction((-1) ** (max(u) if u else 0)) * c)
+    return LinComb((v, (-1) ** (max(u) if u else 0) * c)
                    for u, c in a.terms.items() for v in word_merges(u))
 
 
@@ -110,7 +109,7 @@ def signed_gamma_by_transform(f: Forest) -> LinComb:
     """(-1)^n Gamma(-A) computed by the merge formula; must agree with the
     strict-word route of gamma_wqsym(f, signed=True)."""
     n = forest_size(f)
-    return minus_alphabet(gamma_wqsym(f)).scale(Fraction((-1) ** n))
+    return minus_alphabet(gamma_wqsym(f)).scale((-1) ** n)
 
 
 def word_to_composition(u: PackedWord) -> tuple[int, ...]:
@@ -132,11 +131,11 @@ def ehrhart_polynomial(f: Forest, var: str = "x") -> MultiPoly:
     return gamma_alpha(f).substitute({"alpha": MultiPoly.var(var) + 1})
 
 
-def interior_count_poly(f: Forest, n: int) -> Fraction:
+def interior_count_poly(f: Forest, n: int):
     """(-1)^|F| E(-n), the reciprocity prediction for interior points."""
     e = ehrhart_polynomial(f)
-    val = e.substitute({"x": Fraction(-n)}).as_constant()
-    return Fraction((-1) ** forest_size(f)) * val
+    val = e.substitute({"x": -n}).as_constant()
+    return (-1) ** forest_size(f) * val
 
 def reciprocity_check(f: Forest, n: int) -> bool:
     """Interior points of the n-th dilation against (-1)^|F| E(-n)."""
@@ -146,7 +145,7 @@ def reciprocity_check(f: Forest, n: int) -> bool:
 # ---------------------------------------------------------------------------
 # q-counting
 
-def q_count(f: Forest, n: int, interior: bool = False) -> dict[int, Fraction]:
+def q_count(f: Forest, n: int, interior: bool = False) -> dict[int, int]:
     """q-count of the points of the n-th dilation by sum of coordinates,
     as a dict exponent -> coefficient.
 
@@ -164,16 +163,16 @@ def q_count(f: Forest, n: int, interior: bool = False) -> dict[int, Fraction]:
             _q_exponents(eval_geometric(chi_qsym_m(f), n - 1)).items()}
 
 
-def _q_exponents(p: MultiPoly) -> dict[int, Fraction]:
+def _q_exponents(p: MultiPoly) -> dict[int, int]:
     return {dict(m).get("q", 0): c for m, c in p.coeffs.items()}
 
 
-def q_count_points(f: Forest, n: int, interior: bool = False) -> dict[int, Fraction]:
+def q_count_points(f: Forest, n: int, interior: bool = False) -> dict[int, int]:
     """The same q-count by direct point enumeration (oracle route)."""
-    out: dict[int, Fraction] = {}
+    out: dict[int, int] = {}
     sign = (-1) ** forest_size(f) if interior else 1
     for x in lattice_points(f, n, interior=interior):
         e = sum(x)
         e = -e if interior else e
-        out[e] = out.get(e, Fraction(0)) + sign
+        out[e] = out.get(e, 0) + sign
     return {e: c for e, c in out.items() if c}

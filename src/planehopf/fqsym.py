@@ -14,7 +14,6 @@ transpose in the test suite.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 
@@ -52,7 +51,7 @@ def _left_weak_below(sigma: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 
 
 def s_in_f(sigma: tuple[int, ...]) -> LinComb:
-    return LinComb({inverse(tau): Fraction(1) for tau in _left_weak_below(sigma)})
+    return LinComb({inverse(tau): 1 for tau in _left_weak_below(sigma)})
 
 
 def f_to_m(a: LinComb) -> LinComb:
@@ -63,7 +62,7 @@ def f_to_m(a: LinComb) -> LinComb:
     for n in degrees:
         for sigma in all_perms(n):
             c = sum((a.terms[rho] for rho in _left_weak_below(sigma)
-                     if rho in a.terms), Fraction(0))
+                     if rho in a.terms), 0)
             if c:
                 out[sigma] = c
     return LinComb(out)
@@ -72,7 +71,7 @@ def f_to_m(a: LinComb) -> LinComb:
 @lru_cache(maxsize=None)
 def _m_in_f(sigma: tuple[int, ...]) -> LinComb:
     # F_sigma = sum of M_tau over tau >= sigma in the left weak order
-    return LinComb(chain(((sigma, Fraction(1)),),
+    return LinComb(chain(((sigma, 1),),
                          ((rho, -c) for tau in all_perms(len(sigma))
                           if tau != sigma and sigma in _left_weak_below(tau)
                           for rho, c in _m_in_f(tau).terms.items())))
@@ -96,7 +95,7 @@ def m_quotient(a: LinComb) -> LinComb:
 
 def x_to_m(f: Forest) -> LinComb:
     """The M-basis representative of X_F."""
-    return LinComb.monomial(inverse(max_linear_extension(f)), Fraction(1))
+    return LinComb.monomial(inverse(max_linear_extension(f)))
 
 
 def quotient_product(f: Forest, g: Forest) -> LinComb:
@@ -111,4 +110,4 @@ def quotient_product(f: Forest, g: Forest) -> LinComb:
 
 def gamma_fqsym(f: Forest) -> LinComb:
     """Free generating function of the forest poset, in the F basis."""
-    return LinComb({sigma: Fraction(1) for sigma in linear_extensions(f)})
+    return LinComb({sigma: 1 for sigma in linear_extensions(f)})

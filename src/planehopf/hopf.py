@@ -19,7 +19,6 @@ C basis: C_F = sum of X_G over G <= F in the Tamari order.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 
@@ -78,7 +77,7 @@ def x_product(f: Forest, g: Forest) -> LinComb:
     if not g:
         return LinComb.monomial(f)
     terms = _product_table(forest_size(f) + forest_size(g)).get((f, g), {})
-    return LinComb({h: Fraction(c[0] + c[1]) for h, c in terms.items()})
+    return LinComb({h: c[0] + c[1] for h, c in terms.items()})
 
 
 def x_prec(f: Forest, g: Forest) -> LinComb:
@@ -86,7 +85,7 @@ def x_prec(f: Forest, g: Forest) -> LinComb:
     if not f or not g:
         raise ValueError("dendriform half-products exclude the unit")
     terms = _product_table(forest_size(f) + forest_size(g)).get((f, g), {})
-    return LinComb({h: Fraction(c[0]) for h, c in terms.items() if c[0]})
+    return LinComb({h: c[0] for h, c in terms.items() if c[0]})
 
 
 def x_succ(f: Forest, g: Forest) -> LinComb:
@@ -94,7 +93,7 @@ def x_succ(f: Forest, g: Forest) -> LinComb:
     if not f or not g:
         raise ValueError("dendriform half-products exclude the unit")
     terms = _product_table(forest_size(f) + forest_size(g)).get((f, g), {})
-    return LinComb({h: Fraction(c[1]) for h, c in terms.items() if c[1]})
+    return LinComb({h: c[1] for h, c in terms.items() if c[1]})
 
 
 def x_product_lin(a: LinComb, b: LinComb) -> LinComb:
@@ -157,7 +156,7 @@ def prelie_graft(t1: Tree, t2: Tree) -> LinComb:
 def x_tau(tau, n: int) -> LinComb:
     """Chapoton-Livernet element: |Aut(tau)| times the sum of X_T over plane
     trees T whose underlying non-plane tree is tau."""
-    coeff = Fraction(aut_order(tau))
+    coeff = aut_order(tau)
     return LinComb(((t,), coeff) for t in plane_representatives(tau, n))
 
 
@@ -166,7 +165,7 @@ def x_tau(tau, n: int) -> LinComb:
 
 def c_to_x(f: Forest) -> LinComb:
     """C_F expanded in the X basis: X_G summed over the memoized down-set."""
-    return LinComb({g: Fraction(1) for g in tamari.downset(f)})
+    return LinComb({g: 1 for g in tamari.downset(f)})
 
 
 @lru_cache(maxsize=None)
@@ -193,4 +192,4 @@ def lambda_n(n: int) -> LinComb:
 
 
 def s_n(n: int) -> LinComb:
-    return LinComb({f: Fraction(1) for f in enumerate_forests(n)})
+    return LinComb({f: 1 for f in enumerate_forests(n)})

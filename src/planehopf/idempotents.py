@@ -155,7 +155,7 @@ def s_coproduct(a: LinComb) -> LinComb:
         return LinComb.monomial((x[0] + y[0], x[1] + y[1]))
 
     def delta(i):
-        pairs = LinComb.monomial(((), ()), Fraction(1))
+        pairs = LinComb.monomial(((), ()))
         for part in i:
             pairs = bilinear(concat, pairs, s_coproduct_n(part))
         return pairs
@@ -184,7 +184,7 @@ def beta(a: LinComb, n: int) -> dict:
         if weight(i) != n:
             raise ValueError(f"composition {i} is not of weight {n}")
         for sigma in classes.get(descent_set(i), []):
-            s = out.get(sigma, Fraction(0)) + c
+            s = out.get(sigma, 0) + c
             if s:
                 out[sigma] = s
             else:
@@ -198,7 +198,7 @@ def group_product(x: dict, y: dict) -> dict:
     for p, cp in x.items():
         for q, cq in y.items():
             r = tuple(p[q[k] - 1] for k in range(len(q)))
-            s = out.get(r, Fraction(0)) + cp * cq
+            s = out.get(r, 0) + cp * cq
             if s:
                 out[r] = s
             else:
@@ -206,16 +206,16 @@ def group_product(x: dict, y: dict) -> dict:
     return out
 
 
-def quasi_idempotent_check(a: LinComb, n: int) -> tuple[bool, Fraction]:
+def quasi_idempotent_check(a: LinComb, n: int) -> tuple[bool, int | Fraction]:
     """Whether beta(a)^2 = c beta(a) for some scalar c; returns (ok, c)."""
     if n > MAX_GROUP_DEGREE:
         raise GroupDegreeGuard(
             f"group algebra check needs degree {n} > {MAX_GROUP_DEGREE}")
     b = beta(a, n)
     if not b:
-        return True, Fraction(0)
+        return True, 0
     square = group_product(b, b)
     pivot = next(iter(b))
-    c = square.get(pivot, Fraction(0)) / b[pivot]
+    c = Fraction(square.get(pivot, 0), b[pivot])
     scaled = {sigma: coeff * c for sigma, coeff in b.items() if coeff * c}
     return square == scaled, c

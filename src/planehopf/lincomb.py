@@ -49,9 +49,7 @@ class LinComb:
     def __eq__(self, other):
         if not isinstance(other, LinComb):
             return NotImplemented
-        if set(self.terms) != set(other.terms):
-            return False
-        return all(c == other.terms[b] for b, c in self.terms.items())
+        return self.terms == other.terms
 
     def __hash__(self):
         raise TypeError("LinComb is mutable-by-construction; not hashable")

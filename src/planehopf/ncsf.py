@@ -24,7 +24,6 @@ as its cyclotomic factors, and every sum is kept in lowest terms.
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations
 from types import MappingProxyType
@@ -107,7 +106,7 @@ def m_product(a: LinComb, b: LinComb) -> LinComb:
 
 def pair(s_elem: LinComb, m_elem: LinComb):
     """Duality pairing, S basis against M basis."""
-    total = Fraction(0)
+    total = 0
     for i, c in s_elem.terms.items():
         if i in m_elem.terms:
             total = total + c * m_elem.terms[i]
@@ -175,7 +174,7 @@ def _gamma(f: Forest) -> MappingProxyType:
 def gamma_qsym_f(f: Forest) -> LinComb:
     """Gamma_F(X) in the F basis: the descent compositions of the linear
     extensions of F, read off the tree recursion."""
-    return LinComb((i, Fraction(c)) for i, c in _gamma(f).items())
+    return LinComb(_gamma(f).items())
 
 
 def nondecreasing_labellings(f: Forest, i: Composition) -> int:
@@ -195,31 +194,31 @@ def strict_labellings(f: Forest, i: Composition) -> int:
 
 def embed_r(i: Composition) -> LinComb:
     """R_I in the X basis: linear extensions of ribbon shape I."""
-    return LinComb((f, Fraction(_gamma(f).get(i, 0)))
+    return LinComb((f, _gamma(f).get(i, 0))
                    for f in enumerate_forests(weight(i)))
 
 
 def embed_s(i: Composition) -> LinComb:
     """S^I in the X basis: nondecreasing labellings of evaluation I."""
-    return LinComb((f, Fraction(nondecreasing_labellings(f, i)))
+    return LinComb((f, nondecreasing_labellings(f, i))
                    for f in enumerate_forests(weight(i)))
 
 
 def embed_lambda(i: Composition) -> LinComb:
     """Lambda^I in the X basis: strict labellings of evaluation I."""
-    return LinComb((f, Fraction(strict_labellings(f, i)))
+    return LinComb((f, strict_labellings(f, i))
                    for f in enumerate_forests(weight(i)))
 
 
 def gamma_qsym_m(f: Forest) -> LinComb:
     """Gamma_F(X) in the M basis: nondecreasing labelling counts."""
-    return LinComb((i, Fraction(nondecreasing_labellings(f, i)))
+    return LinComb((i, nondecreasing_labellings(f, i))
                    for i in compositions_of(forest_size(f)))
 
 
 def chi_qsym_m(f: Forest) -> LinComb:
     """chi_F(X) = (-1)^|F| Gamma_F(-X), in the M basis."""
-    return minus_x_m(gamma_qsym_m(f)).scale(Fraction((-1) ** forest_size(f)))
+    return minus_x_m(gamma_qsym_m(f)).scale((-1) ** forest_size(f))
 
 
 # ---------------------------------------------------------------------------
@@ -236,21 +235,21 @@ def s_n_1mq(n: int) -> LinComb:
 
 def psi_n(n: int) -> LinComb:
     """Power sum Psi_n in the R basis."""
-    return LinComb({(1,) * k + (n - k,): Fraction((-1) ** k)
+    return LinComb({(1,) * k + (n - k,): (-1) ** k
                     for k in range(n)})
 
 
 def psi_n_via_limit(n: int) -> LinComb:
     """Psi_n as the limit of S_n((1-q)A)/(1-q) at q = 1 (exact division)."""
     q = MultiPoly.var("q")
-    return LinComb((i, RationalFn(c, 1 - q).substitute({"q": Fraction(1)})
+    return LinComb((i, RationalFn(c, 1 - q).substitute({"q": 1})
                     .num.as_constant())
                    for i, c in s_n_1mq(n).terms.items())
 
 
 def psi_bar_n(n: int) -> LinComb:
     """The mirror power sum, with hooks growing on the other side."""
-    return LinComb({(n - k,) + (1,) * k: Fraction((-1) ** k)
+    return LinComb({(n - k,) + (1,) * k: (-1) ** k
                     for k in range(n)})
 
 

@@ -1,10 +1,10 @@
 """Sparse exact multivariate polynomials and canonical rational functions.
 
 Monomials are sorted tuples of (variable name, positive exponent); coefficients
-are ``fractions.Fraction``.  The denominator of a rational function is a
-product of cyclotomic polynomials Phi_d in one variable, as every (1 - q^k)
-of the q-series is.  It is kept in lowest terms, the numerator coprime to
-every Phi_d of the denominator, so equal values are equal structurally.
+are ``int``, or ``Fraction`` where a division made one.  A rational function's
+denominator is a product of cyclotomic polynomials Phi_d in one variable, as
+every (1 - q^k) of the q-series is, and its numerator is kept coprime to each
+of them (lowest terms), so equal values are equal structurally.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ def _mono_key(m: Monomial):
 
 
 class MultiPoly:
-    """Sparse multivariate polynomial over the rationals."""
+    """Sparse multivariate polynomial, coefficients ``int`` or ``Fraction``."""
 
     __slots__ = ("coeffs",)
 
@@ -43,7 +43,6 @@ class MultiPoly:
         self.coeffs: dict[Monomial, Fraction] = {}
         if coeffs:
             for m, c in coeffs.items():
-                c = Fraction(c)
                 if c:
                     self.coeffs[m] = c
 
@@ -54,13 +53,13 @@ class MultiPoly:
 
     @classmethod
     def const(cls, c) -> "MultiPoly":
-        return cls({ONE_MONO: Fraction(c)})
+        return cls({ONE_MONO: c})
 
     @classmethod
     def var(cls, name: str, exp: int = 1) -> "MultiPoly":
         if exp == 0:
             return cls.const(1)
-        return cls({((name, exp),): Fraction(1)})
+        return cls({((name, exp),): 1})
 
     @classmethod
     def sum(cls, polys) -> "MultiPoly":
@@ -171,10 +170,10 @@ class MultiPoly:
             return max(sum(e for _, e in m) for m in self.coeffs)
         return max((dict(m).get(var, 0) for m in self.coeffs), default=0)
 
-    def constant_term(self) -> Fraction:
-        return self.coeffs.get(ONE_MONO, Fraction(0))
+    def constant_term(self) -> int | Fraction:
+        return self.coeffs.get(ONE_MONO, 0)
 
-    def as_constant(self) -> Fraction:
+    def as_constant(self) -> int | Fraction:
         if self.variables():
             raise ValueError(f"not a constant: {self}")
         return self.constant_term()
@@ -276,7 +275,7 @@ def _totient(d: int) -> int:
     return out - out // rest if rest > 1 else out
 
 
-def _cyclotomic_factors(den: MultiPoly) -> tuple[Fraction, dict]:
+def _cyclotomic_factors(den: MultiPoly) -> tuple[int | Fraction, dict]:
     """(unit, {(var, d): multiplicity}) with den = unit * prod Phi_d(var)^m;
     ValueError if den is not of that form."""
     if not den:
@@ -287,7 +286,7 @@ def _cyclotomic_factors(den: MultiPoly) -> tuple[Fraction, dict]:
     if not variables:
         return den.constant_term(), {}
     (var,) = variables
-    p = [Fraction(0)] * (den.degree() + 1)
+    p = [0] * (den.degree() + 1)
     for m, c in den.coeffs.items():
         p[m[0][1] if m else 0] = c
     factors = {}
@@ -364,8 +363,8 @@ class RationalFn:
         """num / den, with den a constant or a univariate polynomial that
         is a product of cyclotomic polynomials (ValueError otherwise)."""
         unit, factors = _cyclotomic_factors(MultiPoly.coerce(den))
-        self.num, self.den = _lowest_terms(MultiPoly.coerce(num) * (1 / unit),
-                                           factors)
+        self.num, self.den = _lowest_terms(
+            MultiPoly.coerce(num) * Fraction(1, unit), factors)
 
     @classmethod
     def _make(cls, num: MultiPoly, den: dict) -> "RationalFn":
@@ -490,8 +489,8 @@ def bernoulli_polynomial(m: int, var: str = "t") -> MultiPoly:
     bs: list[MultiPoly] = []
     t = MultiPoly.var(var)
     for k in range(m + 1):
-        rhs = Fraction(k + 1) * t ** k
-        acc = MultiPoly.sum(Fraction(comb(k + 1, j)) * bs[j] for j in range(k))
+        rhs = (k + 1) * t ** k
+        acc = MultiPoly.sum(comb(k + 1, j) * bs[j] for j in range(k))
         bs.append(Fraction(1, k + 1) * (rhs - acc))
     return bs[m]
 

@@ -123,6 +123,13 @@ def test_d_lambda_21_ribbon():
     assert bk.d_lambda_ribbon((2, 1)) == want
 
 
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 1500])
+def test_d_lambda_ribbon_all_ones_is_psi(k):
+    # D_(1^k) = Psi_(k+1); the arrangements are listed with no recursion,
+    # so k = 1500, deeper than the recursion limit, is answered
+    assert bk.d_lambda_ribbon((1,) * k) == ncsf.psi_n(k + 1)
+
+
 def test_d_supported_on_trees():
     # D is a Lie element: its X expansion is supported on single trees
     for n in range(1, 6):

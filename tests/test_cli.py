@@ -80,13 +80,27 @@ def test_cost_guard_exit_code(capsys):
     (("ehrhart", "qcount", "--forest", "0" * 10, "--n", "-1"), 3),
     # input nested past the recursion limit is refused, not a traceback
     (("forest", "parse", "--code", "1" * 1499 + "0"), 4),
-    (("birkhoff", "d-lambda", "--basis", "R", "--lambda", ",".join("1" * 1500)),
+    (("birkhoff", "d-lambda", "--basis", "C", "--lambda", ",".join("1" * 1500)),
      4),
+    # the ribbon basis lists the same arrangements with no recursion
+    (("birkhoff", "d-lambda", "--basis", "R", "--lambda", ",".join("1" * 1500)),
+     0),
+    # verify and idem verify refuse degrees above MAX_VERIFY_DEGREE
+    (("verify", "--suite", "factorization", "--n", "6"), 4),
+    (("verify", "--suite", "hopf", "--n", "8"), 4),
+    (("verify", "--suite", "words", "--n", "9"), 4),
+    (("verify", "--suite", "dendriform", "--n", "9"), 4),
+    (("verify", "--suite", "tamari", "--n", "9"), 4),
+    (("verify", "--suite", "quotient", "--n", "7"), 4),
+    (("verify", "--suite", "quotient", "--n", "100000"), 4),
+    (("idem", "verify", "--what", "primitive", "--n", "11"), 4),
+    (("idem", "verify", "--what", "quasi", "--n", "30"), 4),
+    (("verify", "--suite", "bogus", "--n", "100"), 3),
 ])
 def test_contract_exit_code(capsys, argv, expected):
     assert main(list(argv)) == expected
     err = capsys.readouterr().err
-    assert err.startswith("cost guard:" if expected == 4 else "error:")
+    assert err.startswith({0: "", 3: "error:", 4: "cost guard:"}[expected])
     assert "Traceback" not in err
 
 

@@ -148,6 +148,7 @@ def test_q_solomon_primitive(n):
 def test_dynkin_quasi_idempotent(n):
     ok, c = idem.quasi_idempotent_check(psi_n(n), n)
     assert ok and c == n
+    assert isinstance(c, Fraction)  # integer coefficients, exact quotient
     ok, c = idem.quasi_idempotent_check(psi_bar_n(n), n)
     assert ok and c == n
 

@@ -2,14 +2,16 @@
 
 from fractions import Fraction
 from functools import reduce
-from operator import mul
+from operator import add, mul, sub
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from planehopf import cli
 from planehopf.laurent import LaurentPoly, LaurentWindowOverflow
 from planehopf.linalg import SingularMatrix, solve
+from planehopf.lincomb import LinComb
 from planehopf.polynomials import (MultiPoly, RationalFn, bernoulli_polynomial,
                                    binomial_poly, discrete_integral,
                                    over_one_minus_q)
@@ -97,16 +99,69 @@ def _combine(children):
 def test_rationalfn_is_canonical(pair):
     got, ref = pair
     for point in POINTS:
-        want = (ref.num.substitute(point).as_constant()
-                / ref.den.substitute(point).as_constant())
-        assert (got.num.substitute(point).as_constant()
-                / got.den_poly().substitute(point).as_constant()) == want
+        want = Fraction(ref.num.substitute(point).as_constant(),
+                        ref.den.substitute(point).as_constant())
+        assert Fraction(got.num.substitute(point).as_constant(),
+                        got.den_poly().substitute(point).as_constant()) == want
     # the same value built by factoring the expanded denominator
     again = RationalFn(ref.num, ref.den)
     assert again.num == got.num
     assert again.den == got.den
     assert hash(again) == hash(got)
     assert (got - again).num == MultiPoly.zero()
+
+
+int_dicts = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 1)),
+                           st.integers(-3, 3), max_size=4)
+
+
+def _built(coeffs, wrap):
+    """The MultiPoly, RationalFn over (1 - q)^2 and LinComb of the same
+    integer coefficients, each passed through ``wrap``."""
+    p = MultiPoly({tuple((v, e) for v, e in (("q", a), ("t", b)) if e): wrap(c)
+                   for (a, b), c in coeffs.items()})
+    return p, RationalFn(p, (1 - q) ** 2), LinComb((k, wrap(c))
+                                                 for k, c in coeffs.items())
+
+
+@settings(deadline=None)
+@given(int_dicts, int_dicts)
+def test_int_and_fraction_coefficients_agree(a, b):
+    # one policy: an int and the equal Fraction are the same coefficient
+    ints, fracs = _built(a, int), _built(a, Fraction)
+    others = _built(b, int)
+    for x_int, x_frac, y in zip(ints, fracs, others):
+        ops = (add, sub) if isinstance(y, LinComb) else (add, sub, mul)
+        for op in ops:
+            u, v = op(x_int, y), op(x_frac, y)
+            assert u == v
+            if isinstance(u, LinComb):
+                assert cli._terms_payload(u) == cli._terms_payload(v)
+            else:
+                assert hash(u) == hash(v)
+                assert u.text() == v.text()
+                assert u.to_json() == v.to_json()
+
+
+def _exact(c) -> bool:
+    """Whether every number in c is an int or a Fraction, never a float."""
+    if isinstance(c, RationalFn):
+        return _exact(c.num) and _exact(c.den_poly())
+    if isinstance(c, MultiPoly):
+        return all(map(_exact, c.coeffs.values()))
+    return type(c) in (int, Fraction)
+
+
+def test_divisions_are_exact():
+    half = RationalFn(1, 2)
+    assert isinstance(half.num.coeffs[()], Fraction)
+    assert half.num.coeffs[()] == Fraction(1, 2)
+    assert _exact(RationalFn(x, 2 * (1 - q)))
+    assert _exact(RationalFn(x, MultiPoly.const(Fraction(2, 3))))
+    assert _exact(bernoulli_polynomial(5))
+    assert _exact(binomial_poly("x", 4))
+    assert _exact(discrete_integral(t ** 3))
+    assert _exact(over_one_minus_q(x, [1, 2], [3]))
 
 
 def test_binomial_poly():
