@@ -5,11 +5,12 @@ counterexample descriptions (empty means the suite passed)."""
 from __future__ import annotations
 
 
-from . import birkhoff, fqsym, hopf, tamari
-from .compositions import compositions_of
+from . import birkhoff, fqsym, hopf, idempotents, tamari
+from .compositions import compositions_of, partitions_of
 from .forests import enumerate_forests, enumerate_trees, forest_code, forest_size
 from .laurent import LaurentPoly
 from .lincomb import LinComb, bilinear
+from .ncsf import r_to_s
 from .polynomials import MultiPoly
 
 
@@ -194,6 +195,19 @@ def suite_quotient(n: int) -> list[str]:
     return bad
 
 
+def suite_idempotents(n: int) -> list[str]:
+    """The paper's theorem: every D_lambda with |lambda| < n is primitive and
+    quasi-idempotent with a nonzero scalar, a Lie idempotent up to it."""
+    bad = []
+    for m in range(1, n + 1):
+        for lam in partitions_of(m - 1):
+            e = birkhoff.d_lambda_ribbon(lam)
+            ok, c = idempotents.quasi_idempotent_check(e, m)
+            if not (idempotents.is_primitive(r_to_s(e)) and ok and c):
+                bad.append(f"D_{lam} is not a multiple of a Lie idempotent")
+    return bad
+
+
 SUITES = {
     "hopf": suite_hopf,
     "dendriform": suite_dendriform,
@@ -201,4 +215,5 @@ SUITES = {
     "factorization": suite_factorization,
     "words": suite_words,
     "quotient": suite_quotient,
+    "idempotents": suite_idempotents,
 }

@@ -21,7 +21,6 @@ from .compositions import refinements
 from .forests import (CodeError, enumerate_forests, enumerate_trees,
                       forest_code, forest_size, parse_forest)
 from .fqsym import DegreeGuard
-from .idempotents import GroupDegreeGuard
 from .laurent import LaurentPoly, LaurentWindowOverflow
 from .lincomb import LinComb
 from .ncsf import r_to_s, s_to_r
@@ -54,10 +53,11 @@ MAX_PRODUCT_SIZE = {"X": 9, "Y": 9, "C": 8}
 MAX_LATTICE_CANDIDATES = 10 ** 6
 # verify at the cap and one above: factorization 1.4 s, over 25 s; hopf 1.4 s,
 # 10.8 s; words 3.3 s, 16.4 s; dendriform 0.8 s, 4.6 s; tamari 2.5 s, over
-# 25 s; quotient 3.7 s, then it only skips; idem verify primitive 1.5 s, 5.6 s
+# 25 s; quotient 3.7 s, then it only skips; idempotents 2.9 s, 22.5 s; idem verify
+# primitive 1.5 s, 5.6 s, quasi 1.6 s at 8 (kept at 6: cli_cold expects 7 refused)
 MAX_VERIFY_DEGREE = {"factorization": 5, "hopf": 7, "words": 8, "dendriform": 8,
                      "tamari": 8, "quotient": fqsym.MAX_QUOTIENT_DEGREE,
-                     "primitive": 10, "quasi": idempotents.MAX_GROUP_DEGREE}
+                     "idempotents": 8, "primitive": 10, "quasi": 6}
 
 
 class DomainError(ValueError):
@@ -283,6 +283,10 @@ def _cmd_idem(args) -> int:
         elem_x = idempotents.eulerian(n, args.k)
         return _emit(args, {"command": "idem eulerian", "n": n, "k": args.k,
                             "terms": _terms_payload(elem_x)})
+    if args.basis == "X" and args.action != "qsolomon" and n > MAX_EMBED_DEGREE:
+        # Psi, Psi-bar and Solomon embed every ribbon of the degree
+        raise DegreeGuard(f"idem {args.action} in the X basis needs degree "
+                          f"{n} > {MAX_EMBED_DEGREE}")
     if args.action == "dynkin":
         psi, psibar = idempotents.dynkin(n)
         if args.basis == "X":
@@ -456,8 +460,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (DegreeGuard, GroupDegreeGuard, LaurentWindowOverflow,
-            RecursionError) as exc:
+    except (DegreeGuard, LaurentWindowOverflow, RecursionError) as exc:
         print(f"cost guard: {exc}", file=sys.stderr)
         return EXIT_GUARD
     except (DomainError, CodeError, ValueError) as exc:

@@ -31,23 +31,24 @@ class CodeError(ValueError):
 # Polish codes
 
 def tree_size(t: Tree) -> int:
-    return 1 + sum(tree_size(c) for c in t)
+    return forest_size((t,))
 
 
 def forest_size(f: Forest) -> int:
-    return sum(tree_size(t) for t in f)
+    size, stack = 0, list(f)
+    while stack:
+        size += 1
+        stack.extend(stack.pop())
+    return size
 
 
 def polish_code(f: Forest) -> tuple[int, ...]:
-    out: list[int] = []
-
-    def walk(t: Tree) -> None:
+    out, stack = [], list(f[::-1])
+    while stack:
+        t = stack.pop()
         out.append(len(t))
-        for c in t:
-            walk(c)
-
-    for t in f:
-        walk(t)
+        if t:
+            stack += t[::-1]
     return tuple(out)
 
 
@@ -80,21 +81,16 @@ def forest_code(f: Forest) -> str:
 
 def parse_code(code: Sequence[int]) -> Forest:
     """Rebuild the forest whose Polish code is ``code``."""
-    pos = 0
-
-    def read_tree() -> Tree:
-        nonlocal pos
-        if pos >= len(code):
-            raise CodeError("prefix underflow: code ends inside a subtree")
-        arity = code[pos]
+    trees, stack = [], []  # stack: the open nodes, as (children, arity)
+    for arity in code:
         if arity < 0:
             raise CodeError(f"negative arity {arity}")
-        pos += 1
-        return tuple(read_tree() for _ in range(arity))
-
-    trees = []
-    while pos < len(code):
-        trees.append(read_tree())
+        stack.append(([], arity))
+        while stack and len(stack[-1][0]) == stack[-1][1]:
+            node = tuple(stack.pop()[0])
+            (stack[-1][0] if stack else trees).append(node)
+    if stack:
+        raise CodeError("prefix underflow: code ends inside a subtree")
     return tuple(trees)
 
 

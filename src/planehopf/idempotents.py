@@ -12,32 +12,26 @@ compare it with Gamma_F in the M basis evaluated on alpha ones.
 phi_n(q) and the A/(1-q) transform have RationalFn coefficients in lowest
 terms, so their identities are checked with ``==``.
 
-Certification is two-fold: primitivity for the coproduct of Sym, and
-quasi-idempotency beta(e)^2 = c beta(e) after sending each ribbon to its
-descent class in the symmetric group algebra.  For a square the two
-convolution orientations coincide, so the orientation choice is inert here.
+Certification is two-fold, inside the descent algebra: primitivity for the
+coproduct of Sym, and quasi-idempotency e * e = c e for the internal
+product, which Solomon's Mackey formula gives in the S basis.  Reading its
+matrices by columns instead of rows gives the opposite product, so a
+square is the same either way.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import product
 
-from . import perms
-from .compositions import compositions_of, descent_set, maj, weight
+from .compositions import compositions_of, maj, weight
 from .forests import Forest, Tree, enumerate_forests, forest_size
 from .lincomb import LinComb, bilinear
-from .ncsf import (embed_r, psi_n, psi_bar_n, r_product, s_coproduct_n,
-                   s_to_r)
+from .ncsf import (embed_r, psi_n, psi_bar_n, r_product, r_to_s,
+                   s_coproduct_n, s_to_r)
 from .polynomials import (MultiPoly, RationalFn, discrete_integral,
                           over_one_minus_q)
-
-MAX_GROUP_DEGREE = 6
-
-
-class GroupDegreeGuard(ValueError):
-    """Raised when a symmetric-group-algebra computation exceeds the cap."""
-
 
 # ---------------------------------------------------------------------------
 # Dynkin
@@ -171,51 +165,43 @@ def is_primitive(a: LinComb) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Group algebra
+# Internal product
 
-def beta(a: LinComb, n: int) -> dict:
-    """Send a ribbon element to the group algebra of S_n:
-    R_I -> sum of the permutations with descent set D(I)."""
-    out: dict = {}
-    classes: dict = {}
-    for sigma in perms.all_perms(n):
-        classes.setdefault(perms.descents(sigma), []).append(sigma)
-    for i, c in a.terms.items():
-        if weight(i) != n:
-            raise ValueError(f"composition {i} is not of weight {n}")
-        for sigma in classes.get(descent_set(i), []):
-            s = out.get(sigma, 0) + c
-            if s:
-                out[sigma] = s
-            else:
-                out.pop(sigma, None)
-    return out
+@lru_cache(maxsize=None)
+def _first_rows(total: int, caps: tuple[int, ...]) -> tuple:
+    """Rows of sum ``total`` under column sums ``caps``, as (entries, sums left)."""
+    return tuple((tuple(v for v in x if v),
+                  tuple(c - v for c, v in zip(caps, x) if c > v))
+                 for x in product(*(range(min(c, total) + 1) for c in caps))
+                 if sum(x) == total)
 
 
-def group_product(x: dict, y: dict) -> dict:
-    """Convolution product in the group algebra (left factor acts after)."""
-    out: dict = {}
-    for p, cp in x.items():
-        for q, cq in y.items():
-            r = tuple(p[q[k] - 1] for k in range(len(q)))
-            s = out.get(r, 0) + cp * cq
-            if s:
-                out[r] = s
-            else:
-                out.pop(r, None)
-    return out
+@lru_cache(maxsize=None)
+def _mackey(rows: tuple[int, ...], cols: tuple[int, ...]) -> LinComb:
+    """S^rows * S^cols by Solomon's Mackey formula: the sum of S^(M read by rows,
+    zeros dropped) over the N-matrices M with these row and column sums.
+    Recurse on the first row; a column it uses up is zero below and dropped."""
+    if not rows:
+        return LinComb.monomial(()) if not cols else LinComb()
+    return LinComb((head + tail, k)
+                   for head, rest in _first_rows(rows[0], cols)
+                   for tail, k in _mackey(rows[1:], rest).items())
+
+
+def internal_product(a: LinComb, b: LinComb) -> LinComb:
+    """The internal product of the descent algebra, S basis in and out."""
+    return bilinear(_mackey, a, b)
 
 
 def quasi_idempotent_check(a: LinComb, n: int) -> tuple[bool, int | Fraction]:
-    """Whether beta(a)^2 = c beta(a) for some scalar c; returns (ok, c)."""
-    if n > MAX_GROUP_DEGREE:
-        raise GroupDegreeGuard(
-            f"group algebra check needs degree {n} > {MAX_GROUP_DEGREE}")
-    b = beta(a, n)
-    if not b:
+    """(ok, c): whether a * a = c a, for a ribbon-basis element a of degree n."""
+    for i in a.terms:
+        if weight(i) != n:
+            raise ValueError(f"composition {i} is not of weight {n}")
+    s = r_to_s(a)
+    if not s:
         return True, 0
-    square = group_product(b, b)
-    pivot = next(iter(b))
-    c = Fraction(square.get(pivot, 0), b[pivot])
-    scaled = {sigma: coeff * c for sigma, coeff in b.items() if coeff * c}
-    return square == scaled, c
+    square = internal_product(s, s)
+    pivot = next(iter(s.terms))
+    c = Fraction(square.coeff(pivot), s.terms[pivot])
+    return square == s.scale(c), c

@@ -89,7 +89,7 @@ def test_criterion_04_tamari_fixtures():
 
 def test_criterion_05_refined_idempotents():
     """D_lambda at n = 4: C-basis and ribbon identities; every D_lambda with
-    n <= 5 is primitive and group-algebra proportional."""
+    n <= 7 is primitive and quasi-idempotent with a nonzero scalar."""
     assert bk.d_lambda((3,)) == _lc({"3000": 1})
     assert bk.d_lambda((2, 1)) == _lc({"2100": 1, "2010": 1, "1200": 1})
     assert bk.d_lambda_x((3,)) == LinComb(
@@ -99,7 +99,7 @@ def test_criterion_05_refined_idempotents():
                     (1, 2, 1): Fraction(1), (1, 1, 1, 1): Fraction(-1)})
     want = want + ncsf.psi_n(4) + ncsf.psi_bar_n(4)
     assert bk.d_lambda_ribbon((2, 1)) == want
-    for n in range(2, 6):
+    for n in range(2, 8):
         for lam in partitions_of(n - 1):
             e = bk.d_lambda_ribbon(lam)
             assert idem.is_primitive(ncsf.r_to_s(e)), (n, lam)

@@ -78,10 +78,10 @@ def test_cost_guard_exit_code(capsys):
     (("ehrhart", "qcount", "--forest", "0" * 10, "--n", "1"), 4),
     (("ehrhart", "qcount", "--forest", "00", "--n", "3000"), 4),
     (("ehrhart", "qcount", "--forest", "0" * 10, "--n", "-1"), 3),
-    # input nested past the recursion limit is refused, not a traceback
-    (("forest", "parse", "--code", "1" * 1499 + "0"), 4),
+    # codes are parsed and printed with no stack frame per level
+    (("forest", "parse", "--code", "1" * 1499 + "0"), 0),
     (("birkhoff", "d-lambda", "--basis", "C", "--lambda", ",".join("1" * 1500)),
-     4),
+     0),
     # the ribbon basis lists the same arrangements with no recursion
     (("birkhoff", "d-lambda", "--basis", "R", "--lambda", ",".join("1" * 1500)),
      0),
@@ -96,6 +96,13 @@ def test_cost_guard_exit_code(capsys):
     (("idem", "verify", "--what", "primitive", "--n", "11"), 4),
     (("idem", "verify", "--what", "quasi", "--n", "30"), 4),
     (("verify", "--suite", "bogus", "--n", "100"), 3),
+    # Psi, Psi-bar and Solomon in the X basis embed every ribbon of the degree
+    (("idem", "dynkin", "--n", "8", "--basis", "X"), 4),
+    (("idem", "solomon", "--n", "8", "--basis", "X"), 4),
+    (("idem", "qsolomon", "--n", "8", "--basis", "X"), 3),
+    (("verify", "--suite", "idempotents", "--n", "9"), 4),
+    # input nested past the recursion limit is refused, not a traceback
+    (("ehrhart", "poly", "--forest", "1" * 1499 + "0"), 4),
 ])
 def test_contract_exit_code(capsys, argv, expected):
     assert main(list(argv)) == expected

@@ -8,8 +8,8 @@ from planehopf.forests import (CodeError, b_plus, chain_tree, corolla,
                                enumerate_forests, enumerate_trees, forest_code,
                                forest_from_max_extension, forest_size,
                                linear_extensions, max_linear_extension,
-                               parse_forest, parse_tree, polish_code,
-                               reverse_polish_code, singletons,
+                               parse_code, parse_forest, parse_tree,
+                               polish_code, reverse_polish_code, singletons,
                                strict_below_pairs, tree_size)
 
 
@@ -30,6 +30,20 @@ def test_reverse_polish_is_reversed_polish():
 def test_invalid_codes_rejected(bad):
     with pytest.raises(CodeError):
         parse_forest(bad)
+
+
+def test_deep_codes():
+    # codes are read, sized and written with no stack frame per level
+    deep = (1,) * 2999 + (0,)
+    f = parse_code(deep + (0, 1, 0))
+    assert polish_code(f) == deep + (0, 1, 0)
+    assert [tree_size(t) for t in f] == [3000, 1, 2]
+    assert forest_size(f) == 3003
+
+
+def test_negative_arity_rejected():
+    with pytest.raises(CodeError, match="negative arity"):
+        parse_code((1, -1, 0))
 
 
 def test_empty_code_is_empty_forest():

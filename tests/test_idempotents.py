@@ -1,12 +1,13 @@
 """Lie idempotents: Eulerian, Solomon, Dynkin, the q-interpolation, and the
-group algebra certification."""
+certification in the descent algebra against the symmetric group algebra."""
 
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from planehopf import birkhoff, idempotents as idem, ncsf
-from planehopf.compositions import partitions_of
+from planehopf.compositions import compositions_of, partitions_of
 from planehopf.forests import (chain_tree, enumerate_forests, enumerate_trees,
                                parse_forest)
 from planehopf.hopf import s_n
@@ -15,6 +16,7 @@ from planehopf.ncsf import psi_bar_n, psi_n, r_to_s, s_to_r
 from planehopf.polynomials import MultiPoly, RationalFn
 
 from fixtures import E4_TABLES
+from oracles import beta, group_product, group_quasi_idempotent_check
 
 
 def xelt(spec):
@@ -177,9 +179,61 @@ def test_all_d_lambda_primitive_and_quasi(n):
         assert ok and c != 0
 
 
-def test_group_degree_guard():
-    with pytest.raises(idem.GroupDegreeGuard):
-        idem.quasi_idempotent_check(psi_n(7), 7)
+def test_quasi_idempotent_degree_7():
+    # past the group algebra's reach: the square stays in the descent algebra
+    for elem, want in ((psi_n(7), 7), (psi_bar_n(7), 7),
+                       (s_to_r(idem.solomon(7)), 1)):
+        assert idem.quasi_idempotent_check(elem, 7) == (True, want)
+
+
+def test_quasi_idempotent_check_edge_cases():
+    assert idem.quasi_idempotent_check(LinComb.zero(), 4) == (True, 0)
+    with pytest.raises(ValueError):
+        idem.quasi_idempotent_check(LinComb.monomial((2, 1)), 4)
+    # the internal product vanishes between degrees
+    assert not idem.internal_product(LinComb.monomial((2,)),
+                                     LinComb.monomial((1, 1, 1)))
+
+
+def _agrees_with_group_algebra(elem, n):
+    ok, c = idem.quasi_idempotent_check(elem, n)
+    ok_group, c_group = group_quasi_idempotent_check(elem, n)
+    return ok == ok_group and (not ok or c == c_group)
+
+
+def ribbon_combinations(n):
+    return st.dictionaries(st.sampled_from(list(compositions_of(n))),
+                           st.integers(-3, 3), max_size=6).map(LinComb)
+
+
+degrees = st.integers(1, 5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(degrees.flatmap(lambda n: st.tuples(
+    st.just(n), ribbon_combinations(n), ribbon_combinations(n))))
+def test_internal_product_is_group_product(case):
+    # the Mackey formula reads the matrices by rows, which is the group
+    # product of the factors in the opposite order
+    n, a, b = case
+    ab = s_to_r(idem.internal_product(r_to_s(a), r_to_s(b)))
+    assert beta(ab, n) == group_product(beta(b, n), beta(a, n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(degrees.flatmap(lambda n: st.tuples(st.just(n), ribbon_combinations(n))))
+def test_quasi_idempotent_check_random(case):
+    n, a = case
+    assert _agrees_with_group_algebra(a, n)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_quasi_idempotent_check_against_group_algebra(n):
+    named = [psi_n(n), psi_bar_n(n), s_to_r(idem.solomon(n))]
+    named += [birkhoff.d_lambda_ribbon(lam) for lam in partitions_of(n - 1)]
+    named += [LinComb.monomial(i) for i in compositions_of(n)]
+    for elem in named:
+        assert _agrees_with_group_algebra(elem, n), elem
 
 
 def test_eulerian_domain_errors():
