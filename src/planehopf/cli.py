@@ -36,6 +36,10 @@ EXIT_GUARD = 4
 # fresh process; the cap stays 7, since the contract tests and the cli_cold
 # benchmark check that degrees 8 and 9 are refused
 MAX_EMBED_DEGREE = 7
+# idem solomon and idem qsolomon in the ribbon basis list all 2^(n-1)
+# ribbons of the degree: qsolomon 2.0 s at 12 and 5.4 s at 13, solomon
+# 0.9 s at 12, 3.1 s at 13 and 8.4 s at 14, each in a fresh process
+MAX_RIBBON_DEGREE = 12
 # the largest up-set (a chain's) takes 0.02 s at 10 nodes and 0.35 s at 12,
 # the largest down-set 0.02 s at 10; birkhoff sigma-plus takes one up-set per
 # forest, 5.1 s and 190 MB at 9, and idem eulerian every forest, 3.5 s at 9;
@@ -283,6 +287,10 @@ def _cmd_idem(args) -> int:
         elem_x = idempotents.eulerian(n, args.k)
         return _emit(args, {"command": "idem eulerian", "n": n, "k": args.k,
                             "terms": _terms_payload(elem_x)})
+    if (args.basis != "X" and args.action in ("solomon", "qsolomon")
+            and n > MAX_RIBBON_DEGREE):
+        raise DegreeGuard(f"idem {args.action} lists every ribbon, needs degree "
+                          f"{n} > {MAX_RIBBON_DEGREE}")
     if args.basis == "X" and args.action != "qsolomon" and n > MAX_EMBED_DEGREE:
         # Psi, Psi-bar and Solomon embed every ribbon of the degree
         raise DegreeGuard(f"idem {args.action} in the X basis needs degree "

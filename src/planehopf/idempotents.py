@@ -12,6 +12,20 @@ compare it with Gamma_F in the M basis evaluated on alpha ones.
 phi_n(q) and the A/(1-q) transform have RationalFn coefficients in lowest
 terms, so their identities are checked with ``==``.
 
+The transform A -> A/(1-q) is read off one formula.  S_m(A/(1-q)) is the
+sum of q^maj(J) R_J / (q)_m, and R_J R_J' = R_{J.J'} + R_{J|>J'}, so each
+ribbon K of weight n comes from exactly one tuple of factors, J_k being the
+descents of K inside the k-th block of I:
+
+    coefficient of R_K in S^I(A/(1-q)) = q^e(I,K) / prod_k (q)_{i_k},
+
+where e(I,K) sums, over the descents d of K, d minus the largest partial
+sum of I at or below d.  The terms of one weight go over the least common
+cyclotomic denominator of their prod (q)_{i_k}, and the numerator of each
+ribbon is reduced to lowest terms once; a one-term input keeps
+prod (q)_{i_k} over a monomial.  The product route, which reduces after
+every product and sum, is kept in the tests as the oracle.
+
 Certification is two-fold, inside the descent algebra: primitivity for the
 coproduct of Sym, and quasi-idempotency e * e = c e for the internal
 product, which Solomon's Mackey formula gives in the S basis.  Reading its
@@ -22,16 +36,17 @@ square is the same either way.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import product
+from math import lcm
 
-from .compositions import compositions_of, maj, weight
+from .compositions import compositions_of, descent_set, maj, weight
 from .forests import Forest, Tree, enumerate_forests, forest_size
 from .lincomb import LinComb, bilinear
-from .ncsf import (embed_r, psi_n, psi_bar_n, r_product, r_to_s,
-                   s_coproduct_n, s_to_r)
-from .polynomials import (MultiPoly, RationalFn, discrete_integral,
-                          over_one_minus_q)
+from .ncsf import (embed_r, psi_n, psi_bar_n, r_to_s, s_coproduct_n,
+                   s_to_r)
+from .polynomials import (MultiPoly, RationalFn, _cyclotomic_product,
+                          _lowest_terms, discrete_integral, over_one_minus_q)
 
 # ---------------------------------------------------------------------------
 # Dynkin
@@ -124,18 +139,51 @@ def q_solomon(n: int) -> LinComb:
 
 def s_n_over_1mq(n: int) -> LinComb:
     """S_n(A/(1-q)) in the ribbon basis:
-    sum over I of q^maj(I) R_I / ((1-q)(1-q^2)...(1-q^n)), the denominator
-    entered as its cyclotomic factors."""
-    q = MultiPoly.var("q")
-    return LinComb({i: over_one_minus_q(q ** maj(i), range(1, n + 1))
-                    for i in compositions_of(n)})
+    sum over I of q^maj(I) R_I / ((1-q)(1-q^2)...(1-q^n))."""
+    return transform_over_1mq(LinComb.monomial((n,)))
 
 
 def transform_over_1mq(a: LinComb) -> LinComb:
-    """A -> A/(1-q) on an S-basis element, output in the ribbon basis."""
-    one = LinComb.monomial((), RationalFn(1))
-    return LinComb((j, RationalFn.coerce(c) * cj) for i, c in a.terms.items()
-                   for j, cj in reduce(r_product, map(s_n_over_1mq, i), one).items())
+    """A -> A/(1-q) on an S-basis element with rational coefficients,
+    output in the ribbon basis."""
+    by_weight: dict = {}
+    for i, c in a.terms.items():
+        by_weight.setdefault(weight(i), []).append((i, c))
+    return LinComb(kc for n, terms in by_weight.items()
+                   for kc in _over_1mq_of_weight(n, terms))
+
+
+def _over_1mq_of_weight(n: int, terms: list):
+    """The ribbon terms of sum c_I S^I(A/(1-q)) over compositions I of n.
+    The numerators are put over the least common denominator and scaled to
+    integers; the numerator of each ribbon is reduced once."""
+    # (q)_m = (-1)^m prod_d Phi_d^(m // d)
+    mults = [{d: sum(p // d for p in i) for d in range(1, n + 1)}
+             for i, _ in terms]
+    den = {("q", d): k for d in range(1, n + 1)
+           if (k := max(m[d] for m in mults))}
+    scale = lcm(*(c.denominator for _, c in terms))
+    rows = []
+    for (i, c), m in zip(terms, mults):
+        cofactor = _cyclotomic_product(
+            {key: k - m[key[1]] for key, k in den.items() if k > m[key[1]]})
+        c = int(c * scale) * (-1) ** n
+        # offsets[d]: d minus the largest partial sum of I at or below d
+        rows.append((tuple(j for part in i for j in range(part)),
+                     [(mono[0][1] if mono else 0, x * c)
+                      for mono, x in cofactor.coeffs.items()]))
+    for k in compositions_of(n):
+        descents = descent_set(k)
+        num: dict = {}
+        for offsets, cofactor in rows:
+            e = sum(offsets[d] for d in descents)
+            for j, x in cofactor:
+                num[e + j] = num.get(e + j, 0) + x
+        poly, den_k = _lowest_terms(
+            MultiPoly({(("q", e),) if e else (): x for e, x in num.items()}), den)
+        if poly:
+            yield k, RationalFn._make(poly * Fraction(1, scale) if scale > 1
+                                      else poly, den_k)
 
 
 # ---------------------------------------------------------------------------

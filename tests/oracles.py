@@ -1,5 +1,10 @@
 """Reference routes kept for the tests only.
 
+The A/(1-q) transform as a product: S^I(A/(1-q)) is the ribbon product of
+the S_{i_k}(A/(1-q)), each the sum of q^maj(J) R_J / (q)_{i_k}, with every
+product and sum reduced to lowest terms again.  The library reads each
+ribbon's coefficient off one formula instead.
+
 The symmetric group algebra: a ribbon element of degree n is sent to the
 group algebra of S_n, R_I going to the sum of the permutations with descent
 composition I, and squared by convolution.  That costs n!^2 steps, so it is
@@ -10,11 +15,32 @@ algebra instead, and the tests compare the two.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 
 from planehopf import perms
-from planehopf.compositions import descent_set, weight
+from planehopf.compositions import compositions_of, descent_set, maj, weight
+from planehopf.lincomb import LinComb
+from planehopf.ncsf import r_product
+from planehopf.polynomials import MultiPoly, RationalFn, over_one_minus_q
 
 MAX_GROUP_DEGREE = 6
+
+
+def product_s_n_over_1mq(n: int) -> LinComb:
+    """S_n(A/(1-q)) in the ribbon basis:
+    sum over I of q^maj(I) R_I / ((1-q)(1-q^2)...(1-q^n))."""
+    q = MultiPoly.var("q")
+    return LinComb({i: over_one_minus_q(q ** maj(i), range(1, n + 1))
+                    for i in compositions_of(n)})
+
+
+def product_transform_over_1mq(a: LinComb) -> LinComb:
+    """A -> A/(1-q) on an S-basis element, as a product of the
+    S_{i_k}(A/(1-q)) for each S^I; output in the ribbon basis."""
+    one = LinComb.monomial((), RationalFn(1))
+    return LinComb((j, RationalFn.coerce(c) * cj) for i, c in a.terms.items()
+                   for j, cj in reduce(r_product, map(product_s_n_over_1mq, i),
+                                       one).items())
 
 
 class GroupDegreeGuard(ValueError):

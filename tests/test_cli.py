@@ -103,6 +103,13 @@ def test_cost_guard_exit_code(capsys):
     (("verify", "--suite", "idempotents", "--n", "9"), 4),
     # input nested past the recursion limit is refused, not a traceback
     (("ehrhart", "poly", "--forest", "1" * 1499 + "0"), 4),
+    # solomon and qsolomon in the ribbon basis list every ribbon of the degree
+    (("idem", "qsolomon", "--n", "13"), 4),
+    (("idem", "solomon", "--n", "13", "--basis", "R"), 4),
+    (("idem", "solomon", "--n", "13"), 4),
+    (("idem", "qsolomon", "--n", "13", "--basis", "X"), 3),
+    (("idem", "qsolomon", "--n", "7"), 0),
+    (("idem", "solomon", "--n", "7", "--basis", "R"), 0),
 ])
 def test_contract_exit_code(capsys, argv, expected):
     assert main(list(argv)) == expected

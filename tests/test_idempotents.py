@@ -16,7 +16,8 @@ from planehopf.ncsf import psi_bar_n, psi_n, r_to_s, s_to_r
 from planehopf.polynomials import MultiPoly, RationalFn
 
 from fixtures import E4_TABLES
-from oracles import beta, group_product, group_quasi_idempotent_check
+from oracles import (beta, group_product, group_quasi_idempotent_check,
+                     product_transform_over_1mq)
 
 
 def xelt(spec):
@@ -125,13 +126,59 @@ def test_s_n_over_1mq_inverts(n):
     assert got == want
 
 
-@pytest.mark.parametrize("n", range(1, 5))
+@pytest.mark.parametrize("n", range(1, 8))
 def test_q_solomon_from_dynkin_transform(n):
     # (1 - q^n)/n Psi_n(A/(1-q)) == phi_n(q)
     q = MultiPoly.var("q")
     lhs = idem.transform_over_1mq(r_to_s(psi_n(n))) \
         .scale(RationalFn(1 - q ** n, n))
     assert lhs == idem.q_solomon(n)
+
+
+def _agrees_with_product_route(a):
+    got = idem.transform_over_1mq(a)
+    want = product_transform_over_1mq(a)
+    assert got == want
+    assert {k: c.to_json() for k, c in got.items()} \
+        == {k: c.to_json() for k, c in want.items()}
+    assert all(isinstance(x, (int, Fraction))
+               for c in got.terms.values() for x in c.num.coeffs.values())
+    return True
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_transform_over_1mq_each_s_monomial(n):
+    for i in compositions_of(n):
+        assert _agrees_with_product_route(LinComb.monomial(i))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_transform_over_1mq_dynkin(n):
+    assert _agrees_with_product_route(r_to_s(psi_n(n)))
+    assert _agrees_with_product_route(r_to_s(psi_bar_n(n)))
+
+
+rational_coefficients = st.one_of(
+    st.integers(-4, 4),
+    st.fractions(min_value=-3, max_value=3, max_denominator=6))
+
+
+@st.composite
+def s_combinations(draw):
+    """Pairs (I, c) of weights 0 to 6, some followed by (I, -c) so that
+    terms cancel, summed by the LinComb constructor."""
+    pairs = draw(st.lists(st.tuples(
+        st.integers(0, 6).flatmap(lambda n: st.sampled_from(list(compositions_of(n)))),
+        rational_coefficients, st.booleans()), max_size=6))
+    return LinComb([(i, c) for i, c, _ in pairs]
+                   + [(i, -c) for i, c, cancel in pairs if cancel])
+
+
+@settings(max_examples=80, deadline=None)
+@given(s_combinations())
+def test_transform_over_1mq_random(a):
+    assert _agrees_with_product_route(a)
+    assert not idem.transform_over_1mq(a - a)
 
 
 @pytest.mark.parametrize("n", range(1, 6))
