@@ -2,7 +2,7 @@
 
 Subpackages cover the combinatorial layer (plane forests, codes, linear
 extensions), exact coefficient arithmetic (sparse multivariate polynomials,
-Laurent windows with a polar-part splitting), the Tamari order, the Hopf
+Laurent polynomials with a polar-part splitting), the Tamari order, the Hopf
 algebra and its dual, noncommutative/quasi-symmetric functions, the Birkhoff
 factorization with its refined Catalan idempotents, classical Lie idempotents,
 and order-polytope Ehrhart polynomials.

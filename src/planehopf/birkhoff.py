@@ -47,27 +47,21 @@ def a_var(k: int) -> MultiPoly:
     return MultiPoly.var(f"a{k}")
 
 
-def a_series(terms: int, window: int | None = None) -> LaurentPoly:
+def a_series(terms: int) -> LaurentPoly:
     """a(z) = sum of a_n z^(n-1) with symbolic coefficients, truncated after
-    a_terms.  Keeping terms >= n makes every polar-part coefficient of the
-    degree-n factorization exact (a monomial a_{k_1}..a_{k_n} has z-exponent
-    sum(k_j) - n, so letters above n never reach the polar side).  The window
-    must absorb the intermediate exponents of iterated brackets; the default
-    is generous for that."""
-    if window is None:
-        window = terms * (terms + 1) + 2
-    return LaurentPoly({k - 1: a_var(k) for k in range(terms + 1)},
-                       window=window)
+    a_terms, an exact Laurent polynomial.  Keeping terms >= n makes every
+    polar-part coefficient of the degree-n factorization exact (a monomial
+    a_{k_1}..a_{k_n} has z-exponent sum(k_j) - n, so letters above n never
+    reach the polar side)."""
+    return LaurentPoly({k - 1: a_var(k) for k in range(terms + 1)})
 
 
-def a_series_ab(terms: int, window: int | None = None) -> LaurentPoly:
+def a_series_ab(terms: int) -> LaurentPoly:
     """The specialization a(z) = a/z + b/(1-z), truncated like a_series."""
-    if window is None:
-        window = terms * (terms + 1) + 2
     coeffs = {-1: MultiPoly.var("a")}
     for k in range(1, terms + 1):
         coeffs[k - 1] = MultiPoly.var("b")
-    return LaurentPoly(coeffs, window=window)
+    return LaurentPoly(coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +69,7 @@ def a_series_ab(terms: int, window: int | None = None) -> LaurentPoly:
 
 def phi_plus(f: Forest, a: LaurentPoly) -> LaurentPoly:
     """phi+(Y_F); multiplicative over the trees of the forest."""
-    out = LaurentPoly.const(1, a.window)
+    out = LaurentPoly.const(1)
     for t in f:
         out = out * _phi_plus_tree(t, a)
     return out
@@ -94,7 +88,7 @@ def phi_minus(t: Tree, a: LaurentPoly) -> LaurentPoly:
 def phi_plus_closed(t: Tree, a: LaurentPoly) -> LaurentPoly:
     """phi+(Y_T) by the Tamari formula: sum over F >= T of a_F z^(-r(F))."""
     up = tamari.upset((t,))
-    return _tamari_sum(up, _tamari_weights(a, up), a.window)
+    return _tamari_sum(up, _tamari_weights(a, up))
 
 
 def _a_weight_from(a: LaurentPoly, g: Forest) -> MultiPoly:
@@ -114,15 +108,14 @@ def _tamari_weights(a: LaurentPoly, forests) -> dict:
     return {g: (-len(g), _a_weight_from(a, g)) for g in forests}
 
 
-def _tamari_sum(up, weights: dict, window: int) -> LaurentPoly:
+def _tamari_sum(up, weights: dict) -> LaurentPoly:
     """Sum of a_G z^(-r(G)) over the forests G of ``up``, each z-power added
     up in one MultiPoly.sum."""
     groups: dict[int, list[MultiPoly]] = {}
     for g in up:
         e, w = weights[g]
         groups.setdefault(e, []).append(w)
-    return LaurentPoly({e: MultiPoly.sum(ws) for e, ws in groups.items()},
-                       window)
+    return LaurentPoly({e: MultiPoly.sum(ws) for e, ws in groups.items()})
 
 
 def sigma_plus(n: int, a: LaurentPoly) -> LinComb:
@@ -131,7 +124,7 @@ def sigma_plus(n: int, a: LaurentPoly) -> LinComb:
     phi+(Y_F) = sum over G >= F of a_G z^(-r(G)).  ``phi_plus`` is the
     recursive oracle of the same values."""
     weights = _tamari_weights(a, enumerate_forests(n))
-    return LinComb({f: _tamari_sum(tamari.upset(f), weights, a.window)
+    return LinComb({f: _tamari_sum(tamari.upset(f), weights)
                     for f in weights})
 
 
@@ -204,7 +197,7 @@ def p_bracket(i: tuple[int, ...], eps: str, a: LaurentPoly) -> LaurentPoly:
     """P^I_eps(a): alternately multiply by a^(i_k) and project by P(eps_k)."""
     if len(i) != len(eps) or any(s not in "+-" for s in eps):
         raise ValueError("signs must be a +/- word matching the composition")
-    out = LaurentPoly.const(1, a.window)
+    out = LaurentPoly.const(1)
     for part, s in zip(i, eps):
         for _ in range(part):
             out = out * a
@@ -297,11 +290,6 @@ def ribbon_from_word(w: tuple[int, ...]) -> tuple[int, ...]:
         if total >= k:
             descents.add(k)
     return from_descent_set(descents, n)
-
-
-def word_to_path(w: tuple[int, ...]) -> str:
-    """Encode each letter k as a^k b (a = upstep, b = downstep)."""
-    return "".join("a" * k + "b" for k in w)
 
 
 def catalan(n: int) -> int:

@@ -140,12 +140,12 @@ def suite_factorization(n: int) -> list[str]:
     a = birkhoff.a_series(n)
     for size in range(1, n + 1):
         for f in enumerate_forests(size):
-            conv = LaurentPoly.zero(a.window)
+            conv = LaurentPoly.zero()
             for (f1, f2), c in hopf.y_coproduct(f).items():
-                left = LaurentPoly.const(MultiPoly.coerce(c), a.window)
+                left = LaurentPoly.const(c)
                 for t in f1:
                     left = left * birkhoff.phi_minus(t, a)
-                right = LaurentPoly.const(1, a.window)
+                right = LaurentPoly.const(1)
                 for _ in range(forest_size(f2)):
                     right = right * a
                 conv = conv + left * right
@@ -166,14 +166,13 @@ def suite_words(n: int) -> list[str]:
             words = birkhoff.words_w(i)
             if len(words) != birkhoff.catalan_block_count(i):
                 bad.append(f"|W({i})| is not the Catalan block product")
-            gen = LaurentPoly.zero(a.window)
+            gen = LaurentPoly.zero()
             for w in words:
                 mono = MultiPoly.const(1)
                 for k in w:
                     mono = mono * MultiPoly.var(f"a{k}")
-                gen = gen + LaurentPoly.term(sum(w) - size, mono, a.window)
-            gen = gen * LaurentPoly.const((-1) ** (len(i) - 1),
-                                          a.window)
+                gen = gen + LaurentPoly.term(sum(w) - size, mono)
+            gen = gen * LaurentPoly.const((-1) ** (len(i) - 1))
             if gen != expansion.coeff(i):
                 bad.append(f"word sum differs from bracket at I={i}")
     return bad

@@ -19,9 +19,10 @@ from math import factorial
 from . import birkhoff, ehrhart, fqsym, hopf, idempotents, ncsf, tamari
 from .compositions import refinements
 from .forests import (CodeError, enumerate_forests, enumerate_trees,
-                      forest_code, forest_size, parse_forest)
+                      forest_code, forest_size, parse_forest,
+                      reverse_polish_code)
 from .fqsym import DegreeGuard
-from .laurent import LaurentPoly, LaurentWindowOverflow
+from .laurent import LaurentPoly
 from .lincomb import LinComb
 from .ncsf import r_to_s, s_to_r
 from .polynomials import MultiPoly, RationalFn
@@ -52,8 +53,10 @@ MAX_TAMARI_SIZE = 9
 MAX_PRODUCT_SIZE = {"X": 9, "Y": 9, "C": 8}
 # ehrhart points tries every point of {0..n}^|F|, and ehrhart qcount lists
 # C(n+|F|, |F|) monomials, no more than that; birkhoff words lists every
-# word of the model, and birkhoff d-lambda in the C and ribbon bases every
-# arrangement of the padded partition
+# word of the model, birkhoff d-lambda in the C and ribbon bases every
+# arrangement of the padded partition, forest list every forest, hopf
+# coproduct in the Y basis every cut, and nsym psi, nsym psibar and idem
+# dynkin in the ribbon basis every part of the n hooks
 MAX_LATTICE_CANDIDATES = 10 ** 6
 # verify at the cap and one above: factorization 1.4 s, over 25 s; hopf 1.4 s,
 # 10.8 s; words 3.3 s, 16.4 s; dendriform 0.8 s, 4.6 s; tamari 2.5 s, over
@@ -142,9 +145,24 @@ def _cmd_forest(args) -> int:
         f = _parse_forest_arg(args.code)
         return _emit(args, {"command": "forest parse", "code": forest_code(f),
                             "size": forest_size(f), "trees": len(f)})
+    if _catalan_past_budget(args.n - 1 if args.trees else args.n):
+        raise DegreeGuard(f"forest list needs more than "
+                          f"{MAX_LATTICE_CANDIDATES} forests")
     f_list = enumerate_trees(args.n) if args.trees else enumerate_forests(args.n)
     codes = sorted(forest_code((t,) if args.trees else t) for t in f_list)
     return _emit(args, {"command": "forest list", "n": args.n, "codes": codes})
+
+
+def _catalan_past_budget(n: int) -> bool:
+    """Whether Catalan(n), the number of forests with n nodes, is over the
+    budget.  The Catalan numbers are walked up from C_0 = 1 and the walk
+    stops at the budget, so a huge n costs no huge binomial."""
+    count = 1
+    for k in range(n):
+        count = count * 2 * (2 * k + 1) // (k + 2)
+        if count > MAX_LATTICE_CANDIDATES:
+            return True
+    return False
 
 
 def _cmd_tamari(args) -> int:
@@ -168,6 +186,9 @@ def _cmd_tamari(args) -> int:
 def _cmd_hopf(args) -> int:
     if args.action == "coproduct":
         f = _parse_forest_arg(args.forest)
+        if args.basis == "Y" and _cut_count(f) > MAX_LATTICE_CANDIDATES:
+            raise DegreeGuard(f"hopf coproduct in the Y basis needs more than "
+                              f"{MAX_LATTICE_CANDIDATES} cuts")
         cop = hopf.y_coproduct(f) if args.basis == "Y" else hopf.x_coproduct(f)
         payload = {_pair_key_str(k): _coeff_str(c)
                    for k, c in sorted(cop.terms.items(),
@@ -192,6 +213,24 @@ def _cmd_hopf(args) -> int:
                         "terms": _terms_payload(prod)})
 
 
+def _cut_count(f) -> int:
+    """The number of admissible cuts of F, capped just over the budget: a
+    tree has 1 + the count of its children's forest, and a forest the
+    product over its trees.  The nodes are read off the reverse Polish code,
+    each after its children, so no recursion is needed."""
+    cap = MAX_LATTICE_CANDIDATES + 1
+    counts = []
+    for arity in reverse_polish_code(f):
+        children = 1
+        for _ in range(arity):
+            children = min(children * counts.pop(), cap)
+        counts.append(min(1 + children, cap))
+    total = 1
+    for c in counts:
+        total = min(total * c, cap)
+    return total
+
+
 def _cmd_nsym(args) -> int:
     i = _parse_composition(args.I)
     if args.action == "embed":
@@ -203,6 +242,7 @@ def _cmd_nsym(args) -> int:
                             "I": args.I, "terms": _terms_payload(result)})
     if args.n is None:
         raise DomainError("nsym psi needs --n")
+    _hooks_guard(f"nsym {args.action}", args.n)
     a = ncsf.psi_n(args.n) if args.action == "psi" else ncsf.psi_bar_n(args.n)
     return _emit(args, {"command": f"nsym {args.action}", "n": args.n,
                         "terms": _terms_payload(a)})
@@ -251,6 +291,14 @@ def _cmd_birkhoff(args) -> int:
                         "words": sorted("".join(map(str, w)) for w in words)})
 
 
+def _hooks_guard(command: str, n: int) -> None:
+    """Psi_n and Psi-bar_n are sums of n hooks with n(n+1)/2 parts in all."""
+    parts = max(n, 0) * (n + 1) // 2
+    if parts > MAX_LATTICE_CANDIDATES:
+        raise DegreeGuard(f"{command} needs {parts} parts > "
+                          f"{MAX_LATTICE_CANDIDATES}")
+
+
 def _words_size(i: tuple[int, ...], model: str) -> int:
     """|W(I)| or |S(I)|.  S(I) is the disjoint union of W(J) over the J finer
     than I; it contains W(1^n), so when that alone is over the budget its
@@ -296,9 +344,11 @@ def _cmd_idem(args) -> int:
         raise DegreeGuard(f"idem {args.action} in the X basis needs degree "
                           f"{n} > {MAX_EMBED_DEGREE}")
     if args.action == "dynkin":
-        psi, psibar = idempotents.dynkin(n)
         if args.basis == "X":
             psi, psibar = idempotents.dynkin_x(n)
+        else:
+            _hooks_guard("idem dynkin", n)
+            psi, psibar = idempotents.dynkin(n)
         return _emit(args, {"command": "idem dynkin", "n": n,
                             "psi": _terms_payload(psi),
                             "psi_bar": _terms_payload(psibar)})
@@ -468,7 +518,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (DegreeGuard, LaurentWindowOverflow, RecursionError) as exc:
+    except (DegreeGuard, RecursionError) as exc:
         print(f"cost guard: {exc}", file=sys.stderr)
         return EXIT_GUARD
     except (DomainError, CodeError, ValueError) as exc:

@@ -78,7 +78,7 @@ def chi_poly(t: Tree) -> MultiPoly:
     prod = MultiPoly.const(1)
     for child in t:
         prod = prod * chi_poly(child)
-    return discrete_integral(prod, "t")
+    return discrete_integral(prod)
 
 
 @lru_cache(maxsize=None)

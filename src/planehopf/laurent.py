@@ -1,8 +1,9 @@
-"""Laurent polynomials in z over MultiPoly coefficients, with a finite
-exponent window and the polar-part splitting used by the Birkhoff recursion.
+"""Laurent polynomials in z over MultiPoly coefficients, with the
+polar-part splitting used by the Birkhoff recursion.
 
-Any arithmetic that would write outside the window [-N, N] raises
-``LaurentWindowOverflow`` rather than silently truncating.
+Every series the package factorizes is a Laurent polynomial whose degree
+the caller knows, so sums and products are kept exactly, with no bound on
+the exponents.
 """
 
 from __future__ import annotations
@@ -12,48 +13,37 @@ from fractions import Fraction
 from .polynomials import MultiPoly
 
 
-class LaurentWindowOverflow(ArithmeticError):
-    pass
-
-
 class LaurentPoly:
-    """Finite mapping z-exponent -> MultiPoly, exponents within [-window, window]."""
+    """Finite mapping z-exponent -> nonzero MultiPoly."""
 
-    __slots__ = ("coeffs", "window")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs=None, window: int = 16):
-        self.window = window
+    def __init__(self, coeffs=None):
         self.coeffs: dict[int, MultiPoly] = {}
         if coeffs:
             for e, c in coeffs.items():
                 c = MultiPoly.coerce(c)
                 if c:
-                    self._check(e)
                     self.coeffs[e] = c
 
-    def _check(self, e: int) -> None:
-        if abs(e) > self.window:
-            raise LaurentWindowOverflow(
-                f"exponent {e} outside window [-{self.window}, {self.window}]")
+    @classmethod
+    def zero(cls) -> "LaurentPoly":
+        return cls()
 
     @classmethod
-    def zero(cls, window: int = 16) -> "LaurentPoly":
-        return cls({}, window)
+    def const(cls, c) -> "LaurentPoly":
+        return cls({0: c})
 
     @classmethod
-    def const(cls, c, window: int = 16) -> "LaurentPoly":
-        return cls({0: MultiPoly.coerce(c)}, window)
-
-    @classmethod
-    def term(cls, e: int, c, window: int = 16) -> "LaurentPoly":
-        return cls({e: MultiPoly.coerce(c)}, window)
+    def term(cls, e: int, c) -> "LaurentPoly":
+        return cls({e: c})
 
     def __bool__(self):
         return bool(self.coeffs)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, MultiPoly)):
-            other = LaurentPoly.const(other, self.window)
+            other = LaurentPoly.const(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         return self.coeffs == other.coeffs
@@ -61,18 +51,17 @@ class LaurentPoly:
     def __hash__(self):
         return hash(frozenset((e, c) for e, c in self.coeffs.items()))
 
-    def _wrap(self, coeffs: dict) -> "LaurentPoly":
+    @staticmethod
+    def _wrap(coeffs: dict) -> "LaurentPoly":
         res = LaurentPoly.__new__(LaurentPoly)
-        res.window = self.window
         res.coeffs = {e: c for e, c in coeffs.items() if c}
         return res
 
     def __add__(self, other):
         if not isinstance(other, LaurentPoly):
-            other = LaurentPoly.const(other, self.window)
+            other = LaurentPoly.const(other)
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            self._check(e)
             out[e] = out[e] + c if e in out else c
         return self._wrap(out)
 
@@ -83,19 +72,18 @@ class LaurentPoly:
 
     def __sub__(self, other):
         if not isinstance(other, LaurentPoly):
-            other = LaurentPoly.const(other, self.window)
+            other = LaurentPoly.const(other)
         return self + (-other)
 
     def __mul__(self, other):
         if not isinstance(other, LaurentPoly):
-            other = LaurentPoly.const(other, self.window)
+            other = LaurentPoly.const(other)
         out: dict[int, MultiPoly] = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
                 e = e1 + e2
                 prod = c1 * c2
                 if prod:
-                    self._check(e)
                     out[e] = out[e] + prod if e in out else prod
         return self._wrap(out)
 
@@ -119,16 +107,10 @@ class LaurentPoly:
 
     def eval_z1(self) -> MultiPoly:
         """Sum of all coefficients (evaluation at z = 1)."""
-        out = MultiPoly.zero()
-        for c in self.coeffs.values():
-            out = out + c
-        return out
+        return MultiPoly.sum(self.coeffs.values())
 
     def coefficient(self, e: int) -> MultiPoly:
         return self.coeffs.get(e, MultiPoly.zero())
-
-    def exponents(self):
-        return sorted(self.coeffs)
 
     def substitute(self, values: dict) -> "LaurentPoly":
         return self._wrap({e: c.substitute(values) for e, c in self.coeffs.items()})

@@ -14,7 +14,7 @@ memoized recursion over the forest in the F basis: the root of B+(H) adds 1
 to the last part of each composition of Gamma_H, and Gamma_{T.G} is the
 QSym product Gamma_T Gamma_G.  The tests compare it with the linear
 extensions themselves, with X-basis products of the S_n and Lambda_n and
-with packed-word counts in :mod:`planehopf.ehrhart`.
+with packed-word counts.
 
 Evaluations on the infinite alphabets {1, q, q^2, ...} and (q, t) return
 canonical RationalFns: each M_I has a denominator prod (1 - q^k), entered
@@ -239,14 +239,6 @@ def psi_n(n: int) -> LinComb:
                     for k in range(n)})
 
 
-def psi_n_via_limit(n: int) -> LinComb:
-    """Psi_n as the limit of S_n((1-q)A)/(1-q) at q = 1 (exact division)."""
-    q = MultiPoly.var("q")
-    return LinComb((i, RationalFn(c, 1 - q).substitute({"q": 1})
-                    .num.as_constant())
-                   for i, c in s_n_1mq(n).terms.items())
-
-
 def psi_bar_n(n: int) -> LinComb:
     """The mirror power sum, with hooks growing on the other side."""
     return LinComb({(n - k,) + (1,) * k: (-1) ** k
@@ -256,9 +248,9 @@ def psi_bar_n(n: int) -> LinComb:
 # ---------------------------------------------------------------------------
 # Alphabet evaluations in QSym (M basis in, polynomials out)
 
-def eval_binomial(a: LinComb, var: str = "alpha") -> "MultiPoly":
-    """Evaluate on an alphabet of ``var`` ones: M_I -> binomial(var, l(I))."""
-    return MultiPoly.sum(binomial_poly(var, len(i)) * MultiPoly.coerce(c)
+def eval_binomial(a: LinComb) -> "MultiPoly":
+    """Evaluate on an alphabet of alpha ones: M_I -> binomial(alpha, l(I))."""
+    return MultiPoly.sum(binomial_poly("alpha", len(i)) * MultiPoly.coerce(c)
                          for i, c in a.terms.items())
 
 

@@ -481,13 +481,13 @@ def binomial_poly(var: str, k: int) -> MultiPoly:
 
 
 @lru_cache(maxsize=None)
-def bernoulli_polynomial(m: int, var: str = "t") -> MultiPoly:
-    """Bernoulli polynomial B_m, pinned by the defining recursion
+def bernoulli_polynomial(m: int) -> MultiPoly:
+    """Bernoulli polynomial B_m in t, pinned by the defining recursion
     sum_{j<=m} C(m+1, j) B_j(t) = (m+1) t^m."""
     if m < 0:
         raise ValueError("m must be nonnegative")
     bs: list[MultiPoly] = []
-    t = MultiPoly.var(var)
+    t = MultiPoly.var("t")
     for k in range(m + 1):
         rhs = (k + 1) * t ** k
         acc = MultiPoly.sum(comb(k + 1, j) * bs[j] for j in range(k))
@@ -495,17 +495,17 @@ def bernoulli_polynomial(m: int, var: str = "t") -> MultiPoly:
     return bs[m]
 
 
-def discrete_integral(p: MultiPoly, var: str = "t") -> MultiPoly:
+def discrete_integral(p: MultiPoly) -> MultiPoly:
     """Linear extension of t^p -> (B_{p+1}(t) - B_{p+1}(0)) / (p+1).
 
     The result g satisfies g(t+1) - g(t) = p(t) and g(0) = 0.
     """
-    extra = p.variables() - {var}
+    extra = p.variables() - {"t"}
     if extra:
-        raise ValueError(f"polynomial must be univariate in {var}, found {extra}")
+        raise ValueError(f"polynomial must be univariate in t, found {extra}")
 
     def term(e, c):
-        b = bernoulli_polynomial(e + 1, var)
+        b = bernoulli_polynomial(e + 1)
         return (c * Fraction(1, e + 1)) * (b - MultiPoly.const(b.constant_term()))
 
-    return MultiPoly.sum(term(dict(m).get(var, 0), c) for m, c in p.coeffs.items())
+    return MultiPoly.sum(term(dict(m).get("t", 0), c) for m, c in p.coeffs.items())

@@ -10,18 +10,32 @@ group algebra of S_n, R_I going to the sum of the permutations with descent
 composition I, and squared by convolution.  That costs n!^2 steps, so it is
 capped at ``MAX_GROUP_DEGREE``; the library squares inside the descent
 algebra instead, and the tests compare the two.
+
+Packed words: the points of the dilated order polytope of a forest poset,
+read as packed words, give a word-indexed lift of Gamma_F.  The sign change
+of alphabet M_u(-A) = (-1)^max(u) sum of M_v over the merges v of u turns
+the weak words into the strict ones, which lifts Ehrhart reciprocity.  The
+q-counts are also read off the points one by one.
+
+Also kept here: Gaussian elimination over Fraction, Psi_n as a limit at
+q = 1, and the lattice-path encoding of words.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
+from itertools import product as iter_product
 
 from planehopf import perms
 from planehopf.compositions import compositions_of, descent_set, maj, weight
+from planehopf.ehrhart import lattice_points
+from planehopf.forests import Forest, forest_size, strict_below_pairs
 from planehopf.lincomb import LinComb
-from planehopf.ncsf import r_product
+from planehopf.ncsf import r_product, s_n_1mq
 from planehopf.polynomials import MultiPoly, RationalFn, over_one_minus_q
+
+PackedWord = tuple[int, ...]
 
 MAX_GROUP_DEGREE = 6
 
@@ -93,3 +107,141 @@ def group_quasi_idempotent_check(a, n: int) -> tuple[bool, int | Fraction]:
     c = Fraction(square.get(pivot, 0), b[pivot])
     scaled = {sigma: coeff * c for sigma, coeff in b.items() if coeff * c}
     return square == scaled, c
+
+
+# ---------------------------------------------------------------------------
+# Packed words and point-by-point q-counts
+
+def packed_words(n: int) -> tuple[PackedWord, ...]:
+    """All words on {1..m} of length n using every letter up to their max."""
+    out = []
+    for w in iter_product(range(1, n + 1), repeat=n):
+        m = max(w) if w else 0
+        if set(w) == set(range(1, m + 1)):
+            out.append(w)
+    return tuple(out)
+
+
+def gamma_wqsym(f: Forest, signed: bool = False) -> LinComb:
+    """Word generating function of the forest poset: all packed words with
+    u_i <= u_j for i below j (strict inequalities for the signed variant,
+    which equals (-1)^n times the function of the sign-changed alphabet)."""
+    below = strict_below_pairs(f)
+    out = {}
+    for u in packed_words(forest_size(f)):
+        if signed:
+            ok = all(u[i - 1] < u[j - 1] for i, j in below)
+        else:
+            ok = all(u[i - 1] <= u[j - 1] for i, j in below)
+        if ok:
+            out[u] = 1
+    return LinComb(out)
+
+
+def word_merges(u: PackedWord) -> tuple[PackedWord, ...]:
+    """All coarsenings of u: merge adjacent blocks (consecutive letter
+    values) and repack."""
+    m = max(u) if u else 0
+    out = []
+    # choose which of the m-1 boundaries between consecutive values survive
+    for mask in iter_product((0, 1), repeat=max(m - 1, 0)):
+        group = [1] * (m + 1)
+        g = 1
+        for k in range(2, m + 1):
+            if mask[k - 2]:
+                g += 1
+            group[k] = g
+        out.append(tuple(group[x] for x in u))
+    return tuple(out)
+
+
+def minus_alphabet(a: LinComb) -> LinComb:
+    """Sign change of alphabet on a packed-word expansion:
+    M_u(-A) = (-1)^max(u) sum of M_v over merges v of u."""
+    return LinComb((v, (-1) ** (max(u) if u else 0) * c)
+                   for u, c in a.terms.items() for v in word_merges(u))
+
+
+def signed_gamma_by_transform(f: Forest) -> LinComb:
+    """(-1)^n Gamma(-A) computed by the merge formula; must agree with the
+    strict-word route of gamma_wqsym(f, signed=True)."""
+    n = forest_size(f)
+    return minus_alphabet(gamma_wqsym(f)).scale((-1) ** n)
+
+
+def word_to_composition(u: PackedWord) -> tuple[int, ...]:
+    """Commutative image: the composition counting each letter value."""
+    m = max(u) if u else 0
+    return tuple(sum(1 for x in u if x == k) for k in range(1, m + 1))
+
+
+def wqsym_to_qsym(a: LinComb) -> LinComb:
+    """Project a packed-word expansion to the monomial basis of QSym."""
+    return LinComb((word_to_composition(u), c) for u, c in a.terms.items())
+
+
+def q_count_points(f: Forest, n: int, interior: bool = False) -> dict[int, int]:
+    """The q-count of ``ehrhart.q_count`` by direct point enumeration."""
+    out: dict[int, int] = {}
+    sign = (-1) ** forest_size(f) if interior else 1
+    for x in lattice_points(f, n, interior=interior):
+        e = sum(x)
+        e = -e if interior else e
+        out[e] = out.get(e, 0) + sign
+    return {e: c for e, c in out.items() if c}
+
+
+# ---------------------------------------------------------------------------
+# Exact linear algebra, Psi_n as a limit, lattice paths
+
+class SingularMatrix(ValueError):
+    pass
+
+
+def solve(matrix, rhs) -> list[Fraction]:
+    """Solve A x = b exactly by Gaussian elimination over Fraction.  A is a
+    list of rows; raises on a singular or inconsistent system.  Rectangular
+    systems are accepted when the solution is unique."""
+    m = [[Fraction(x) for x in row] + [Fraction(b)]
+         for row, b in zip(matrix, rhs, strict=True)]
+    nrows = len(m)
+    ncols = len(matrix[0]) if nrows else 0
+    row = 0
+    pivots = []
+    for col in range(ncols):
+        piv = next((r for r in range(row, nrows) if m[r][col]), None)
+        if piv is None:
+            continue
+        m[row], m[piv] = m[piv], m[row]
+        inv = 1 / m[row][col]
+        m[row] = [x * inv for x in m[row]]
+        for r in range(nrows):
+            if r != row and m[r][col]:
+                factor = m[r][col]
+                m[r] = [a - factor * b for a, b in zip(m[r], m[row])]
+        pivots.append(col)
+        row += 1
+        if row == nrows:
+            break
+    if len(pivots) < ncols:
+        raise SingularMatrix("system does not determine a unique solution")
+    for r in range(row, nrows):
+        if m[r][ncols]:
+            raise SingularMatrix("inconsistent system")
+    x = [Fraction(0)] * ncols
+    for r, col in enumerate(pivots):
+        x[col] = m[r][ncols]
+    return x
+
+
+def psi_n_via_limit(n: int) -> LinComb:
+    """Psi_n as the limit of S_n((1-q)A)/(1-q) at q = 1 (exact division)."""
+    q = MultiPoly.var("q")
+    return LinComb((i, RationalFn(c, 1 - q).substitute({"q": 1})
+                    .num.as_constant())
+                   for i, c in s_n_1mq(n).terms.items())
+
+
+def word_to_path(w: tuple[int, ...]) -> str:
+    """Encode each letter k as a^k b (a = upstep, b = downstep)."""
+    return "".join("a" * k + "b" for k in w)

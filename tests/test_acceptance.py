@@ -45,7 +45,7 @@ def test_criterion_03_birkhoff_values():
     a = bk.a_series(6)
 
     def lp(d):
-        out = LaurentPoly.zero(a.window)
+        out = LaurentPoly.zero()
         for e, words in d.items():
             poly = MultiPoly.zero()
             for word in words:
@@ -53,7 +53,7 @@ def test_criterion_03_birkhoff_values():
                 for k in word:
                     m = m * MultiPoly.var(f"a{k}")
                 poly = poly + m
-            out = out + LaurentPoly.term(e, poly, a.window)
+            out = out + LaurentPoly.term(e, poly)
         return out
 
     assert bk.phi_plus(parse_forest("0"), a) == lp({-1: [(0,)]})

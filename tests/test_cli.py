@@ -110,6 +110,25 @@ def test_cost_guard_exit_code(capsys):
     (("idem", "qsolomon", "--n", "13", "--basis", "X"), 3),
     (("idem", "qsolomon", "--n", "7"), 0),
     (("idem", "solomon", "--n", "7", "--basis", "R"), 0),
+    # forest list lists Catalan(n) forests, Catalan(n-1) trees
+    (("forest", "list", "--n", "16"), 4),
+    (("forest", "list", "--n", "14"), 4),
+    (("forest", "list", "--n", "15", "--trees"), 4),
+    (("forest", "list", "--n", str(10 ** 9)), 4),
+    (("forest", "list", "--n", "8", "--trees"), 0),
+    (("forest", "list", "--n", "-1"), 3),
+    (("forest", "list", "--n", "-1", "--trees"), 0),
+    # hopf coproduct in the Y basis lists every admissible cut
+    (("hopf", "coproduct", "--basis", "Y", "--forest", "0" * 22), 4),
+    (("hopf", "coproduct", "--basis", "Y", "--forest", "0" * 20), 4),
+    (("hopf", "coproduct", "--basis", "Y", "--forest", "0" * 12), 0),
+    (("hopf", "coproduct", "--basis", "X", "--forest", "0" * 22), 0),
+    # Psi_n and Psi-bar_n have n(n+1)/2 parts in all
+    (("nsym", "psi", "--n", "100000"), 4),
+    (("nsym", "psibar", "--n", "1414"), 4),
+    (("idem", "dynkin", "--n", "4000"), 4),
+    (("idem", "dynkin", "--n", "1414", "--basis", "R"), 4),
+    (("nsym", "psi", "--n", "-3"), 0),
 ])
 def test_contract_exit_code(capsys, argv, expected):
     assert main(list(argv)) == expected

@@ -13,8 +13,9 @@ from planehopf.forests import (enumerate_forests, enumerate_trees,
                                forest_code, forest_size, labelled_forest,
                                parse_forest, parse_tree, singletons,
                                strict_below_pairs)
-from planehopf.linalg import SingularMatrix, solve
 from planehopf.lincomb import LinComb
+
+from oracles import SingularMatrix, solve
 
 
 def lc(spec):

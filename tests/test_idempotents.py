@@ -44,7 +44,7 @@ def test_chi_dual_route():
     for n in range(1, 6):
         for t in enumerate_trees(n):
             chi = idem.chi_poly(t)
-            g = ncsf.eval_binomial(ncsf.gamma_qsym_m((t,)), "alpha")
+            g = ncsf.eval_binomial(ncsf.gamma_qsym_m((t,)))
             assert chi == g.substitute({"alpha": -t_var}) \
                 * Fraction((-1) ** n)
 
@@ -54,7 +54,7 @@ def test_gamma_alpha_routes(n):
     # the tree recursion against Gamma_F in the M basis on alpha ones
     for f in enumerate_forests(n):
         assert idem.gamma_alpha(f) \
-            == ncsf.eval_binomial(ncsf.gamma_qsym_m(f), "alpha")
+            == ncsf.eval_binomial(ncsf.gamma_qsym_m(f))
 
 
 def test_chi_difference_equation():

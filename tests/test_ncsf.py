@@ -25,6 +25,7 @@ def mono(b, c=1):
 
 
 from fixtures import R_TO_X_TABLE
+from oracles import psi_n_via_limit
 
 
 @pytest.mark.parametrize("i", sorted(R_TO_X_TABLE))
@@ -145,7 +146,7 @@ def test_gamma_2100():
 
 def test_psi_via_limit():
     for n in range(1, 6):
-        assert ncsf.psi_n(n) == ncsf.psi_n_via_limit(n)
+        assert ncsf.psi_n(n) == psi_n_via_limit(n)
 
 
 def test_pairing():

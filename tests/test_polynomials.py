@@ -1,4 +1,5 @@
-"""Exact polynomial, rational function, Laurent window, and linalg layers."""
+"""Exact polynomial, rational function, Laurent polynomial and linear
+algebra layers."""
 
 from fractions import Fraction
 from functools import reduce
@@ -9,12 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planehopf import cli
-from planehopf.laurent import LaurentPoly, LaurentWindowOverflow
-from planehopf.linalg import SingularMatrix, solve
+from planehopf.laurent import LaurentPoly
 from planehopf.lincomb import LinComb
 from planehopf.polynomials import (MultiPoly, RationalFn, bernoulli_polynomial,
                                    binomial_poly, discrete_integral,
                                    over_one_minus_q)
+
+from oracles import SingularMatrix, solve
 
 x = MultiPoly.var("x")
 q = MultiPoly.var("q")
@@ -196,26 +198,45 @@ def test_gaussian_binomial():
 
 
 def test_laurent_polar_split():
-    w = 4
-    f = LaurentPoly.term(-2, MultiPoly.const(3), w) \
-        + LaurentPoly.term(0, MultiPoly.const(5), w) \
-        + LaurentPoly.term(1, q, w)
+    f = LaurentPoly.term(-2, MultiPoly.const(3)) \
+        + LaurentPoly.term(0, MultiPoly.const(5)) \
+        + LaurentPoly.term(1, q)
     assert f.polar_part() + f.regular_part() == f
     assert f.residue() == MultiPoly.zero()
     assert (f.polar_part()).eval_z1() == MultiPoly.const(3)
 
 
 def test_laurent_residue():
-    w = 3
-    f = LaurentPoly.term(-1, q, w) + LaurentPoly.term(2, MultiPoly.const(1), w)
+    f = LaurentPoly.term(-1, q) + LaurentPoly.term(2, MultiPoly.const(1))
     assert f.residue() == q
 
 
-def test_laurent_window_overflow():
-    w = 2
-    f = LaurentPoly.term(2, MultiPoly.const(1), w)
-    with pytest.raises(LaurentWindowOverflow):
-        _ = f * f
+# z-exponent -> small polynomial in q and t; exponents reach past +-16, and
+# products past +-40
+laurent_dicts = st.dictionaries(
+    st.integers(-40, 40), int_dicts.map(lambda d: _built(d, int)[0]),
+    max_size=5)
+
+
+@settings(deadline=None)
+@given(laurent_dicts, laurent_dicts)
+def test_laurent_poly_is_exact(a, b):
+    f, g = LaurentPoly(a), LaurentPoly(b)
+    assert f.coeffs == {e: c for e, c in a.items() if c}
+    conv: dict = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            conv[e1 + e2] = conv.get(e1 + e2, MultiPoly.zero()) + c1 * c2
+    fg = f * g
+    assert fg.coeffs == {e: c for e, c in conv.items() if c}
+    plus, minus = f.polar_part(), f.regular_part()
+    assert plus + minus == f
+    assert all(e < 0 for e in plus.coeffs) and all(e >= 0 for e in minus.coeffs)
+    zero = MultiPoly.zero()
+    assert f.residue() == a.get(-1, zero)
+    assert fg.residue() == conv.get(-1, zero)
+    assert f.eval_z1() == reduce(add, a.values(), zero)
+    assert fg.eval_z1() == f.eval_z1() * g.eval_z1()
 
 
 def test_solve_and_invert():
