@@ -19,8 +19,7 @@ from math import factorial
 from . import birkhoff, ehrhart, fqsym, hopf, idempotents, ncsf, tamari
 from .compositions import refinements
 from .forests import (CodeError, enumerate_forests, enumerate_trees,
-                      forest_code, forest_size, parse_forest,
-                      reverse_polish_code)
+                      forest_code, forest_size, parse_forest)
 from .fqsym import DegreeGuard
 from .laurent import LaurentPoly
 from .lincomb import LinComb
@@ -186,7 +185,8 @@ def _cmd_tamari(args) -> int:
 def _cmd_hopf(args) -> int:
     if args.action == "coproduct":
         f = _parse_forest_arg(args.forest)
-        if args.basis == "Y" and _cut_count(f) > MAX_LATTICE_CANDIDATES:
+        cap = MAX_LATTICE_CANDIDATES + 1
+        if args.basis == "Y" and hopf.cut_count(f, cap) == cap:
             raise DegreeGuard(f"hopf coproduct in the Y basis needs more than "
                               f"{MAX_LATTICE_CANDIDATES} cuts")
         cop = hopf.y_coproduct(f) if args.basis == "Y" else hopf.x_coproduct(f)
@@ -211,24 +211,6 @@ def _cmd_hopf(args) -> int:
     return _emit(args, {"command": "hopf product", "basis": args.basis,
                         "left": forest_code(left), "right": forest_code(right),
                         "terms": _terms_payload(prod)})
-
-
-def _cut_count(f) -> int:
-    """The number of admissible cuts of F, capped just over the budget: a
-    tree has 1 + the count of its children's forest, and a forest the
-    product over its trees.  The nodes are read off the reverse Polish code,
-    each after its children, so no recursion is needed."""
-    cap = MAX_LATTICE_CANDIDATES + 1
-    counts = []
-    for arity in reverse_polish_code(f):
-        children = 1
-        for _ in range(arity):
-            children = min(children * counts.pop(), cap)
-        counts.append(min(1 + children, cap))
-    total = 1
-    for c in counts:
-        total = min(total * c, cap)
-    return total
 
 
 def _cmd_nsym(args) -> int:

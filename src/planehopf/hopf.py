@@ -24,7 +24,7 @@ from itertools import chain
 
 from . import tamari
 from .forests import (Forest, Tree, aut_order, enumerate_forests, forest_size,
-                      plane_representatives)
+                      plane_representatives, reverse_polish_code)
 from .lincomb import LinComb, bilinear
 
 
@@ -45,6 +45,25 @@ def cuts(f: Forest) -> tuple:
                                             for lo, up, _ in cuts(t))
     return tuple((lo1 + lo2, up1 + up2, last) for lo1, up1, _ in cuts(f[:1])
                  for lo2, up2, last in cuts(f[1:]))
+
+
+def cut_count(f: Forest, cap: int) -> int:
+    """The number of cuts of F, or ``cap`` if it is at least ``cap``.
+
+    The count follows the recursion of ``cuts``: a tree has 1 + the count of
+    its children's forest, and a forest the product over its trees.  The
+    nodes are read off the reverse Polish code, each after its children, so
+    neither the cuts nor a recursion stack are built."""
+    counts = []
+    for arity in reverse_polish_code(f):
+        children = 1
+        for _ in range(arity):
+            children = min(children * counts.pop(), cap)
+        counts.append(min(1 + children, cap))
+    total = 1
+    for c in counts:
+        total = min(total * c, cap)
+    return total
 
 
 def y_coproduct(f: Forest) -> LinComb:

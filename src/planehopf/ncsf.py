@@ -222,16 +222,7 @@ def chi_qsym_m(f: Forest) -> LinComb:
 
 
 # ---------------------------------------------------------------------------
-# Alphabet transforms in Nsym
-
-def s_n_1mq(n: int) -> LinComb:
-    """S_n((1-q)A) in the R basis, coefficients polynomials in q."""
-    q = MultiPoly.var("q")
-    if n == 0:
-        return LinComb.monomial((), MultiPoly.const(1))
-    return LinComb(((1,) * k + (n - k,), (1 - q) * (-q) ** k)
-                   for k in range(n))
-
+# Power sums in Nsym
 
 def psi_n(n: int) -> LinComb:
     """Power sum Psi_n in the R basis."""

@@ -17,8 +17,9 @@ of alphabet M_u(-A) = (-1)^max(u) sum of M_v over the merges v of u turns
 the weak words into the strict ones, which lifts Ehrhart reciprocity.  The
 q-counts are also read off the points one by one.
 
-Also kept here: Gaussian elimination over Fraction, Psi_n as a limit at
-q = 1, and the lattice-path encoding of words.
+Also kept here: Gaussian elimination over Fraction, S_n((1-q)A) and Psi_n
+as the limit of S_n((1-q)A)/(1-q) at q = 1, and the lattice-path encoding
+of words.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from planehopf.compositions import compositions_of, descent_set, maj, weight
 from planehopf.ehrhart import lattice_points
 from planehopf.forests import Forest, forest_size, strict_below_pairs
 from planehopf.lincomb import LinComb
-from planehopf.ncsf import r_product, s_n_1mq
+from planehopf.ncsf import r_product
 from planehopf.polynomials import MultiPoly, RationalFn, over_one_minus_q
 
 PackedWord = tuple[int, ...]
@@ -232,6 +233,15 @@ def solve(matrix, rhs) -> list[Fraction]:
     for r, col in enumerate(pivots):
         x[col] = m[r][ncols]
     return x
+
+
+def s_n_1mq(n: int) -> LinComb:
+    """S_n((1-q)A) in the R basis, coefficients polynomials in q."""
+    q = MultiPoly.var("q")
+    if n == 0:
+        return LinComb.monomial((), MultiPoly.const(1))
+    return LinComb(((1,) * k + (n - k,), (1 - q) * (-q) ** k)
+                   for k in range(n))
 
 
 def psi_n_via_limit(n: int) -> LinComb:

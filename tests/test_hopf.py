@@ -87,6 +87,15 @@ def test_cuts_match_label_sets(n):
     assert hopf._product_table(n) == table
 
 
+@pytest.mark.parametrize("n", range(8))
+def test_cut_count_matches_cuts(n):
+    for f in enumerate_forests(n):
+        count = len(hopf.cuts(f))
+        assert hopf.cut_count(f, count + 1) == count
+        assert hopf.cut_count(f, count) == count
+        assert hopf.cut_count(f, 2) == min(count, 2)
+
+
 def test_x_product_transposes_y_coproduct():
     for n in range(2, 7):
         cop = {h: hopf.y_coproduct(h) for h in enumerate_forests(n)}

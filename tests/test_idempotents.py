@@ -17,7 +17,7 @@ from planehopf.polynomials import MultiPoly, RationalFn
 
 from fixtures import E4_TABLES
 from oracles import (beta, group_product, group_quasi_idempotent_check,
-                     product_transform_over_1mq)
+                     product_transform_over_1mq, s_n_1mq)
 
 
 def xelt(spec):
@@ -113,7 +113,7 @@ def _transform_1mq_ratfn(a):
     for i, c in r_to_s(a).terms.items():
         term = LinComb.monomial((), MultiPoly.const(1))
         for part in i:
-            term = ncsf.r_product(term, ncsf.s_n_1mq(part))
+            term = ncsf.r_product(term, s_n_1mq(part))
         out = out + term.scale(RationalFn.coerce(c))
     return out
 
