@@ -27,13 +27,15 @@ counted by their ribbon I.
 from __future__ import annotations
 
 from collections import Counter
-from math import comb
+from itertools import groupby
+from math import comb, inf
 
 from . import tamari
 from .compositions import (compositions_of, descent_set, from_descent_set,
-                           sign_word, weight)
-from .forests import (CodeError, Forest, Tree, enumerate_forests,
-                      enumerate_trees, parse_code, reverse_polish_code)
+                           refinements, sign_word, weight)
+from .forests import (CodeError, Forest, Tree, catalan_count,
+                      enumerate_forests, enumerate_trees, parse_code,
+                      reverse_polish_code)
 from .hopf import c_expand
 from .laurent import LaurentPoly
 from .lincomb import LinComb
@@ -190,6 +192,20 @@ def _arrangements(lam: tuple[int, ...]):
         w[i + 1:] = reversed(w[i + 1:])
 
 
+def arrangement_count(lam: tuple[int, ...], cap: int) -> int:
+    """The number of words ``_arrangements`` lists, the multinomial
+    n! / ((n - l)! m_1! m_2! ...) for n = |lambda| + 1 and the
+    multiplicities m_k of the parts, or ``cap`` if it is at least ``cap``.
+    It is a product of binomials, one per part value, and stops at the cap."""
+    left, count = sum(lam) + 1, 1
+    for mult in Counter(lam).values():
+        if count >= cap:
+            break
+        count = min(count * comb(left, mult), cap)
+        left -= mult
+    return count
+
+
 # ---------------------------------------------------------------------------
 # Iterated Rota-Baxter brackets and basis expansions
 
@@ -292,19 +308,21 @@ def ribbon_from_word(w: tuple[int, ...]) -> tuple[int, ...]:
     return from_descent_set(descents, n)
 
 
-def catalan(n: int) -> int:
-    return comb(2 * n, n) // (n + 1)
-
-
 def catalan_block_count(i: tuple[int, ...]) -> int:
     """|W(I)| as the product of Catalan numbers of the sign-block lengths."""
-    word = sign_word(i)
+    return word_count(i, "W", inf)
+
+
+def word_count(i: tuple[int, ...], model: str, cap: int) -> int:
+    """|W(I)| or |S(I)|, the number of words ``words_w`` or ``words_s``
+    lists, or ``cap`` if it is at least ``cap``.  S(I) is the disjoint union
+    of W(J) over the J finer than I; it contains W(1^n), of size C_(n-1),
+    so when that alone reaches the cap the refinements are not summed."""
+    if model == "S":
+        if catalan_count(weight(i) - 1, cap) == cap:
+            return cap
+        return min(sum(word_count(j, "W", cap) for j in refinements(i)), cap)
     count = 1
-    pos = 0
-    while pos < len(word):
-        end = pos
-        while end < len(word) and word[end] == word[pos]:
-            end += 1
-        count *= catalan(end - pos)
-        pos = end
+    for _, block in groupby(sign_word(i)):
+        count = min(count * catalan_count(len(list(block)), cap), cap)
     return count

@@ -13,13 +13,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections import Counter
-from math import factorial
 
 from . import birkhoff, ehrhart, fqsym, hopf, idempotents, ncsf, tamari
-from .compositions import refinements
-from .forests import (CodeError, enumerate_forests, enumerate_trees,
-                      forest_code, forest_size, parse_forest)
+from .forests import (CodeError, catalan_count, enumerate_forests,
+                      enumerate_trees, forest_code, forest_size, parse_forest)
 from .fqsym import DegreeGuard
 from .laurent import LaurentPoly
 from .lincomb import LinComb
@@ -92,6 +89,15 @@ def _parse_composition(text: str) -> tuple[int, ...]:
     return parts
 
 
+def _refuse_over(command: str, what: str, size: int, cap: int) -> None:
+    """Refuse with exit 4, before any work, when ``size`` is over ``cap``.
+    The counts that can be huge come capped at cap + 1 from the modules
+    that list the objects, so the message states a lower bound."""
+    if size > cap:
+        raise DegreeGuard(f"{command}: {what} is at least "
+                          f"{min(size, cap + 1)}, over the cap {cap}")
+
+
 def _coeff_str(c) -> str:
     if isinstance(c, (MultiPoly, RationalFn, LaurentPoly)):
         return c.text()
@@ -144,24 +150,14 @@ def _cmd_forest(args) -> int:
         f = _parse_forest_arg(args.code)
         return _emit(args, {"command": "forest parse", "code": forest_code(f),
                             "size": forest_size(f), "trees": len(f)})
-    if _catalan_past_budget(args.n - 1 if args.trees else args.n):
-        raise DegreeGuard(f"forest list needs more than "
-                          f"{MAX_LATTICE_CANDIDATES} forests")
+    what = "trees" if args.trees else "forests"
+    _refuse_over("forest list", f"the number of {what}",
+                 catalan_count(args.n - 1 if args.trees else args.n,
+                               MAX_LATTICE_CANDIDATES + 1),
+                 MAX_LATTICE_CANDIDATES)
     f_list = enumerate_trees(args.n) if args.trees else enumerate_forests(args.n)
     codes = sorted(forest_code((t,) if args.trees else t) for t in f_list)
     return _emit(args, {"command": "forest list", "n": args.n, "codes": codes})
-
-
-def _catalan_past_budget(n: int) -> bool:
-    """Whether Catalan(n), the number of forests with n nodes, is over the
-    budget.  The Catalan numbers are walked up from C_0 = 1 and the walk
-    stops at the budget, so a huge n costs no huge binomial."""
-    count = 1
-    for k in range(n):
-        count = count * 2 * (2 * k + 1) // (k + 2)
-        if count > MAX_LATTICE_CANDIDATES:
-            return True
-    return False
 
 
 def _cmd_tamari(args) -> int:
@@ -170,9 +166,8 @@ def _cmd_tamari(args) -> int:
         hi = _parse_forest_arg(args.upper)
         if forest_size(f) != forest_size(hi):
             raise DomainError("leq needs forests of equal size")
-    if forest_size(f) > MAX_TAMARI_SIZE:
-        raise DegreeGuard(f"tamari {args.action} needs size "
-                          f"{forest_size(f)} > {MAX_TAMARI_SIZE}")
+    _refuse_over(f"tamari {args.action}", "the size", forest_size(f),
+                 MAX_TAMARI_SIZE)
     if args.action == "leq":
         return _emit(args, {"command": "tamari leq", "lower": args.lower,
                             "upper": args.upper, "result": tamari.leq(f, hi)})
@@ -185,10 +180,10 @@ def _cmd_tamari(args) -> int:
 def _cmd_hopf(args) -> int:
     if args.action == "coproduct":
         f = _parse_forest_arg(args.forest)
-        cap = MAX_LATTICE_CANDIDATES + 1
-        if args.basis == "Y" and hopf.cut_count(f, cap) == cap:
-            raise DegreeGuard(f"hopf coproduct in the Y basis needs more than "
-                              f"{MAX_LATTICE_CANDIDATES} cuts")
+        if args.basis == "Y":
+            _refuse_over("hopf coproduct in the Y basis", "the number of cuts",
+                         hopf.cut_count(f, MAX_LATTICE_CANDIDATES + 1),
+                         MAX_LATTICE_CANDIDATES)
         cop = hopf.y_coproduct(f) if args.basis == "Y" else hopf.x_coproduct(f)
         payload = {_pair_key_str(k): _coeff_str(c)
                    for k, c in sorted(cop.terms.items(),
@@ -197,10 +192,9 @@ def _cmd_hopf(args) -> int:
                             "forest": forest_code(f), "terms": payload})
     left = _parse_forest_arg(args.left)
     right = _parse_forest_arg(args.right)
-    size = forest_size(left) + forest_size(right)
-    if size > MAX_PRODUCT_SIZE[args.basis]:
-        raise DegreeGuard(f"hopf product in the {args.basis} basis needs size "
-                          f"{size} > {MAX_PRODUCT_SIZE[args.basis]}")
+    _refuse_over(f"hopf product in the {args.basis} basis", "the size",
+                 forest_size(left) + forest_size(right),
+                 MAX_PRODUCT_SIZE[args.basis])
     if args.basis == "X":
         prod = hopf.x_product(left, right)
     elif args.basis == "Y":
@@ -216,15 +210,16 @@ def _cmd_hopf(args) -> int:
 def _cmd_nsym(args) -> int:
     i = _parse_composition(args.I)
     if args.action == "embed":
-        if sum(i) > MAX_EMBED_DEGREE:
-            raise DegreeGuard(f"nsym embed needs degree {sum(i)} > {MAX_EMBED_DEGREE}")
+        _refuse_over("nsym embed", "the degree", sum(i), MAX_EMBED_DEGREE)
         emb = {"R": ncsf.embed_r, "S": ncsf.embed_s, "L": ncsf.embed_lambda}
         result = emb[args.basis](i)
         return _emit(args, {"command": "nsym embed", "basis": args.basis,
                             "I": args.I, "terms": _terms_payload(result)})
     if args.n is None:
         raise DomainError("nsym psi needs --n")
-    _hooks_guard(f"nsym {args.action}", args.n)
+    _refuse_over(f"nsym {args.action}", "the number of hook parts",
+                 ncsf.hook_part_count(args.n, MAX_LATTICE_CANDIDATES + 1),
+                 MAX_LATTICE_CANDIDATES)
     a = ncsf.psi_n(args.n) if args.action == "psi" else ncsf.psi_bar_n(args.n)
     return _emit(args, {"command": f"nsym {args.action}", "n": args.n,
                         "terms": _terms_payload(a)})
@@ -234,13 +229,12 @@ def _cmd_birkhoff(args) -> int:
     if args.action == "sigma-plus":
         if args.n is None:
             raise DomainError("birkhoff sigma-plus needs --n")
-        if args.n > MAX_TAMARI_SIZE:
-            raise DegreeGuard(f"birkhoff sigma-plus needs size "
-                              f"{args.n} > {MAX_TAMARI_SIZE}")
-        a = birkhoff.a_series_ab(args.n) if args.spec else birkhoff.a_series(args.n)
+        _refuse_over("birkhoff sigma-plus", "the size", args.n, MAX_TAMARI_SIZE)
+        a = (birkhoff.a_series_ab(args.n) if args.spec == "ab"
+             else birkhoff.a_series(args.n))
         sp = birkhoff.sigma_plus(args.n, a)
         return _emit(args, {"command": "birkhoff sigma-plus", "n": args.n,
-                            "spec": args.spec or "generic",
+                            "spec": args.spec,
                             "terms": _terms_payload(sp)})
     if args.action == "d-lambda":
         lam = _parse_composition(args.lam)
@@ -249,62 +243,32 @@ def _cmd_birkhoff(args) -> int:
         if args.n is not None and args.n != sum(lam) + 1:
             raise DomainError("--n must equal 1 + sum of --lambda")
         if args.basis == "X":
-            if sum(lam) + 1 > MAX_TAMARI_SIZE:
-                raise DegreeGuard(f"birkhoff d-lambda in the X basis needs size "
-                                  f"{sum(lam) + 1} > {MAX_TAMARI_SIZE}")
+            _refuse_over("birkhoff d-lambda in the X basis", "the size",
+                         sum(lam) + 1, MAX_TAMARI_SIZE)
             d = birkhoff.d_lambda_x(lam)
         else:
-            count = _arrangement_count(lam)
-            if count > MAX_LATTICE_CANDIDATES:
-                raise DegreeGuard(f"birkhoff d-lambda needs {count} arrangements "
-                                  f"> {MAX_LATTICE_CANDIDATES}")
+            _refuse_over("birkhoff d-lambda", "the number of arrangements",
+                         birkhoff.arrangement_count(
+                             lam, MAX_LATTICE_CANDIDATES + 1),
+                         MAX_LATTICE_CANDIDATES)
             d = (birkhoff.d_lambda(lam) if args.basis == "C"
                  else birkhoff.d_lambda_ribbon(lam))
         return _emit(args, {"command": "birkhoff d-lambda", "lambda": args.lam,
                             "basis": args.basis, "terms": _terms_payload(d)})
     i = _parse_composition(args.I)
-    size = _words_size(i, args.model)
-    if size > MAX_LATTICE_CANDIDATES:
-        raise DegreeGuard(f"birkhoff words needs |{args.model}(I)| > "
-                          f"{MAX_LATTICE_CANDIDATES}")
+    _refuse_over("birkhoff words", f"|{args.model}(I)|",
+                 birkhoff.word_count(i, args.model, MAX_LATTICE_CANDIDATES + 1),
+                 MAX_LATTICE_CANDIDATES)
     words = birkhoff.words_w(i) if args.model == "W" else birkhoff.words_s(i)
     return _emit(args, {"command": "birkhoff words", "I": args.I,
                         "model": args.model, "count": len(words),
                         "words": sorted("".join(map(str, w)) for w in words)})
 
 
-def _hooks_guard(command: str, n: int) -> None:
-    """Psi_n and Psi-bar_n are sums of n hooks with n(n+1)/2 parts in all."""
-    parts = max(n, 0) * (n + 1) // 2
-    if parts > MAX_LATTICE_CANDIDATES:
-        raise DegreeGuard(f"{command} needs {parts} parts > "
-                          f"{MAX_LATTICE_CANDIDATES}")
-
-
-def _words_size(i: tuple[int, ...], model: str) -> int:
-    """|W(I)| or |S(I)|.  S(I) is the disjoint union of W(J) over the J finer
-    than I; it contains W(1^n), so when that alone is over the budget its
-    size is returned instead of summing over 2^(n-1) refinements."""
-    if model == "W":
-        return birkhoff.catalan_block_count(i)
-    finest = birkhoff.catalan_block_count((1,) * sum(i))
-    if finest > MAX_LATTICE_CANDIDATES:
-        return finest
-    return sum(map(birkhoff.catalan_block_count, refinements(i)))
-
-
-def _arrangement_count(lam: tuple[int, ...]) -> int:
-    """The number of distinct arrangements of lambda padded with zeros to
-    length |lambda| + 1, the words that d_lambda and d_lambda_ribbon list."""
-    n = sum(lam) + 1
-    count = factorial(n) // factorial(n - len(lam))
-    for mult in Counter(lam).values():
-        count //= factorial(mult)
-    return count
-
-
 def _cmd_idem(args) -> int:
     n = args.n
+    if n < 1 and args.action in ("solomon", "qsolomon", "verify"):
+        raise DomainError(f"idem {args.action} needs --n >= 1")
     if args.action == "verify":
         return _idem_verify(args, n)
     if args.action == "eulerian":
@@ -312,24 +276,24 @@ def _cmd_idem(args) -> int:
             raise DomainError("eulerian needs --k")
         if args.basis == "R":
             raise DomainError("eulerian pieces live in the X basis only")
-        if n > MAX_TAMARI_SIZE:
-            raise DegreeGuard(f"idem eulerian needs size {n} > {MAX_TAMARI_SIZE}")
+        _refuse_over("idem eulerian", "the size", n, MAX_TAMARI_SIZE)
         elem_x = idempotents.eulerian(n, args.k)
         return _emit(args, {"command": "idem eulerian", "n": n, "k": args.k,
                             "terms": _terms_payload(elem_x)})
-    if (args.basis != "X" and args.action in ("solomon", "qsolomon")
-            and n > MAX_RIBBON_DEGREE):
-        raise DegreeGuard(f"idem {args.action} lists every ribbon, needs degree "
-                          f"{n} > {MAX_RIBBON_DEGREE}")
-    if args.basis == "X" and args.action != "qsolomon" and n > MAX_EMBED_DEGREE:
+    if args.basis != "X" and args.action in ("solomon", "qsolomon"):
+        _refuse_over(f"idem {args.action} in the ribbon basis", "the degree",
+                     n, MAX_RIBBON_DEGREE)
+    if args.basis == "X" and args.action != "qsolomon":
         # Psi, Psi-bar and Solomon embed every ribbon of the degree
-        raise DegreeGuard(f"idem {args.action} in the X basis needs degree "
-                          f"{n} > {MAX_EMBED_DEGREE}")
+        _refuse_over(f"idem {args.action} in the X basis", "the degree", n,
+                     MAX_EMBED_DEGREE)
     if args.action == "dynkin":
         if args.basis == "X":
             psi, psibar = idempotents.dynkin_x(n)
         else:
-            _hooks_guard("idem dynkin", n)
+            _refuse_over("idem dynkin", "the number of hook parts",
+                         ncsf.hook_part_count(n, MAX_LATTICE_CANDIDATES + 1),
+                         MAX_LATTICE_CANDIDATES)
             psi, psibar = idempotents.dynkin(n)
         return _emit(args, {"command": "idem dynkin", "n": n,
                             "psi": _terms_payload(psi),
@@ -346,7 +310,8 @@ def _cmd_idem(args) -> int:
 
 
 def _idem_verify(args, n: int) -> int:
-    _verify_guard(f"idem verify --what {args.what}", args.what, n)
+    _refuse_over(f"idem verify --what {args.what}", "the degree", n,
+                 MAX_VERIFY_DEGREE[args.what])
     named = {
         "psi": ncsf.psi_n(n),
         "psi_bar": ncsf.psi_bar_n(n),
@@ -365,11 +330,6 @@ def _idem_verify(args, n: int) -> int:
     return _emit(args, payload)
 
 
-def _verify_guard(command: str, key: str, n: int) -> None:
-    if n > MAX_VERIFY_DEGREE[key]:
-        raise DegreeGuard(f"{command} needs degree {n} > {MAX_VERIFY_DEGREE[key]}")
-
-
 def _cmd_ehrhart(args) -> int:
     f = _parse_forest_arg(args.forest)
     if args.action == "poly":
@@ -380,18 +340,15 @@ def _cmd_ehrhart(args) -> int:
         raise DomainError(f"ehrhart {args.action} needs --n")
     if args.n < 0:
         raise DomainError("dilation factor must be nonnegative")
-    if (args.n + 1) ** forest_size(f) > MAX_LATTICE_CANDIDATES:
-        raise DegreeGuard(f"ehrhart {args.action} needs (n+1)^|F| = "
-                          f"{args.n + 1}^{forest_size(f)} > {MAX_LATTICE_CANDIDATES}")
+    _refuse_over(f"ehrhart {args.action}", "(n+1)^|F|",
+                 (args.n + 1) ** forest_size(f), MAX_LATTICE_CANDIDATES)
     if args.action == "points":
         pts = ehrhart.lattice_points(f, args.n, interior=args.interior)
         return _emit(args, {"command": "ehrhart points",
                             "forest": forest_code(f), "n": args.n,
                             "interior": args.interior, "count": len(pts),
                             "points": sorted(",".join(map(str, p)) for p in pts)})
-    if forest_size(f) > MAX_TAMARI_SIZE:
-        raise DegreeGuard(f"ehrhart qcount needs size {forest_size(f)} > "
-                          f"{MAX_TAMARI_SIZE}")
+    _refuse_over("ehrhart qcount", "the size", forest_size(f), MAX_TAMARI_SIZE)
     qc = ehrhart.q_count(f, args.n, interior=args.interior)
     signed = {str(e): str(qc[e]) for e in sorted(qc)}
     unsigned = {str(e): str(abs(qc[e])) for e in sorted(qc)}
@@ -407,7 +364,8 @@ def _cmd_verify(args) -> int:
     if args.suite not in suites:
         raise DomainError(f"unknown suite {args.suite!r}; "
                           f"choose from {sorted(suites)}")
-    _verify_guard(f"verify --suite {args.suite}", args.suite, args.n)
+    _refuse_over(f"verify --suite {args.suite}", "the degree", args.n,
+                 MAX_VERIFY_DEGREE[args.suite])
     failures = suites[args.suite](args.n)
     payload = {"command": "verify", "suite": args.suite, "n": args.n,
                "passed": not failures, "counterexamples": failures}
@@ -462,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("birkhoff")
     b.add_argument("action", choices=("sigma-plus", "d-lambda", "words"))
     b.add_argument("--n", type=int)
-    b.add_argument("--spec", default="")
+    b.add_argument("--spec", choices=("generic", "ab"), default="generic")
     b.add_argument("--lambda", dest="lam", default="")
     b.add_argument("--basis", choices=("C", "X", "R"), default="C")
     b.add_argument("--I", default="")

@@ -67,6 +67,8 @@ def refinements(parts: tuple[int, ...]):
 
 def compositions_of(n: int):
     """All compositions of n, by descent subsets, deterministic order."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     if n == 0:
         yield ()
         return

@@ -150,6 +150,19 @@ def enumerate_trees(n: int) -> tuple[Tree, ...]:
                         key=lambda t: polish_code((t,))))
 
 
+def catalan_count(n: int, cap: int) -> int:
+    """The Catalan number C_n, the number of forests with n nodes and of
+    trees with n + 1, or ``cap`` if it is at least ``cap``.  The walk goes
+    up from C_0 = 1 and stops at the cap, so a huge n costs no huge
+    binomial."""
+    count = 1
+    for k in range(n):
+        if count >= cap:
+            break
+        count = count * 2 * (2 * k + 1) // (k + 2)
+    return min(count, cap)
+
+
 # ---------------------------------------------------------------------------
 # Canonical labelling and the forest poset
 

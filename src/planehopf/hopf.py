@@ -10,9 +10,10 @@ those of its first tree concatenated with those of the rest.
 X basis (dual): coproduct is deconcatenation and the product is the transpose
 of the Y coproduct.  The dendriform halves split each product term by whether
 the root of its last tree comes from the left factor (the lower part of the
-cut) or the right one.  The same product has a constructive
-description by grafting, exposed through ``brace`` and ``prelie_graft``; the
-two routes are compared in the test suite.
+cut) or the right one.  The brace and preLie products of Chapoton and
+Livernet are the single-tree part of this product: grafting the trees of F
+on the nodes of T gives the trees H with a cut of lower part F and upper
+part T.  The grafting enumerator is kept as a test oracle.
 
 C basis: C_F = sum of X_G over G <= F in the Tamari order.
 """
@@ -127,44 +128,12 @@ def x_coproduct(f: Forest) -> LinComb:
 # ---------------------------------------------------------------------------
 # Grafting: preLie and brace structures
 
-def _graft_tree(t: Tree, trees: tuple[Tree, ...]):
-    """All trees made by grafting ``trees`` on nodes of ``t``, their roots
-    appearing in that order along the planar (prefix) traversal."""
-    if not trees:
-        yield t
-        return
-    m = len(t)
-    r = len(trees)
-
-    def splits(seq, k):
-        if k == 1:
-            yield (seq,)
-            return
-        for i in range(len(seq) + 1):
-            for rest in splits(seq[i:], k - 1):
-                yield (seq[:i],) + rest
-
-    # blocks: B0, I1, B1, I2, ..., Im, Bm read in planar order
-    for parts in splits(trees, 2 * m + 1):
-        blocks = parts[0::2]
-        inner = parts[1::2]
-        child_options = [list(_graft_tree(c, inn))
-                         for c, inn in zip(t, inner)]
-
-        def rec(i, acc):
-            if i == m:
-                yield acc
-                return
-            for c in child_options[i]:
-                yield from rec(i + 1, acc + (c,) + blocks[i + 1])
-
-        yield from rec(0, blocks[0])
-
-
 def brace(forest: Forest, t: Tree) -> LinComb:
     """Brace product <X_{T1...Tr}, X_T>: graft T1..Tr on nodes of T, keeping
-    their planar order."""
-    return LinComb(((res,), 1) for res in _graft_tree(t, tuple(forest)))
+    their planar order.  These are the single-tree terms of X_F X_T: a cut
+    of a tree H with upper part T has the grafted trees as its lower part."""
+    return LinComb({h: c for h, c in x_product(tuple(forest), (t,)).items()
+                    if len(h) == 1})
 
 
 def prelie_graft(t1: Tree, t2: Tree) -> LinComb:

@@ -236,6 +236,12 @@ def psi_bar_n(n: int) -> LinComb:
                     for k in range(n)})
 
 
+def hook_part_count(n: int, cap: int) -> int:
+    """The number of parts of all the n hooks of Psi_n or Psi-bar_n,
+    n(n+1)/2, or ``cap`` if it is at least ``cap``."""
+    return min(max(n, 0) * (n + 1) // 2, cap)
+
+
 # ---------------------------------------------------------------------------
 # Alphabet evaluations in QSym (M basis in, polynomials out)
 

@@ -18,10 +18,6 @@ def inverse(sigma: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(inv)
 
 
-def mirror(sigma: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(reversed(sigma))
-
-
 def inversions(sigma: tuple[int, ...]) -> frozenset[tuple[int, int]]:
     """Value pairs (a, b), a < b, with b appearing before a in the word."""
     out = set()

@@ -17,6 +17,10 @@ of alphabet M_u(-A) = (-1)^max(u) sum of M_v over the merges v of u turns
 the weak words into the strict ones, which lifts Ehrhart reciprocity.  The
 q-counts are also read off the points one by one.
 
+Grafting: the trees made by grafting a forest on the nodes of a tree, in
+planar order, enumerated directly.  The library reads the brace product off
+the cut table of the X product instead, and the tests compare the two.
+
 Also kept here: Gaussian elimination over Fraction, S_n((1-q)A) and Psi_n
 as the limit of S_n((1-q)A)/(1-q) at q = 1, and the lattice-path encoding
 of words.
@@ -31,7 +35,7 @@ from itertools import product as iter_product
 from planehopf import perms
 from planehopf.compositions import compositions_of, descent_set, maj, weight
 from planehopf.ehrhart import lattice_points
-from planehopf.forests import Forest, forest_size, strict_below_pairs
+from planehopf.forests import Forest, Tree, forest_size, strict_below_pairs
 from planehopf.lincomb import LinComb
 from planehopf.ncsf import r_product
 from planehopf.polynomials import MultiPoly, RationalFn, over_one_minus_q
@@ -255,3 +259,39 @@ def psi_n_via_limit(n: int) -> LinComb:
 def word_to_path(w: tuple[int, ...]) -> str:
     """Encode each letter k as a^k b (a = upstep, b = downstep)."""
     return "".join("a" * k + "b" for k in w)
+
+
+# ---------------------------------------------------------------------------
+# Grafting
+
+def graft_tree(t: Tree, trees: tuple[Tree, ...]):
+    """All trees made by grafting ``trees`` on nodes of ``t``, their roots
+    appearing in that order along the planar (prefix) traversal."""
+    if not trees:
+        yield t
+        return
+    m = len(t)
+
+    def splits(seq, k):
+        if k == 1:
+            yield (seq,)
+            return
+        for i in range(len(seq) + 1):
+            for rest in splits(seq[i:], k - 1):
+                yield (seq[:i],) + rest
+
+    # blocks: B0, I1, B1, I2, ..., Im, Bm read in planar order
+    for parts in splits(trees, 2 * m + 1):
+        blocks = parts[0::2]
+        inner = parts[1::2]
+        child_options = [list(graft_tree(c, inn))
+                         for c, inn in zip(t, inner)]
+
+        def rec(i, acc):
+            if i == m:
+                yield acc
+                return
+            for c in child_options[i]:
+                yield from rec(i + 1, acc + (c,) + blocks[i + 1])
+
+        yield from rec(0, blocks[0])

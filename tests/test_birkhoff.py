@@ -250,6 +250,25 @@ def test_catalan_block_counts():
             assert len(bk.words_w(i)) == bk.catalan_block_count(i)
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_word_count_matches_words(n):
+    for i in compositions_of(n):
+        for model, words in (("W", bk.words_w), ("S", bk.words_s)):
+            count = len(words(i))
+            assert bk.word_count(i, model, count + 1) == count
+            assert bk.word_count(i, model, count) == count
+            assert bk.word_count(i, model, 2) == min(count, 2)
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_arrangement_count_matches_arrangements(n):
+    for lam in partitions_of(n):
+        count = len(list(bk._arrangements(lam)))
+        assert bk.arrangement_count(lam, count + 1) == count
+        assert bk.arrangement_count(lam, count) == count
+        assert bk.arrangement_count(lam, 2) == min(count, 2)
+
+
 @pytest.mark.parametrize("n", range(0, 6))
 def test_words_brute_force(n):
     # both models, in lexicographic order, against a filter of all words

@@ -3,12 +3,13 @@
 import json
 import re
 import shlex
+from math import inf
 from pathlib import Path
 
 import pytest
 
 from planehopf import birkhoff
-from planehopf.cli import _words_size, main
+from planehopf.cli import main
 from planehopf.compositions import compositions_of
 
 
@@ -129,6 +130,18 @@ def test_cost_guard_exit_code(capsys):
     (("idem", "dynkin", "--n", "4000"), 4),
     (("idem", "dynkin", "--n", "1414", "--basis", "R"), 4),
     (("nsym", "psi", "--n", "-3"), 0),
+    # the sizes are capped where they are counted, so a huge input is
+    # refused at once
+    (("birkhoff", "words", "--I", "1000000"), 4),
+    (("birkhoff", "d-lambda", "--lambda", "1000000000", "--basis", "C"), 4),
+    # Solomon's idempotent and its q-analogue start at degree 1
+    (("idem", "solomon", "--n", "0"), 3),
+    (("idem", "solomon", "--n", "0", "--basis", "X"), 3),
+    (("idem", "qsolomon", "--n", "0"), 3),
+    (("idem", "verify", "--n", "0"), 3),
+    (("idem", "verify", "--what", "quasi", "--n", "0"), 3),
+    (("idem", "solomon", "--n", "-1"), 3),
+    (("idem", "qsolomon", "--n", "-2"), 3),
 ])
 def test_contract_exit_code(capsys, argv, expected):
     assert main(list(argv)) == expected
@@ -141,8 +154,17 @@ def test_contract_exit_code(capsys, argv, expected):
 def test_words_size_is_exact(n):
     # the size the words guard checks is the number of words listed
     for i in compositions_of(n):
-        assert _words_size(i, "W") == len(birkhoff.words_w(i))
-        assert _words_size(i, "S") == len(birkhoff.words_s(i))
+        assert birkhoff.word_count(i, "W", inf) == len(birkhoff.words_w(i))
+        assert birkhoff.word_count(i, "S", inf) == len(birkhoff.words_s(i))
+
+
+def test_sigma_plus_spec_choices(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["birkhoff", "sigma-plus", "--n", "3", "--spec", "foo"])
+    assert exc.value.code == 2
+    data = run_json(capsys, "birkhoff", "sigma-plus", "--n", "3",
+                    "--spec", "ab", "--format", "json")
+    assert data["spec"] == "ab"
 
 
 def test_words_many_parts(capsys):

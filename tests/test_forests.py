@@ -4,7 +4,8 @@ from math import comb
 
 import pytest
 
-from planehopf.forests import (CodeError, b_plus, chain_tree, corolla,
+from planehopf.forests import (CodeError, b_plus, catalan_count, chain_tree,
+                               corolla,
                                enumerate_forests, enumerate_trees, forest_code,
                                forest_from_max_extension, forest_size,
                                linear_extensions, max_linear_extension,
@@ -89,3 +90,17 @@ def test_max_extension_round_trip():
 def test_parse_tree_rejects_forest():
     with pytest.raises(ValueError):
         parse_tree("00")
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_catalan_count_matches_enumeration(n):
+    count = len(enumerate_forests(n))
+    assert len(enumerate_trees(n + 1)) == count
+    assert catalan_count(n, count + 1) == count
+    assert catalan_count(n, count) == count
+    assert catalan_count(n, 2) == min(count, 2)
+
+
+def test_catalan_count_stops_at_cap():
+    # the walk stops at the cap, so a huge n costs no huge number
+    assert catalan_count(10 ** 9, 10 ** 6 + 1) == 10 ** 6 + 1

@@ -15,7 +15,7 @@ from planehopf.forests import (enumerate_forests, enumerate_trees,
                                strict_below_pairs)
 from planehopf.lincomb import LinComb
 
-from oracles import SingularMatrix, solve
+from oracles import SingularMatrix, graft_tree, solve
 
 
 def lc(spec):
@@ -173,6 +173,17 @@ def test_brace_product_duality():
                 assert lhs == rhs
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+def test_brace_matches_grafting(n):
+    # every (forest, tree) pair with n nodes in total
+    for k in range(1, n + 1):
+        for t in enumerate_trees(k):
+            for f in enumerate_forests(n - k):
+                assert hopf.brace(f, t) == LinComb(
+                    ((h,), 1) for h in graft_tree(t, f)), \
+                    (forest_code(f), forest_code((t,)))
+
+
 def insert_product(f, g):
     """Oracle route for the X product: insert the trees of f, keeping their
     order, between and inside the trees of g."""
@@ -185,7 +196,7 @@ def insert_product(f, g):
             before, remaining = ftrees[:i], ftrees[i:]
             for j in range(len(remaining) + 1):
                 inside, after = remaining[:j], remaining[j:]
-                for t2 in hopf._graft_tree(first, inside):
+                for t2 in graft_tree(first, inside):
                     for tail in rec(rest, after):
                         yield before + (t2,) + tail
 

@@ -144,6 +144,20 @@ def test_gamma_2100():
                          (4,): Fraction(1)})
 
 
+def test_compositions_of_negative_is_refused():
+    with pytest.raises(ValueError):
+        list(compositions_of(-1))
+
+
+@pytest.mark.parametrize("n", range(-2, 9))
+def test_hook_part_count_matches_psi(n):
+    for psi in (ncsf.psi_n(n), ncsf.psi_bar_n(n)):
+        count = sum(len(i) for i in psi.support())
+        assert ncsf.hook_part_count(n, count + 1) == count
+        assert ncsf.hook_part_count(n, count) == count
+        assert ncsf.hook_part_count(n, 2) == min(count, 2)
+
+
 def test_psi_via_limit():
     for n in range(1, 6):
         assert ncsf.psi_n(n) == psi_n_via_limit(n)
