@@ -94,8 +94,8 @@ def _refuse_over(command: str, what: str, size: int, cap: int) -> None:
     The counts that can be huge come capped at cap + 1 from the modules
     that list the objects, so the message states a lower bound."""
     if size > cap:
-        raise DegreeGuard(f"{command}: {what} is at least "
-                          f"{min(size, cap + 1)}, over the cap {cap}")
+        raise DegreeGuard(f"{command}: {what} is at least {size}, "
+                          f"over the cap {cap}")
 
 
 def _coeff_str(c) -> str:
@@ -341,7 +341,8 @@ def _cmd_ehrhart(args) -> int:
     if args.n < 0:
         raise DomainError("dilation factor must be nonnegative")
     _refuse_over(f"ehrhart {args.action}", "(n+1)^|F|",
-                 (args.n + 1) ** forest_size(f), MAX_LATTICE_CANDIDATES)
+                 ehrhart.candidate_count(f, args.n, MAX_LATTICE_CANDIDATES + 1),
+                 MAX_LATTICE_CANDIDATES)
     if args.action == "points":
         pts = ehrhart.lattice_points(f, args.n, interior=args.interior)
         return _emit(args, {"command": "ehrhart points",

@@ -45,6 +45,19 @@ def lattice_points(f: Forest, n: int, interior: bool = False) -> list[tuple[int,
     return out
 
 
+def candidate_count(f: Forest, n: int, cap: int) -> int:
+    """(n+1)^|F|, the number of points of {0..n}^|F| that ``lattice_points``
+    tries (fewer for interior points), or ``cap`` if it is at least ``cap``.
+    It also bounds the C(n+|F|, |F|) monomials that ``q_count`` lists.  The
+    power is taken one factor at a time and stops at the cap."""
+    count = 1
+    for _ in range(forest_size(f)):
+        if count >= cap:
+            break
+        count = min(count * (n + 1), cap)
+    return count
+
+
 # ---------------------------------------------------------------------------
 # Ehrhart polynomial and reciprocity
 

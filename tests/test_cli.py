@@ -134,6 +134,8 @@ def test_cost_guard_exit_code(capsys):
     # refused at once
     (("birkhoff", "words", "--I", "1000000"), 4),
     (("birkhoff", "d-lambda", "--lambda", "1000000000", "--basis", "C"), 4),
+    (("ehrhart", "points", "--forest", "0" * 100000, "--n", str(10 ** 100)),
+     4),
     # Solomon's idempotent and its q-analogue start at degree 1
     (("idem", "solomon", "--n", "0"), 3),
     (("idem", "solomon", "--n", "0", "--basis", "X"), 3),

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from planehopf import ehrhart as eh
-from planehopf.forests import enumerate_forests, parse_forest
+from planehopf.forests import enumerate_forests, parse_forest, singletons
 from planehopf.ncsf import chi_qsym_m, eval_geometric, gamma_qsym_m
 from planehopf.polynomials import MultiPoly
 
@@ -100,3 +100,14 @@ def test_q_routes_agree():
 def test_negative_dilation_rejected():
     with pytest.raises(ValueError):
         eh.lattice_points(CHERRY, -1)
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_candidate_count_matches_points(k):
+    # on singletons every candidate point is a lattice point
+    for n in range(4):
+        count = len(eh.lattice_points(singletons(k), n))
+        for f in enumerate_forests(k):
+            assert eh.candidate_count(f, n, count + 1) == count
+            assert eh.candidate_count(f, n, count) == count
+            assert eh.candidate_count(f, n, 2) == min(count, 2)
