@@ -9,12 +9,15 @@ factorization closes over the Tamari order:
     phi+(Y_T) = sum over F >= T of a_F z^(-r(F))
 
 with a_F the product of the code letters of F and r(F) its number of roots.
-``sigma_plus`` reads every X_F coefficient of sigma_a^+ from this sum over
-the Tamari up-set, with no Laurent products; the ``phi_plus`` recursion is
-kept as its oracle.  Setting z = 1 gives the grouplike series
-C = sum of a_G C_G; the residue at z = 0 gives the primitive series
-D = sum over trees of a_T C_T, whose homogeneous pieces split into the
-quasi-idempotents D_lambda.
+The sum depends on each F only through r(F) and its arity multiset, so one
+table per degree, independent of a, counts the up-set of every forest by
+those two; it is filled by the recursion of the up-sets without listing
+them.  ``sigma_plus`` reads every X_F coefficient of sigma_a^+ off that
+table, with no Laurent products and one power product per multiset; the
+``phi_plus`` recursion is kept as its oracle.  Setting z = 1 gives the
+grouplike series C = sum of a_G C_G; the residue at z = 0 gives the
+primitive series D = sum over trees of a_T C_T, whose homogeneous pieces
+split into the quasi-idempotents D_lambda.
 
 The S, Lambda and ribbon expansions of sigma_a(+/-) are driven by the
 iterated Rota-Baxter brackets P^I_eps and, combinatorially, by the word sets
@@ -27,15 +30,14 @@ counted by their ribbon I.
 from __future__ import annotations
 
 from collections import Counter
+from functools import lru_cache
 from itertools import groupby
 from math import comb, inf
 
-from . import tamari
 from .compositions import (compositions_of, descent_set, from_descent_set,
                            refinements, sign_word, weight)
-from .forests import (CodeError, Forest, Tree, catalan_count,
-                      enumerate_forests, enumerate_trees, parse_code,
-                      reverse_polish_code)
+from .forests import (EMPTY_FOREST, CodeError, Forest, Tree, catalan_count,
+                      enumerate_forests, parse_code, tree_size)
 from .hopf import c_expand
 from .laurent import LaurentPoly
 from .lincomb import LinComb
@@ -88,56 +90,126 @@ def phi_minus(t: Tree, a: LaurentPoly) -> LaurentPoly:
 
 
 def phi_plus_closed(t: Tree, a: LaurentPoly) -> LaurentPoly:
-    """phi+(Y_T) by the Tamari formula: sum over F >= T of a_F z^(-r(F))."""
-    up = tamari.upset((t,))
-    return _tamari_sum(up, _tamari_weights(a, up))
-
-
-def _a_weight_from(a: LaurentPoly, g: Forest) -> MultiPoly:
-    out = MultiPoly.const(1)
-    for c in reverse_polish_code(g):
-        out = out * a.coefficient(c - 1)
-    return out
-
-
-def _tamari_weights(a: LaurentPoly, forests) -> dict:
-    """G -> (-r(G), a_G).  The Tamari formula holds for any
-    a(z) = sum over k >= 0 of a_k z^(k-1), so a z-exponent below -1 is
-    refused."""
-    if a.coeffs and min(a.coeffs) < -1:
-        raise ValueError("the Tamari formula needs a(z) with no z-exponent "
-                         f"below -1, got z^{min(a.coeffs)}")
-    return {g: (-len(g), _a_weight_from(a, g)) for g in forests}
-
-
-def _tamari_sum(up, weights: dict) -> LaurentPoly:
-    """Sum of a_G z^(-r(G)) over the forests G of ``up``, each z-power added
-    up in one MultiPoly.sum."""
-    groups: dict[int, list[MultiPoly]] = {}
-    for g in up:
-        e, w = weights[g]
-        groups.setdefault(e, []).append(w)
-    return LaurentPoly({e: MultiPoly.sum(ws) for e, ws in groups.items()})
+    """phi+(Y_T) by the Tamari formula: sum over F >= T of a_F z^(-r(F)),
+    read off the root-count row of T."""
+    _refuse_double_pole(a)
+    row = _root_count_table(tree_size(t))[(t,)][1]
+    return _row_sum(row, _multiset_weights(a, row))
 
 
 def sigma_plus(n: int, a: LaurentPoly) -> LinComb:
     """Degree-n part of sigma_a^+ as an X-basis element with Laurent
     coefficients, read from the Tamari formula: the X_F coefficient is
-    phi+(Y_F) = sum over G >= F of a_G z^(-r(G)).  ``phi_plus`` is the
+    phi+(Y_F) = sum over G >= F of a_G z^(-r(G)), the sum of
+    count * a^m z^(-r) over the root-count row W(F).  ``phi_plus`` is the
     recursive oracle of the same values."""
-    weights = _tamari_weights(a, enumerate_forests(n))
-    return LinComb({f: _tamari_sum(tamari.upset(f), weights)
-                    for f in weights})
+    _refuse_double_pole(a)
+    table = _root_count_table(n)
+    weights = _multiset_weights(a, (key for key, _ in table.values()))
+    return LinComb({f: _row_sum(row, weights)
+                    for f, (_, row) in table.items()})
 
 
 def series_c(n: int, a: LaurentPoly) -> LinComb:
     """Degree-n part of C = sigma_a^+ at z = 1, in the C basis."""
-    return LinComb({g: _a_weight_from(a, g) for g in enumerate_forests(n)})
+    table = _root_count_table(n)
+    weights = _multiset_weights(a, (key for key, _ in table.values()))
+    return LinComb({g: weights[key >> _DIGIT]
+                    for g, (key, _) in table.items()})
 
 
 def series_d(n: int, a: LaurentPoly) -> LinComb:
-    """Degree-n part of D = Res sigma_a^+, in the C basis (trees only)."""
-    return LinComb({(t,): _a_weight_from(a, (t,)) for t in enumerate_trees(n)})
+    """Degree-n part of D = Res sigma_a^+, in the C basis: the trees of C."""
+    return LinComb({g: c for g, c in series_c(n, a).items() if len(g) == 1})
+
+
+# ---------------------------------------------------------------------------
+# The root-count table
+#
+# A forest G enters the Tamari formula only through its root count r(G) and
+# its arity multiset m(G), m_k the number of nodes with k children, since
+# a_G = prod of a_k^(m_k).  The pair is one integer key: r in the low digit
+# and m_k in digit k + 1, each digit _DIGIT bits wide.  No digit exceeds the
+# degree, so the key of a concatenation is the sum of the keys.
+
+_DIGIT = 16
+_MASK = (1 << _DIGIT) - 1
+
+
+@lru_cache(maxsize=None)
+def _root_count_table(n: int) -> dict[Forest, tuple[int, dict[int, int]]]:
+    """F -> (key of F, W(F)) for every forest F of size n, where W(F) maps
+    a key to the number of G >= F in the Tamari order with that root count
+    and arity multiset.  It follows the recursion of the Tamari up-sets:
+    W(T.G) is the convolution of W(T) and W(G), and each (r, m) of W(H)
+    gives (s, m + {r - s + 1}) in W(B+(H)) for s = 1..r+1, the forests
+    G1 . B+(G2) that split G >= H after s - 1 roots; s = 1 is B+(H) itself.
+    The counts do not depend on a(z), so one table serves every series."""
+    if not n:
+        return {EMPTY_FOREST: (0, {0: 1})}
+    out = {}
+    for f in enumerate_forests(n):
+        acc: dict[int, int] = {}
+        if len(f) == 1:
+            key, row = _root_count_table(n - 1)[f[0]]
+            for k, count in row.items():
+                for s in range(1, (k & _MASK) + 2):
+                    g = _grafted(k, s)
+                    acc[g] = acc.get(g, 0) + count
+            out[f] = (_grafted(key, 1), acc)
+        else:
+            size = tree_size(f[0])
+            key1, row1 = _root_count_table(size)[f[:1]]
+            key2, row2 = _root_count_table(n - size)[f[1:]]
+            for k1, c1 in row1.items():
+                for k2, c2 in row2.items():
+                    acc[k1 + k2] = acc.get(k1 + k2, 0) + c1 * c2
+            out[f] = (key1 + key2, acc)
+    return out
+
+
+def _grafted(key: int, s: int) -> int:
+    """The key of G1 . B+(G2), for G of key ``key`` split after s - 1 roots:
+    s roots, and one more node with r(G) - s + 1 children."""
+    r = key & _MASK
+    return key - r + s + (1 << (_DIGIT * (r - s + 2)))
+
+
+def _refuse_double_pole(a: LaurentPoly) -> None:
+    """The Tamari formula holds for any a(z) = sum over k >= 0 of
+    a_k z^(k-1), so a z-exponent below -1 is refused."""
+    if a.coeffs and min(a.coeffs) < -1:
+        raise ValueError("the Tamari formula needs a(z) with no z-exponent "
+                         f"below -1, got z^{min(a.coeffs)}")
+
+
+def _multiset_weights(a: LaurentPoly, keys) -> dict[int, MultiPoly]:
+    """key >> _DIGIT -> a^m = prod of a_k^(m_k), with a_k the z^(k-1)
+    coefficient of a, once per distinct arity multiset m of ``keys``."""
+    out = {}
+    for key in keys:
+        m = key >> _DIGIT
+        if m in out:
+            continue
+        w, k, rest = MultiPoly.const(1), 0, m
+        while rest:
+            if rest & _MASK:
+                w = w * a.coefficient(k - 1) ** (rest & _MASK)
+            rest >>= _DIGIT
+            k += 1
+        out[m] = w
+    return out
+
+
+def _row_sum(row: dict[int, int], weights: dict) -> LaurentPoly:
+    """Sum of count * a^m z^(-r) over a root-count row, each z-power added
+    up in one dict."""
+    groups: dict[int, dict] = {}
+    for key, count in row.items():
+        acc = groups.setdefault(-(key & _MASK), {})
+        for mono, c in weights[key >> _DIGIT].coeffs.items():
+            acc[mono] = acc.get(mono, 0) + count * c
+    return LaurentPoly({e: MultiPoly(acc) for e, acc in groups.items()})
 
 
 # ---------------------------------------------------------------------------

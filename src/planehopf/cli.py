@@ -38,8 +38,10 @@ MAX_EMBED_DEGREE = 7
 # 0.9 s at 12, 3.1 s at 13 and 8.4 s at 14, each in a fresh process
 MAX_RIBBON_DEGREE = 12
 # the largest up-set (a chain's) takes 0.02 s at 10 nodes and 0.35 s at 12,
-# the largest down-set 0.02 s at 10; birkhoff sigma-plus takes one up-set per
-# forest, 5.1 s and 190 MB at 9, and idem eulerian every forest, 3.5 s at 9;
+# the largest down-set 0.02 s at 10; birkhoff sigma-plus reads one root-count
+# table of the degree, 0.9 s and 56 MB at 9 in a fresh process (2.4 s and
+# 161 MB at 10 in the library), and the cap stays 9, since the contract tests
+# check that 10 is refused; idem eulerian takes every forest, 3.5 s at 9;
 # ehrhart qcount builds Gamma_F, 0.27 s for 12 singletons, 3.0 s for 14 and
 # 12.8 s and 204 MB for a 4-node tree followed by 10 singletons
 MAX_TAMARI_SIZE = 9

@@ -49,6 +49,8 @@ class LaurentPoly:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
+        if not self.coeffs.keys() - {0}:
+            return hash(self.coefficient(0))  # equal constants hash equal
         return hash(frozenset((e, c) for e, c in self.coeffs.items()))
 
     @staticmethod

@@ -21,6 +21,11 @@ Grafting: the trees made by grafting a forest on the nodes of a tree, in
 planar order, enumerated directly.  The library reads the brace product off
 the cut table of the X product instead, and the tests compare the two.
 
+The Tamari up-sets: the X_F coefficient of sigma_a^+ as the sum of
+a_G z^(-r(G)) over the up-set of F, each a_G the product of the code
+letters of G.  The library reads the same sums off a table of root counts
+and arity multisets instead.
+
 Also kept here: Gaussian elimination over Fraction, S_n((1-q)A) and Psi_n
 as the limit of S_n((1-q)A)/(1-q) at q = 1, and the lattice-path encoding
 of words.
@@ -32,10 +37,12 @@ from fractions import Fraction
 from functools import reduce
 from itertools import product as iter_product
 
-from planehopf import perms
+from planehopf import perms, tamari
 from planehopf.compositions import compositions_of, descent_set, maj, weight
 from planehopf.ehrhart import lattice_points
-from planehopf.forests import Forest, Tree, forest_size, strict_below_pairs
+from planehopf.forests import (Forest, Tree, enumerate_forests, forest_size,
+                               reverse_polish_code, strict_below_pairs)
+from planehopf.laurent import LaurentPoly
 from planehopf.lincomb import LinComb
 from planehopf.ncsf import r_product
 from planehopf.polynomials import MultiPoly, RationalFn, over_one_minus_q
@@ -295,3 +302,30 @@ def graft_tree(t: Tree, trees: tuple[Tree, ...]):
                 yield from rec(i + 1, acc + (c,) + blocks[i + 1])
 
         yield from rec(0, blocks[0])
+
+
+# ---------------------------------------------------------------------------
+# Tamari up-sets
+
+def a_weight(a: LaurentPoly, g: Forest) -> MultiPoly:
+    """a_G: the product of a_k, the z^(k-1) coefficient of a, over the code
+    letters k of G."""
+    out = MultiPoly.const(1)
+    for c in reverse_polish_code(g):
+        out = out * a.coefficient(c - 1)
+    return out
+
+
+def tamari_sigma_plus(n: int, a: LaurentPoly) -> LinComb:
+    """Degree-n part of sigma_a^+ in the X basis: the X_F coefficient is
+    the sum of a_G z^(-r(G)) over the up-set of F, each z-power added up in
+    one MultiPoly.sum."""
+    weights = {g: (-len(g), a_weight(a, g)) for g in enumerate_forests(n)}
+    out = {}
+    for f in weights:
+        groups: dict[int, list[MultiPoly]] = {}
+        for g in tamari.upset(f):
+            e, w = weights[g]
+            groups.setdefault(e, []).append(w)
+        out[f] = LaurentPoly({e: MultiPoly.sum(ws) for e, ws in groups.items()})
+    return LinComb(out)

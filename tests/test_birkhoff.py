@@ -1,14 +1,17 @@
 """Birkhoff factorization of the a-weighted character, the C and D series,
 the Catalan Lie idempotents D_lambda, and the word model."""
 
+from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, product
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planehopf import birkhoff as bk
-from planehopf import hopf, ncsf
+from planehopf import hopf, ncsf, tamari
 from planehopf.checks import suite_factorization, suite_words
 from planehopf.compositions import (compositions_of, descent_set,
                                     partitions_of, refinements)
@@ -19,7 +22,7 @@ from planehopf.lincomb import LinComb
 from planehopf.polynomials import MultiPoly
 
 from fixtures import N3_TABLE, N4_TABLE, W4111_TABLE
-from oracles import word_to_path
+from oracles import a_weight, tamari_sigma_plus, word_to_path
 
 A = bk.a_series(6)
 
@@ -67,10 +70,80 @@ def test_sigma_plus_tamari_routes(n, series):
         {f: bk.phi_plus(f, a) for f in enumerate_forests(n)})
 
 
+@pytest.mark.parametrize("n", range(0, 8))
+@pytest.mark.parametrize("series", [bk.a_series, bk.a_series_ab,
+                                    lambda n: bk.a_series(2)],
+                         ids=["generic", "ab", "truncated"])
+def test_sigma_plus_matches_upset_oracle(n, series):
+    # the root-count table against the sum over each Tamari up-set
+    a = series(n)
+    assert bk.sigma_plus(n, a) == tamari_sigma_plus(n, a)
+
+
+def _key(g):
+    """The root-count key of one forest, from its Polish code."""
+    return len(g) + sum(1 << (bk._DIGIT * (c + 1)) for c in polish_code(g))
+
+
+@pytest.mark.parametrize("n", range(0, 8))
+def test_root_count_rows_count_the_upsets(n):
+    # each row counts the up-set of its forest by root count and arity
+    # multiset, and the key beside it is the forest's own
+    for f, (key, row) in bk._root_count_table(n).items():
+        up = tamari.upset(f)
+        assert sum(row.values()) == len(up)
+        assert row == Counter(map(_key, up))
+        assert key == _key(f)
+
+
 def test_sigma_plus_refuses_double_pole():
     a = bk.a_series(3) + LaurentPoly.term(-2, MultiPoly.var("c"))
     with pytest.raises(ValueError):
         bk.sigma_plus(3, a)
+    with pytest.raises(ValueError):
+        bk.phi_plus_closed(parse_forest("100")[0], a)
+
+
+# a(z) = sum of a_k z^(k-1): some letters missing, the others small integers
+# or polynomials in b and c, either of which may be negative or cancel
+_polys = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 1)), st.integers(-2, 2),
+    max_size=3).map(lambda d: MultiPoly(
+        {tuple((v, e) for v, e in (("b", i), ("c", j)) if e): k
+         for (i, j), k in d.items()}))
+_a_series = st.dictionaries(st.integers(-1, 5),
+                            st.one_of(st.integers(-3, 3), _polys),
+                            max_size=5).map(LaurentPoly)
+
+
+@settings(deadline=None, max_examples=100)
+@given(_a_series, st.integers(0, 5))
+def test_root_count_route_matches_phi_plus_recursion(a, n):
+    assert bk.sigma_plus(n, a) == LinComb(
+        {f: bk.phi_plus(f, a) for f in enumerate_forests(n)})
+    for t in enumerate_trees(n):
+        assert bk.phi_plus_closed(t, a) == bk.phi_plus((t,), a)
+    assert bk.series_c(n, a) == LinComb(
+        {g: a_weight(a, g) for g in enumerate_forests(n)})
+    assert bk.series_d(n, a) == LinComb(
+        {(t,): a_weight(a, (t,)) for t in enumerate_trees(n)})
+
+
+def test_birkhoff_reads_no_upset(monkeypatch):
+    # sigma+, phi+ and the C and D series come from the root-count table
+    # alone, rebuilt here with the up-sets out of reach
+    def refuse(f):
+        raise AssertionError(f"tamari.upset reached for {f}")
+
+    monkeypatch.setattr(tamari, "upset", refuse)
+    bk._root_count_table.cache_clear()
+    for n in range(0, 7):
+        a = bk.a_series(n)
+        assert len(bk.sigma_plus(n, a)) == len(enumerate_forests(n))
+        for t in enumerate_trees(n):
+            bk.phi_plus_closed(t, a)
+        bk.series_c(n, a)
+        bk.series_d(n, a)
 
 
 def test_factorization_suite():

@@ -206,6 +206,16 @@ def test_laurent_polar_split():
     assert (f.polar_part()).eval_z1() == MultiPoly.const(3)
 
 
+@pytest.mark.parametrize("c", [0, 2, -3, Fraction(1, 2), q, 1 - q * x])
+def test_laurent_constant_hashes_like_its_constant(c):
+    # a constant Laurent polynomial equals its constant, so it must hash
+    # like it and collapse with it in a set
+    const = LaurentPoly.const(c)
+    assert const == c
+    assert hash(const) == hash(c)
+    assert len({const, c}) == 1
+
+
 def test_laurent_residue():
     f = LaurentPoly.term(-1, q) + LaurentPoly.term(2, MultiPoly.const(1))
     assert f.residue() == q
