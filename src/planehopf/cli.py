@@ -58,11 +58,11 @@ MAX_PRODUCT_SIZE = {"X": 9, "Y": 9, "C": 8}
 MAX_LATTICE_CANDIDATES = 10 ** 6
 # verify at the cap and one above: factorization 1.4 s, over 25 s; hopf 1.4 s,
 # 10.8 s; words 3.3 s, 16.4 s; dendriform 0.8 s, 4.6 s; tamari 2.5 s, over
-# 25 s; quotient 3.7 s, then it only skips; idempotents 2.9 s, 22.5 s; idem verify
+# 25 s; quotient 3.7 s, then it only skips; idempotents 2.2 s, 11.4 s; idem verify
 # primitive 1.5 s, 5.6 s, quasi 1.6 s at 8 (kept at 6: cli_cold expects 7 refused)
 MAX_VERIFY_DEGREE = {"factorization": 5, "hopf": 7, "words": 8, "dendriform": 8,
                      "tamari": 8, "quotient": fqsym.MAX_QUOTIENT_DEGREE,
-                     "idempotents": 8, "primitive": 10, "quasi": 6}
+                     "idempotents": 9, "primitive": 10, "quasi": 6}
 
 
 class DomainError(ValueError):

@@ -9,15 +9,16 @@ Gamma_F(alpha) (:func:`planehopf.idempotents.gamma_alpha`, built by the
 tree recursion) is the Ehrhart polynomial at alpha - 1; Gamma_F and chi_F
 on finite geometric alphabets give the q-counts.
 
-Brute-force point enumeration lists the points themselves; the tests hold
-the packed-word lift of Gamma_F and compare the Gamma_F routes with both.
+``lattice_points`` lists the points tree by tree, each root value bounding
+its children's; the tests check it against the scan of every candidate
+point, and the Gamma_F routes against the points and a packed-word lift.
 """
 
 from __future__ import annotations
 
-from itertools import product as iter_product
+from itertools import zip_longest
 
-from .forests import Forest, forest_size, strict_below_pairs
+from .forests import Forest, forest_size
 from .idempotents import gamma_alpha
 from .ncsf import chi_qsym_m, eval_geometric, gamma_qsym_m
 from .polynomials import MultiPoly
@@ -29,25 +30,31 @@ from .polynomials import MultiPoly
 def lattice_points(f: Forest, n: int, interior: bool = False) -> list[tuple[int, ...]]:
     """Integral points of n times the order polytope of the forest poset:
     0 <= x_i <= n and x_i <= x_j for i below j; interior points satisfy all
-    inequalities strictly."""
+    inequalities strictly.  Sorted, as the scan of {0..n}^|F| lists them."""
     if n < 0:
         raise ValueError("dilation factor must be nonnegative")
-    size = forest_size(f)
-    below = strict_below_pairs(f)
     lo, hi = (1, n - 1) if interior else (0, n)
-    out = []
-    for x in iter_product(range(lo, hi + 1), repeat=size):
-        if interior:
-            if all(x[i - 1] < x[j - 1] for i, j in below):
-                out.append(x)
-        elif all(x[i - 1] <= x[j - 1] for i, j in below):
-            out.append(x)
-    return out
+    return sorted(_points(f, lo, hi, int(interior)))
+
+
+def _points(f: Forest, lo: int, hi: int, gap: int) -> list[tuple[int, ...]]:
+    """Points of a forest with values in [lo, hi]: each tree takes a root
+    value v, and its children's forest values in [lo, v - gap]."""
+    parts = []
+    for t in f:
+        parts.append([p + (v,) for v in range(lo, hi + 1)
+                      for p in _points(t, lo, v - gap, gap)])
+    # join neighbours pairwise: a point of a wide forest is copied log |F|
+    # times, not once per tree
+    while len(parts) > 1:
+        parts = [[x + y for x in a for y in b] for a, b in
+                 zip_longest(parts[::2], parts[1::2], fillvalue=[()])]
+    return parts[0] if parts else [()]
 
 
 def candidate_count(f: Forest, n: int, cap: int) -> int:
-    """(n+1)^|F|, the number of points of {0..n}^|F| that ``lattice_points``
-    tries (fewer for interior points), or ``cap`` if it is at least ``cap``.
+    """(n+1)^|F|, the size of {0..n}^|F| and an upper bound on the points
+    that ``lattice_points`` lists, or ``cap`` if it is at least ``cap``.
     It also bounds the C(n+|F|, |F|) monomials that ``q_count`` lists.  The
     power is taken one factor at a time and stops at the cap."""
     count = 1

@@ -16,6 +16,8 @@ from functools import lru_cache
 from math import factorial
 from typing import Sequence
 
+from .perms import shifted_shuffle
+
 Tree = tuple            # nested tuples of children
 Forest = tuple          # tuple of Trees
 
@@ -164,112 +166,36 @@ def catalan_count(n: int, cap: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Canonical labelling and the forest poset
-
-def labelled_forest(f: Forest) -> tuple:
-    """Mirror of ``f`` with nodes replaced by (label, children) pairs."""
-    counter = [0]
-
-    def walk(t: Tree):
-        kids = tuple(walk(c) for c in t)
-        counter[0] += 1
-        return (counter[0], kids)
-
-    return tuple(walk(t) for t in f)
-
-
-def parent_array(f: Forest) -> list[int]:
-    """parents[i] = label of the parent of node i+1, or 0 for roots."""
-    n = forest_size(f)
-    parents = [0] * n
-
-    def walk(node) -> None:
-        label, kids = node
-        for k in kids:
-            parents[k[0] - 1] = label
-            walk(k)
-
-    for t in labelled_forest(f):
-        walk(t)
-    return parents
-
-
-def strict_below_pairs(f: Forest) -> set[tuple[int, int]]:
-    """All (i, j) with i strictly below j in the forest poset (roots maximal)."""
-    parents = parent_array(f)
-    pairs = set()
-    for i in range(1, len(parents) + 1):
-        j = parents[i - 1]
-        while j:
-            pairs.add((i, j))
-            j = parents[j - 1]
-    return pairs
-
-
-# ---------------------------------------------------------------------------
-# Linear extensions
+# Linear extensions: in T.G, T takes the labels 1..|T| and G follows, shifted;
+# in B+(H) the root comes last.  Each routine loops over the trees and recurses
+# into their children only, so its depth is the tree depth.
 
 def linear_extensions(f: Forest) -> tuple[tuple[int, ...], ...]:
-    """All permutation words listing nodes so ancestors come after descendants.
+    """All permutation words listing nodes so ancestors come after descendants:
+    those of T.G are the shifted shuffles of those of T and of G, and those
+    of B+(H) are those of H followed by the root.
 
     There are (2n-1)!! of them over the forests of size n, so only
     :func:`planehopf.fqsym.gamma_fqsym` and the tests read them; the counts
     of :mod:`planehopf.ncsf` come from its tree recursion, and the tests
     check that recursion against this listing."""
-    n = forest_size(f)
-    parents = parent_array(f)
-    nchildren = [0] * (n + 1)
-    for p in parents:
-        if p:
-            nchildren[p] += 1
-    # a node becomes available once all its children are placed
-    remaining = list(nchildren)
-    avail = sorted(i for i in range(1, n + 1) if remaining[i] == 0)
-    out: list[tuple[int, ...]] = []
-    word: list[int] = []
-
-    def rec(avail: list[int]) -> None:
-        if len(word) == n:
-            out.append(tuple(word))
-            return
-        for idx, v in enumerate(avail):
-            word.append(v)
-            p = parents[v - 1]
-            nxt = avail[:idx] + avail[idx + 1:]
-            if p:
-                remaining[p] -= 1
-                if remaining[p] == 0:
-                    nxt = sorted(nxt + [p])
-            rec(nxt)
-            if p:
-                remaining[p] += 1
-            word.pop()
-
-    rec(avail)
-    return tuple(out)
+    words: tuple[tuple[int, ...], ...] = ((),)
+    for t in f:
+        tree = tuple(w + (len(w) + 1,) for w in linear_extensions(t))
+        words = tuple(s for u in words for v in tree
+                      for s in shifted_shuffle(u, v))
+    return words
 
 
 def max_linear_extension(f: Forest) -> tuple[int, ...]:
-    """Inversion-maximal linear extension (greedy: always take the largest
-    available node; verified against exhaustive search in the test suite)."""
-    n = forest_size(f)
-    parents = parent_array(f)
-    remaining = [0] * (n + 1)
-    for p in parents:
-        if p:
-            remaining[p] += 1
-    avail = {i for i in range(1, n + 1) if remaining[i] == 0}
-    word = []
-    while avail:
-        v = max(avail)
-        avail.remove(v)
-        word.append(v)
-        p = parents[v - 1]
-        if p:
-            remaining[p] -= 1
-            if remaining[p] == 0:
-                avail.add(p)
-    return tuple(word)
+    """The linear extension with the most inversions: that of G, shifted,
+    before that of T for T.G, and that of H before the root for B+(H)."""
+    word: tuple[int, ...] = ()
+    for t in f:
+        tree = max_linear_extension(t)
+        tree += (len(tree) + 1,)
+        word = tuple(v + len(word) for v in tree) + word
+    return word
 
 
 class NotAMaxExtension(ValueError):
@@ -277,37 +203,27 @@ class NotAMaxExtension(ValueError):
 
 
 def forest_from_max_extension(sigma: tuple[int, ...]) -> Forest:
-    """Invert ``max_linear_extension``: binary search tree of the mirror word,
-    decoded by the right-branch rotation.  Raises if the round trip fails."""
+    """Invert ``max_linear_extension``.  Raises if the round trip fails."""
     if sorted(sigma) != list(range(1, len(sigma) + 1)):
         raise NotAMaxExtension(f"not a permutation: {sigma}")
-    if not sigma:
-        return EMPTY_FOREST
-
-    # binary search tree of the mirror image, as (value, left, right)
-    root = None
-
-    def insert(node, v):
-        if node is None:
-            return [v, None, None]
-        if v < node[0]:
-            node[1] = insert(node[1], v)
-        else:
-            node[2] = insert(node[2], v)
-        return node
-
-    for v in reversed(sigma):
-        root = insert(root, v)
-
-    def to_forest(node) -> Forest:
-        if node is None:
-            return EMPTY_FOREST
-        return (tuple(to_forest(node[1])),) + to_forest(node[2])
-
-    f = to_forest(root)
+    f = _read_max_extension(tuple(sigma), 0)
     if max_linear_extension(f) != tuple(sigma):
         raise NotAMaxExtension(f"{sigma} is not maximal for any forest")
     return f
+
+
+def _read_max_extension(word: tuple[int, ...], offset: int) -> Forest:
+    """Trees read off the right end of ``word``, whose labels start after
+    ``offset``: the next tree owns the suffix ending at its root, the label
+    ``offset + k`` for a tree of k nodes."""
+    trees = []
+    while word:
+        k = word[-1] - offset
+        if not 1 <= k <= len(word):
+            raise NotAMaxExtension(f"{word} does not end at a tree root")
+        trees.append(_read_max_extension(word[-k:-1], offset))
+        word, offset = word[:-k], offset + k
+    return tuple(trees)
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,8 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import chain
 
-from .forests import (Forest, forest_from_max_extension, linear_extensions,
-                      max_linear_extension)
+from .forests import (Forest, forest_from_max_extension, forest_size,
+                      linear_extensions, max_linear_extension)
 from .lincomb import LinComb, bilinear
 from .perms import (all_perms, contains_132, inverse, inversions,
                     shifted_shuffle, standardize)
@@ -100,7 +100,7 @@ def x_to_m(f: Forest) -> LinComb:
 
 def quotient_product(f: Forest, g: Forest) -> LinComb:
     """X_F X_G computed through the FQSym quotient."""
-    n = sum(len(s) for s in (max_linear_extension(f), max_linear_extension(g)))
+    n = forest_size(f) + forest_size(g)
     if n > MAX_QUOTIENT_DEGREE:
         raise DegreeGuard(
             f"quotient product needs degree {n} > {MAX_QUOTIENT_DEGREE}; "

@@ -66,20 +66,14 @@ def upset_words(t: Tree) -> tuple[str, ...]:
 
 def covers(f: Forest) -> frozenset[Forest]:
     """Forests covering F: one left rotation at each non-leaf node."""
-    out: set[Forest] = set()
+    return frozenset(_rotations(f))
 
-    def tree_moves(t: Tree):
-        """All trees obtained by a rotation at a node strictly inside t."""
-        # rotation at t itself is handled by the caller (needs the context)
-        for i, c in enumerate(t):
-            if c:  # non-leaf child: detach its leftmost subtree to its left
-                yield t[:i] + (c[0], c[1:]) + t[i + 1:]
-            for moved in tree_moves(c):
-                yield t[:i] + (moved,) + t[i + 1:]
 
+def _rotations(f: Forest):
+    """The rotation at each non-leaf root of F, then the rotations inside
+    each tree, which are those of its children's forest."""
     for i, t in enumerate(f):
         if t:
-            out.add(f[:i] + (t[0], t[1:]) + f[i + 1:])
-        for moved in tree_moves(t):
-            out.add(f[:i] + (moved,) + f[i + 1:])
-    return frozenset(out)
+            yield f[:i] + (t[0], t[1:]) + f[i + 1:]
+        for g in _rotations(t):
+            yield f[:i] + (g,) + f[i + 1:]

@@ -17,6 +17,12 @@ of alphabet M_u(-A) = (-1)^max(u) sum of M_v over the merges v of u turns
 the weak words into the strict ones, which lifts Ehrhart reciprocity.  The
 q-counts are also read off the points one by one.
 
+The forest poset by labels: the postorder labels of a forest as nested
+(label, children) pairs, the strict order relations among them, the scan of
+every candidate point of a dilated order polytope, and the Tamari covers
+as one rotation at each node.  The library recurses on the nested tuple
+instead: the points tree by tree, the covers through each children forest.
+
 Grafting: the trees made by grafting a forest on the nodes of a tree, in
 planar order, enumerated directly.  The library reads the brace product off
 the cut table of the X product instead, and the tests compare the two.
@@ -41,7 +47,7 @@ from planehopf import perms, tamari
 from planehopf.compositions import compositions_of, descent_set, maj, weight
 from planehopf.ehrhart import lattice_points
 from planehopf.forests import (Forest, Tree, enumerate_forests, forest_size,
-                               reverse_polish_code, strict_below_pairs)
+                               reverse_polish_code)
 from planehopf.laurent import LaurentPoly
 from planehopf.lincomb import LinComb
 from planehopf.ncsf import r_product
@@ -119,6 +125,74 @@ def group_quasi_idempotent_check(a, n: int) -> tuple[bool, int | Fraction]:
     c = Fraction(square.get(pivot, 0), b[pivot])
     scaled = {sigma: coeff * c for sigma, coeff in b.items() if coeff * c}
     return square == scaled, c
+
+
+# ---------------------------------------------------------------------------
+# The forest poset by labels
+
+def labelled_forest(f: Forest) -> tuple:
+    """Mirror of ``f`` with nodes replaced by (label, children) pairs."""
+    counter = [0]
+
+    def walk(t: Tree):
+        kids = tuple(walk(c) for c in t)
+        counter[0] += 1
+        return (counter[0], kids)
+
+    return tuple(walk(t) for t in f)
+
+
+def strict_below_pairs(f: Forest) -> set[tuple[int, int]]:
+    """All (i, j) with i strictly below j in the forest poset (roots maximal)."""
+    pairs: set[tuple[int, int]] = set()
+
+    def walk(node, above: tuple[int, ...]) -> None:
+        label, kids = node
+        pairs.update((label, j) for j in above)
+        for k in kids:
+            walk(k, above + (label,))
+
+    for t in labelled_forest(f):
+        walk(t, ())
+    return pairs
+
+
+def scan_lattice_points(f: Forest, n: int,
+                        interior: bool = False) -> list[tuple[int, ...]]:
+    """The points of ``ehrhart.lattice_points``: every candidate point of
+    {0..n}^|F| (of {1..n-1}^|F| for interior points) that satisfies each
+    inequality of the poset."""
+    below = strict_below_pairs(f)
+    lo, hi = (1, n - 1) if interior else (0, n)
+    out = []
+    for x in iter_product(range(lo, hi + 1), repeat=forest_size(f)):
+        if interior:
+            if all(x[i - 1] < x[j - 1] for i, j in below):
+                out.append(x)
+        elif all(x[i - 1] <= x[j - 1] for i, j in below):
+            out.append(x)
+    return out
+
+
+def rotation_covers(f: Forest) -> frozenset[Forest]:
+    """The covers of ``tamari.covers`` by their definition: at each non-leaf
+    node, its leftmost child subtree moves out as the sibling just left of
+    it (as a new root just left of it, when the node is a root)."""
+    out: set[Forest] = set()
+
+    def tree_moves(t: Tree):
+        for i, c in enumerate(t):
+            if c:
+                yield t[:i] + (c[0], c[1:]) + t[i + 1:]
+            for moved in tree_moves(c):
+                yield t[:i] + (moved,) + t[i + 1:]
+
+    for i, t in enumerate(f):
+        if t:
+            out.add(f[:i] + (t[0], t[1:]) + f[i + 1:])
+        for moved in tree_moves(t):
+            out.add(f[:i] + (moved,) + f[i + 1:])
+    return frozenset(out)
 
 
 # ---------------------------------------------------------------------------

@@ -105,6 +105,8 @@ def test_criterion_05_refined_idempotents():
             assert idem.is_primitive(ncsf.r_to_s(e)), (n, lam)
             ok, c = idem.quasi_idempotent_check(e, n)
             assert ok and c != 0, (n, lam)
+            # the splitting formula: the scalar is the S^(n) coefficient
+            assert c == ncsf.r_to_s(e).coeff((n,)), (n, lam)
 
 
 def test_criterion_06_word_model():

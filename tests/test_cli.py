@@ -101,7 +101,7 @@ def test_cost_guard_exit_code(capsys):
     (("idem", "dynkin", "--n", "8", "--basis", "X"), 4),
     (("idem", "solomon", "--n", "8", "--basis", "X"), 4),
     (("idem", "qsolomon", "--n", "8", "--basis", "X"), 3),
-    (("verify", "--suite", "idempotents", "--n", "9"), 4),
+    (("verify", "--suite", "idempotents", "--n", "10"), 4),
     # input nested past the recursion limit is refused, not a traceback
     (("ehrhart", "poly", "--forest", "1" * 1499 + "0"), 4),
     # solomon and qsolomon in the ribbon basis list every ribbon of the degree

@@ -10,8 +10,8 @@ from planehopf.forests import enumerate_forests, parse_forest, singletons
 from planehopf.ncsf import chi_qsym_m, eval_geometric, gamma_qsym_m
 from planehopf.polynomials import MultiPoly
 
-from oracles import (gamma_wqsym, q_count_points, signed_gamma_by_transform,
-                     wqsym_to_qsym)
+from oracles import (gamma_wqsym, q_count_points, scan_lattice_points,
+                     signed_gamma_by_transform, wqsym_to_qsym)
 
 CHERRY = parse_forest("200")
 x = MultiPoly.var("x")
@@ -95,6 +95,16 @@ def test_q_routes_agree():
                 assert eh.q_count(f, n) == q_count_points(f, n)
                 assert eh.q_count(f, n, interior=True) \
                     == q_count_points(f, n, interior=True)
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_lattice_points_match_scan(k):
+    # the tree recursion lists the scan's points in the scan's order
+    for f in enumerate_forests(k):
+        for n in range(4):
+            for interior in (False, True):
+                assert eh.lattice_points(f, n, interior) \
+                    == scan_lattice_points(f, n, interior)
 
 
 def test_negative_dilation_rejected():

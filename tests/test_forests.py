@@ -1,17 +1,25 @@
 """Plane forests, codes, and the poset structure of the canonical labelling."""
 
-from math import comb
+from math import comb, factorial, prod
 
 import pytest
 
-from planehopf.forests import (CodeError, b_plus, catalan_count, chain_tree,
-                               corolla,
+from planehopf.forests import (CodeError, NotAMaxExtension, b_plus,
+                               catalan_count, chain_tree, corolla,
                                enumerate_forests, enumerate_trees, forest_code,
                                forest_from_max_extension, forest_size,
                                linear_extensions, max_linear_extension,
                                parse_code, parse_forest, parse_tree,
                                polish_code, reverse_polish_code, singletons,
-                               strict_below_pairs, tree_size)
+                               tree_size)
+from planehopf.perms import all_perms, inversions
+
+from oracles import strict_below_pairs
+
+
+def subtree_sizes(f):
+    """The size of the subtree at each node of ``f``."""
+    return [s for t in f for s in subtree_sizes(t) + [tree_size(t)]]
 
 
 def test_code_round_trip():
@@ -81,10 +89,52 @@ def test_linear_extensions_counts():
     assert len(linear_extensions(singletons(3))) == 6
 
 
+@pytest.mark.parametrize("n", range(8))
+def test_linear_extensions_order_ideals(n):
+    # descendants before ancestors, no word twice, n!/prod of subtree sizes
+    for f in enumerate_forests(n):
+        below = strict_below_pairs(f)
+        words = linear_extensions(f)
+        assert len(set(words)) == len(words)
+        assert len(words) == factorial(n) // prod(subtree_sizes(f))
+        for w in words:
+            assert sorted(w) == list(range(1, n + 1))
+            pos = {v: k for k, v in enumerate(w)}
+            assert all(pos[i] < pos[j] for i, j in below)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_max_extension_has_most_inversions(n):
+    for f in enumerate_forests(n):
+        words = linear_extensions(f)
+        most = max(len(inversions(w)) for w in words)
+        best = [w for w in words if len(inversions(w)) == most]
+        assert best == [max_linear_extension(f)]
+
+
 def test_max_extension_round_trip():
     for n in range(1, 6):
         for f in enumerate_forests(n):
             assert forest_from_max_extension(max_linear_extension(f)) == f
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_max_extension_decoder_refuses_the_rest(n):
+    # a forest comes back for exactly the maximal extensions; every other
+    # permutation is refused
+    maximal = {max_linear_extension(f): f for f in enumerate_forests(n)}
+    for sigma in all_perms(n):
+        if sigma in maximal:
+            assert forest_from_max_extension(sigma) == maximal[sigma]
+        else:
+            with pytest.raises(NotAMaxExtension):
+                forest_from_max_extension(sigma)
+
+
+@pytest.mark.parametrize("word", [(1, 1), (2, 3), (0, 1), (1, 2, 4)])
+def test_max_extension_decoder_refuses_non_permutations(word):
+    with pytest.raises(NotAMaxExtension, match="not a permutation"):
+        forest_from_max_extension(word)
 
 
 def test_parse_tree_rejects_forest():

@@ -63,10 +63,15 @@ def test_quotient_product_matches_x_product():
                         == hopf.x_product(f, g)
 
 
-def test_degree_guard():
-    f = enumerate_forests(4)[0]
+def test_degree_guard(monkeypatch):
+    # the degree is read off the forests before any extension is built
+    def refuse(f):
+        raise AssertionError("max_linear_extension called before the guard")
+
+    monkeypatch.setattr(fqsym, "max_linear_extension", refuse)
+    f, g = enumerate_forests(4)[0], enumerate_forests(4)[-1]
     with pytest.raises(fqsym.DegreeGuard):
-        fqsym.quotient_product(f, f)
+        fqsym.quotient_product(f, g)
 
 
 def test_x_to_m_avoids_132():

@@ -10,12 +10,12 @@ import pytest
 from planehopf import hopf
 from planehopf.checks import suite_dendriform, suite_hopf
 from planehopf.forests import (enumerate_forests, enumerate_trees,
-                               forest_code, forest_size, labelled_forest,
-                               parse_forest, parse_tree, singletons,
-                               strict_below_pairs)
+                               forest_code, forest_size, parse_forest,
+                               parse_tree, singletons)
 from planehopf.lincomb import LinComb
 
-from oracles import SingularMatrix, graft_tree, solve
+from oracles import (SingularMatrix, graft_tree, labelled_forest, solve,
+                     strict_below_pairs)
 
 
 def lc(spec):

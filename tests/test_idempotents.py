@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from planehopf import birkhoff, idempotents as idem, ncsf
+from planehopf.checks import suite_idempotents
 from planehopf.compositions import compositions_of, partitions_of
 from planehopf.forests import (chain_tree, enumerate_forests, enumerate_trees,
                                parse_forest)
@@ -224,6 +225,20 @@ def test_all_d_lambda_primitive_and_quasi(n):
         assert idem.is_primitive(r_to_s(e))
         ok, c = idem.quasi_idempotent_check(e, n)
         assert ok and c != 0
+
+
+def test_suite_reports_primitive_with_zero_scalar(monkeypatch):
+    # [Psi_1, Psi_3] is primitive of degree 4 with no S^(4) term, so its
+    # square is 0: the suite must not certify it in place of D_(3)
+    commutator = ncsf.r_product(psi_n(1), psi_n(3)) \
+        - ncsf.r_product(psi_n(3), psi_n(1))
+    assert idem.is_primitive(r_to_s(commutator))
+    assert r_to_s(commutator).coeff((4,)) == 0
+    d_lambda = birkhoff.d_lambda_ribbon
+    monkeypatch.setattr(birkhoff, "d_lambda_ribbon",
+                        lambda lam: commutator if lam == (3,) else d_lambda(lam))
+    assert suite_idempotents(5) == [
+        "D_(3,) is not a multiple of a Lie idempotent"]
 
 
 def test_quasi_idempotent_degree_7():

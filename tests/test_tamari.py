@@ -9,6 +9,8 @@ from planehopf.forests import (corolla, enumerate_forests, enumerate_trees,
                                forest_code, parse_forest, polish_code,
                                singletons)
 
+from oracles import rotation_covers
+
 
 def codes(forests):
     return sorted(forest_code(f) for f in forests)
@@ -63,6 +65,12 @@ def test_covers_closure_matches_upset():
 
 def test_cover_of_1200():
     assert codes(tamari.covers(parse_forest("1200"))) == ["2000", "2010"]
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_covers_match_rotations(n):
+    for f in enumerate_forests(n):
+        assert tamari.covers(f) == rotation_covers(f)
 
 
 def test_downset_corolla():
