@@ -45,9 +45,12 @@ MAX_RIBBON_DEGREE = 12
 # ehrhart qcount builds Gamma_F, 0.27 s for 12 singletons, 3.0 s for 14 and
 # 12.8 s and 204 MB for a 4-node tree followed by 10 singletons
 MAX_TAMARI_SIZE = 9
-# hopf product: 0.3 s at 8 nodes in total, 1.8 s and 54 MB at 9, 12 s and
-# 207 MB at 10 (the cut table of the whole degree); through the C basis,
-# singletons by singletons, 1.3 s at 8 and 11.6 s at 9
+# hopf product grafts only the asked pair: singletons by singletons, 0.01 s
+# and 15 MB at 9 nodes in total in a fresh process, 0.01 s at 10 and 0.09 s
+# and 19 MB at 12 in the library; through the C basis the X-to-C rewrite
+# dominates, 1.0 s and 39 MB at 8 and 10.7 s and 184 MB at 9; the caps stay,
+# since the contract tests check that a 10-node product is refused (a guard
+# on cost would count the graftings, not the nodes)
 MAX_PRODUCT_SIZE = {"X": 9, "Y": 9, "C": 8}
 # ehrhart points tries every point of {0..n}^|F|, and ehrhart qcount lists
 # C(n+|F|, |F|) monomials, no more than that; birkhoff words lists every
@@ -367,6 +370,8 @@ def _cmd_verify(args) -> int:
     if args.suite not in suites:
         raise DomainError(f"unknown suite {args.suite!r}; "
                           f"choose from {sorted(suites)}")
+    if args.n < 1:
+        raise DomainError(f"verify --suite {args.suite} needs --n >= 1")
     _refuse_over(f"verify --suite {args.suite}", "the degree", args.n,
                  MAX_VERIFY_DEGREE[args.suite])
     failures = suites[args.suite](args.n)

@@ -2,18 +2,19 @@
 
 Y basis: product is concatenation of forests, coproduct by admissible cuts.
 A cut splits F into a lower part, a union of complete subtrees, which goes
-to the left tensor factor, and the upper part that remains.  ``cuts`` lists
-them by a recursion on the forest tuple: a tree is either all lower or keeps
-its root upper over a cut of its children, and the cuts of a forest are
-those of its first tree concatenated with those of the rest.
+to the left tensor factor, and the upper part that remains.  ``y_coproduct``
+merges equal (lower, upper) pairs tree by tree: a tree is either all lower
+or keeps its root upper over a cut of its children, and a forest convolves
+the cuts of its trees.
 
 X basis (dual): coproduct is deconcatenation and the product is the transpose
-of the Y coproduct.  The dendriform halves split each product term by whether
-the root of its last tree comes from the left factor (the lower part of the
-cut) or the right one.  The brace and preLie products of Chapoton and
-Livernet are the single-tree part of this product: grafting the trees of F
-on the nodes of T gives the trees H with a cut of lower part F and upper
-part T.  The grafting enumerator is kept as a test oracle.
+of the Y coproduct, which is grafting: X_F X_G places the trees of F, kept in
+order, in the 2|G| + 1 slots of G, before, inside or after each tree of G.
+The dendriform halves split each product term by whether the last tree of H
+comes from the left factor (the lower part of the cut) or the right one.
+The brace and preLie products of Chapoton and Livernet are the single-tree
+part of this product: the slots inside a tree T are the slots of its
+children's forest, so <X_F, X_T> grafts F into the children of T.
 
 C basis: C_F = sum of X_G over G <= F in the Tamari order.
 """
@@ -24,7 +25,7 @@ from functools import lru_cache
 from itertools import chain
 
 from . import tamari
-from .forests import (Forest, Tree, aut_order, enumerate_forests, forest_size,
+from .forests import (Forest, Tree, aut_order, enumerate_forests,
                       plane_representatives, reverse_polish_code)
 from .lincomb import LinComb, bilinear
 
@@ -32,29 +33,14 @@ from .lincomb import LinComb, bilinear
 # ---------------------------------------------------------------------------
 # Admissible cuts
 
-def cuts(f: Forest) -> tuple:
-    """The (lower, upper, last) triples of the admissible cuts of F, where
-    ``last`` says whether the root of F's last tree is in the lower part.
-
-    A tree is the tuple of its children, so B+(H) is H: a tree T is either
-    all lower, or its root stays upper over the upper part of a cut of H."""
-    if not f:
-        return (((), (), False),)
-    if len(f) == 1:
-        t = f[0]
-        return (((t,), (), True),) + tuple((lo, (up,), False)
-                                            for lo, up, _ in cuts(t))
-    return tuple((lo1 + lo2, up1 + up2, last) for lo1, up1, _ in cuts(f[:1])
-                 for lo2, up2, last in cuts(f[1:]))
-
-
 def cut_count(f: Forest, cap: int) -> int:
     """The number of cuts of F, or ``cap`` if it is at least ``cap``.
 
-    The count follows the recursion of ``cuts``: a tree has 1 + the count of
-    its children's forest, and a forest the product over its trees.  The
-    nodes are read off the reverse Polish code, each after its children, so
-    neither the cuts nor a recursion stack are built."""
+    The count follows the recursion of ``y_coproduct`` before equal pairs
+    merge: a tree has 1 + the count of its children's forest, and a forest
+    the product over its trees.  So it bounds the merged work from above.
+    The nodes are read off the reverse Polish code, each after its
+    children, so neither the cuts nor a recursion stack are built."""
     counts = []
     for arity in reverse_polish_code(f):
         children = 1
@@ -68,52 +54,58 @@ def cut_count(f: Forest, cap: int) -> int:
 
 
 def y_coproduct(f: Forest) -> LinComb:
-    """Coproduct of Y_F as a combination of (F1, F2) pairs."""
-    return LinComb(((lo, up), 1) for lo, up, _ in cuts(f))
+    """Coproduct of Y_F as a combination of (F1, F2) pairs.
+
+    A tree is the tuple of its children, so B+(H) is H: a tree T is either
+    all lower, or its root stays upper over a cut of H.  A forest convolves
+    the merged cuts of its trees, one tree at a time."""
+    out = LinComb.monomial(((), ()))
+    for t in f:
+        tree = [(((t,), ()), 1)] + [((lo, (up,)), c)
+                                    for (lo, up), c in y_coproduct(t)]
+        out = LinComb(((lo1 + lo2, up1 + up2), c1 * c2)
+                      for (lo1, up1), c1 in out for (lo2, up2), c2 in tree)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # X basis: product (transpose of the Y coproduct) and dendriform halves
 
 @lru_cache(maxsize=None)
-def _product_table(n: int):
-    """The cut terms of every forest H of size n, classified by whether the
-    root of H's last tree is in the lower part.
+def _graft(lower: Forest, upper: Forest) -> tuple:
+    """The (H, last) pairs of the graftings of ``lower`` into ``upper``.
 
-    Returns dict (F1, F2) -> {H: [count_last_root_lower, count_last_root_upper]}.
-    """
-    out: dict[tuple[Forest, Forest], dict[Forest, list[int]]] = {}
-    for h in enumerate_forests(n):
-        for lo, up, last in cuts(h):
-            slot = out.setdefault((lo, up), {}).setdefault(h, [0, 0])
-            slot[0 if last else 1] += 1
-    return out
+    The trees of ``lower`` keep their order and fill the slots of
+    ``upper``: before a tree, inside it (grafted into its children's
+    forest, by the same recursion) or after the last tree.  ``last`` says
+    whether a lower tree goes after the last one, so that it is H's last
+    tree.  Each pair is one cut of H with lower part ``lower``."""
+    runs = [((), 0)]  # (the trees of H so far, how many lower trees placed)
+    for t in upper:
+        runs = [(h + lower[i:j] + (kids,), k) for h, i in runs
+                for j in range(i, len(lower) + 1)
+                for k in range(j, len(lower) + 1)
+                for kids, _ in _graft(lower[j:k], t)]
+    return tuple((h + lower[i:], i < len(lower)) for h, i in runs)
 
 
 def x_product(f: Forest, g: Forest) -> LinComb:
-    """Product X_F X_G in the X basis."""
-    if not f:
-        return LinComb.monomial(g)
-    if not g:
-        return LinComb.monomial(f)
-    terms = _product_table(forest_size(f) + forest_size(g)).get((f, g), {})
-    return LinComb({h: c[0] + c[1] for h, c in terms.items()})
+    """Product X_F X_G in the X basis: the graftings of F into G."""
+    return LinComb((h, 1) for h, _ in _graft(f, g))
 
 
 def x_prec(f: Forest, g: Forest) -> LinComb:
     """Dendriform half-product X_F < X_G (root of the last tree from F)."""
     if not f or not g:
         raise ValueError("dendriform half-products exclude the unit")
-    terms = _product_table(forest_size(f) + forest_size(g)).get((f, g), {})
-    return LinComb({h: c[0] for h, c in terms.items() if c[0]})
+    return LinComb((h, 1) for h, last in _graft(f, g) if last)
 
 
 def x_succ(f: Forest, g: Forest) -> LinComb:
     """Dendriform half-product X_F > X_G (root of the last tree from G)."""
     if not f or not g:
         raise ValueError("dendriform half-products exclude the unit")
-    terms = _product_table(forest_size(f) + forest_size(g)).get((f, g), {})
-    return LinComb({h: c[1] for h, c in terms.items() if c[1]})
+    return LinComb((h, 1) for h, last in _graft(f, g) if not last)
 
 
 def x_product_lin(a: LinComb, b: LinComb) -> LinComb:
@@ -130,10 +122,9 @@ def x_coproduct(f: Forest) -> LinComb:
 
 def brace(forest: Forest, t: Tree) -> LinComb:
     """Brace product <X_{T1...Tr}, X_T>: graft T1..Tr on nodes of T, keeping
-    their planar order.  These are the single-tree terms of X_F X_T: a cut
-    of a tree H with upper part T has the grafted trees as its lower part."""
-    return LinComb({h: c for h, c in x_product(tuple(forest), (t,)).items()
-                    if len(h) == 1})
+    their planar order.  These are the single-tree terms of X_F X_T: the
+    slots inside T are the slots of its children's forest."""
+    return LinComb(((h,), 1) for h, _ in _graft(tuple(forest), t))
 
 
 def prelie_graft(t1: Tree, t2: Tree) -> LinComb:

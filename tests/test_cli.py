@@ -144,6 +144,9 @@ def test_cost_guard_exit_code(capsys):
     (("idem", "verify", "--what", "quasi", "--n", "0"), 3),
     (("idem", "solomon", "--n", "-1"), 3),
     (("idem", "qsolomon", "--n", "-2"), 3),
+    # a suite at degree 0 or below checks nothing, so it is refused
+    (("verify", "--suite", "hopf", "--n", "0"), 3),
+    (("verify", "--suite", "words", "--n", "-1"), 3),
 ])
 def test_contract_exit_code(capsys, argv, expected):
     assert main(list(argv)) == expected

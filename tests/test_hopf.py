@@ -2,16 +2,20 @@
 dendriform splitting, braces, and the C basis."""
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, takewhile
 from itertools import product as iproduct
+from math import comb, inf
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from planehopf import hopf
 from planehopf.checks import suite_dendriform, suite_hopf
-from planehopf.forests import (enumerate_forests, enumerate_trees,
-                               forest_code, forest_size, parse_forest,
-                               parse_tree, singletons)
+from planehopf.forests import (chain_tree, enumerate_forests,
+                               enumerate_trees, forest_code, forest_size,
+                               parse_code, parse_forest, parse_tree,
+                               singletons)
 from planehopf.lincomb import LinComb
 
 from oracles import (SingularMatrix, graft_tree, labelled_forest, solve,
@@ -84,13 +88,25 @@ def test_cuts_match_label_sets(n):
         for lo, up, last in oracle:
             slot = table.setdefault((lo, up), {}).setdefault(f, [0, 0])
             slot[0 if last else 1] += 1
-    assert hopf._product_table(n) == table
+    # the X product and its dendriform halves count the cuts of each H of
+    # size n with lower part f and upper part g, split by the last root
+    for n1 in range(n + 1):
+        for f in enumerate_forests(n1):
+            for g in enumerate_forests(n - n1):
+                terms = table.get((f, g), {})
+                assert hopf.x_product(f, g) == LinComb(
+                    {h: c[0] + c[1] for h, c in terms.items()})
+                if f and g:
+                    assert hopf.x_prec(f, g) == LinComb(
+                        {h: c[0] for h, c in terms.items()})
+                    assert hopf.x_succ(f, g) == LinComb(
+                        {h: c[1] for h, c in terms.items()})
 
 
 @pytest.mark.parametrize("n", range(8))
 def test_cut_count_matches_cuts(n):
     for f in enumerate_forests(n):
-        count = len(hopf.cuts(f))
+        count = sum(c for _, c in hopf.y_coproduct(f).items())
         assert hopf.cut_count(f, count + 1) == count
         assert hopf.cut_count(f, count) == count
         assert hopf.cut_count(f, 2) == min(count, 2)
@@ -207,11 +223,64 @@ def insert_product(f, g):
 
 
 def test_insertion_route_matches_product():
-    small = [x for n in (1, 2) for x in enumerate_forests(n)]
-    larger = [x for n in (1, 2, 3) for x in enumerate_forests(n)]
-    for f in small:
-        for g in larger:
-            assert insert_product(f, g) == hopf.x_product(f, g)
+    # every pair with at most 6 nodes in total, the unit included
+    for n1, n2 in iproduct(range(7), repeat=2):
+        if n1 + n2 > 6:
+            continue
+        for f in enumerate_forests(n1):
+            for g in enumerate_forests(n2):
+                assert insert_product(f, g) == hopf.x_product(f, g), \
+                    (forest_code(f), forest_code(g))
+
+
+@st.composite
+def plane_forests(draw, max_nodes):
+    """A plane forest of at most ``max_nodes`` nodes, drawn as the depths
+    of its nodes in prefix order: each node is at most one level below the
+    node before it, and its arity counts the nodes one level below it up to
+    the next node at its level or above."""
+    depths = []
+    for _ in range(draw(st.integers(0, max_nodes))):
+        depths.append(draw(st.integers(0, depths[-1] + 1 if depths else 0)))
+    code = []
+    for i, d in enumerate(depths):
+        below = takewhile(lambda e: e > d, depths[i + 1:])
+        code.append(sum(e == d + 1 for e in below))
+    return parse_code(code)
+
+
+# pairs (F, G) with at most 12 nodes in total
+forest_pairs = plane_forests(12).flatmap(
+    lambda f: st.tuples(st.just(f), plane_forests(12 - forest_size(f))))
+
+
+@settings(deadline=None, max_examples=150)
+@given(forest_pairs)
+def test_product_coefficients_count_the_slots(pair):
+    # X_F X_G places the l(F) trees of F, in order, in the 2|G| + 1 slots
+    # of G; X_F < X_G fills the slot after the last tree of G
+    f, g = pair
+    slots = 2 * forest_size(g)
+    prod = hopf.x_product(f, g)
+    assert sum(c for _, c in prod.items()) == comb(len(f) + slots, len(f))
+    if f and g:
+        prec, succ = hopf.x_prec(f, g), hopf.x_succ(f, g)
+        assert sum(c for _, c in prec.items()) == (
+            comb(len(f) + slots, len(f)) - comb(len(f) + slots - 1, len(f)))
+        assert prec + succ == prod
+
+
+@settings(deadline=None, max_examples=150)
+@given(plane_forests(12))
+@example(singletons(12))
+@example((chain_tree(3),) * 4)
+@example((parse_tree("10"), parse_tree("0")) * 4)
+def test_merged_coproduct_counts_every_cut(f):
+    # repeated trees merge their cuts, k singletons into C(k, i) Y_i x Y_k-i
+    total = sum(c for _, c in hopf.y_coproduct(f).items())
+    assert total == hopf.cut_count(f, inf)
+    if f == singletons(len(f)):
+        assert total == 2 ** len(f)
 
 
 def test_c_basis_round_trip():
