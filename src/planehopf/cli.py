@@ -4,8 +4,9 @@ Subcommands: forest, tamari, hopf, nsym, birkhoff, idem, ehrhart, verify.
 Output is text or JSON (``--format``); JSON is deterministic (sorted keys
 and term lists) and coefficients are always exact strings, never floats.
 
-Exit codes: 0 ok, 2 usage error, 3 domain error (bad codes or parameters),
-4 cost-guard rejection, input nested past the recursion limit included.
+Exit codes: 0 ok, 1 a check failed (``verify`` and ``idem verify``), 2 usage
+error, 3 domain error (bad codes or parameters), 4 cost-guard rejection,
+input nested past the recursion limit included.
 """
 
 from __future__ import annotations
@@ -45,13 +46,11 @@ MAX_RIBBON_DEGREE = 12
 # ehrhart qcount builds Gamma_F, 0.27 s for 12 singletons, 3.0 s for 14 and
 # 12.8 s and 204 MB for a 4-node tree followed by 10 singletons
 MAX_TAMARI_SIZE = 9
-# hopf product grafts only the asked pair: singletons by singletons, 0.01 s
-# and 15 MB at 9 nodes in total in a fresh process, 0.01 s at 10 and 0.09 s
-# and 19 MB at 12 in the library; through the C basis the X-to-C rewrite
-# dominates, 1.0 s and 39 MB at 8 and 10.7 s and 184 MB at 9; the caps stay,
-# since the contract tests check that a 10-node product is refused (a guard
-# on cost would count the graftings, not the nodes)
-MAX_PRODUCT_SIZE = {"X": 9, "Y": 9, "C": 8}
+# hopf product grafts only the asked pair; in the C basis it also expands
+# both factors and peels the product back, which sets the cap: 4 singletons
+# by 5 take 0.96 s and 65 MB in a fresh process, 5 by 5 take 5.9 s and
+# 314 MB in the library
+MAX_PRODUCT_SIZE = 9
 # ehrhart points tries every point of {0..n}^|F|, and ehrhart qcount lists
 # C(n+|F|, |F|) monomials, no more than that; birkhoff words lists every
 # word of the model, birkhoff d-lambda in the C and ribbon bases every
@@ -199,7 +198,7 @@ def _cmd_hopf(args) -> int:
     right = _parse_forest_arg(args.right)
     _refuse_over(f"hopf product in the {args.basis} basis", "the size",
                  forest_size(left) + forest_size(right),
-                 MAX_PRODUCT_SIZE[args.basis])
+                 MAX_PRODUCT_SIZE)
     if args.basis == "X":
         prod = hopf.x_product(left, right)
     elif args.basis == "Y":
@@ -322,17 +321,17 @@ def _idem_verify(args, n: int) -> int:
         "psi_bar": ncsf.psi_bar_n(n),
         "solomon": s_to_r(idempotents.solomon(n)),
     }
-    results = {}
+    results, oks = {}, []
     for name, elem in named.items():
         if args.what == "primitive":
-            results[name] = idempotents.is_primitive(r_to_s(elem))
+            ok = results[name] = idempotents.is_primitive(r_to_s(elem))
         else:
             ok, c = idempotents.quasi_idempotent_check(elem, n)
             results[name] = f"ok, scalar {c}" if ok else "FAILED"
-    payload = {"command": f"idem verify {args.what}", "n": n,
-               "results": results,
-               "passed": all("FAILED" not in str(v) for v in results.values())}
-    return _emit(args, payload)
+        oks.append(ok)
+    _emit(args, {"command": f"idem verify {args.what}", "n": n,
+                 "results": results, "passed": all(oks)})
+    return EXIT_OK if all(oks) else 1
 
 
 def _cmd_ehrhart(args) -> int:

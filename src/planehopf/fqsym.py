@@ -3,7 +3,8 @@
 Bases on permutations: F (shifted-shuffle product), G_sigma = F of the
 inverse, S^sigma = sum of G_tau over tau below sigma in the left weak order,
 and M_sigma, the dual basis of S^sigma.  Since F_rho = sum of M_sigma over
-sigma above rho, conversions between F and M are triangular sums.
+sigma above rho, ``f_to_m`` sums over up-sets and ``m_to_f`` peels the
+F_rho off one by one, the rho with fewest inversions left first.
 
 The quotient by M_sigma = 0 whenever sigma contains the pattern 132
 identifies the surviving M_sigma with the dual Connes-Kreimer basis X_F,
@@ -15,11 +16,10 @@ transpose in the test suite.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain
 
 from .forests import (Forest, forest_from_max_extension, forest_size,
                       linear_extensions, max_linear_extension)
-from .lincomb import LinComb, bilinear
+from .lincomb import LinComb, bilinear, peel
 from .perms import (all_perms, contains_132, inverse, inversions,
                     shifted_shuffle, standardize)
 
@@ -54,32 +54,25 @@ def s_in_f(sigma: tuple[int, ...]) -> LinComb:
     return LinComb({inverse(tau): 1 for tau in _left_weak_below(sigma)})
 
 
-def f_to_m(a: LinComb) -> LinComb:
-    """Rewrite an F-expansion in the M basis: the coefficient of M_sigma is
-    the sum of F-coefficients over rho <= sigma in the left weak order."""
-    degrees = {len(s) for s in a.terms}
-    out = {}
-    for n in degrees:
-        for sigma in all_perms(n):
-            c = sum((a.terms[rho] for rho in _left_weak_below(sigma)
-                     if rho in a.terms), 0)
-            if c:
-                out[sigma] = c
-    return LinComb(out)
-
-
 @lru_cache(maxsize=None)
-def _m_in_f(sigma: tuple[int, ...]) -> LinComb:
-    # F_sigma = sum of M_tau over tau >= sigma in the left weak order
-    return LinComb(chain(((sigma, 1),),
-                         ((rho, -c) for tau in all_perms(len(sigma))
-                          if tau != sigma and sigma in _left_weak_below(tau)
-                          for rho, c in _m_in_f(tau).terms.items())))
+def _left_weak_above(rho: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """All sigma >= rho in the left weak order: F_rho in the M basis."""
+    target = inversions(inverse(rho))
+    return tuple(sigma for sigma in all_perms(len(rho))
+                 if target <= inversions(inverse(sigma)))
+
+
+def f_to_m(a: LinComb) -> LinComb:
+    """Rewrite an F-expansion in the M basis: F_rho is the sum of M_sigma
+    over sigma >= rho in the left weak order."""
+    return a.map_basis(lambda rho: LinComb((sigma, 1)
+                                           for sigma in _left_weak_above(rho)))
 
 
 def m_to_f(a: LinComb) -> LinComb:
-    """Rewrite an M-expansion in the F basis (triangular recursion)."""
-    return a.map_basis(_m_in_f)
+    """Rewrite an M-expansion in the F basis by peeling, fewest inversions
+    first: every sigma > rho in F_rho has more inversions than rho."""
+    return peel(a, lambda sigma: len(inversions(sigma)), _left_weak_above)
 
 
 def m_product(a: LinComb, b: LinComb) -> LinComb:

@@ -16,18 +16,18 @@ The brace and preLie products of Chapoton and Livernet are the single-tree
 part of this product: the slots inside a tree T are the slots of its
 children's forest, so <X_F, X_T> grafts F into the children of T.
 
-C basis: C_F = sum of X_G over G <= F in the Tamari order.
+C basis: C_F = sum of X_G over G <= F in the Tamari order; ``x_to_c`` peels
+the C_F off top down, the F of least depth sum left first.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain
 
 from . import tamari
 from .forests import (Forest, Tree, aut_order, enumerate_forests,
                       plane_representatives, reverse_polish_code)
-from .lincomb import LinComb, bilinear
+from .lincomb import LinComb, bilinear, peel
 
 
 # ---------------------------------------------------------------------------
@@ -147,15 +147,15 @@ def c_to_x(f: Forest) -> LinComb:
     return LinComb({g: 1 for g in tamari.downset(f)})
 
 
-@lru_cache(maxsize=None)
-def _x_in_c(f: Forest) -> LinComb:
-    return LinComb(chain(((f, 1),), ((h, -c) for g in tamari.downset(f) if g != f
-                                     for h, c in _x_in_c(g).terms.items())))
+def _depth_sum(f: Forest, depth: int = 0) -> int:
+    """The sum of the node depths of F, its roots at ``depth``."""
+    return sum(depth + _depth_sum(t, depth + 1) for t in f)
 
 
 def x_to_c(a: LinComb) -> LinComb:
-    """Rewrite a combination of X_F as a combination of C_F."""
-    return a.map_basis(_x_in_c)
+    """Rewrite a combination of X_F in the C basis, peeling top down: a
+    rotation lifts a subtree, so G < F has a larger depth sum than F."""
+    return peel(a, _depth_sum, tamari.downset)
 
 
 def c_expand(a: LinComb) -> LinComb:

@@ -7,7 +7,8 @@ are ``+``, ``-``, ``*`` and truthiness (zero coefficients are dropped).
 
 from __future__ import annotations
 
-from itertools import chain
+from heapq import heapify, heappop, heappush
+from itertools import chain, count
 from typing import Callable
 
 
@@ -98,3 +99,24 @@ def bilinear(op: Callable, a: LinComb, b: LinComb) -> LinComb:
     return LinComb((h, c * ch)
                    for x, cx in a.terms.items() for y, cy in b.terms.items()
                    for c in (cx * cy,) for h, ch in op(x, y).terms.items())
+
+
+def peel(a: LinComb, key: Callable, expand: Callable) -> LinComb:
+    """Rewrite ``a`` in the basis B_b = sum of the labels in ``expand(b)``, b
+    and labels of strictly larger ``key``.  The least key left is popped (ties
+    in insertion order); its coefficient c is final, and c B_b is subtracted
+    with only ``-``, unary ``-`` and truthiness of coefficients."""
+    rest, out, tick = dict(a.terms), {}, count()
+    heap = [(key(b), next(tick), b) for b in rest]
+    heapify(heap)
+    while heap:
+        b = heappop(heap)[2]
+        if c := rest.pop(b):
+            out[b] = c
+            for g in expand(b):
+                if g in rest:
+                    rest[g] = rest[g] - c
+                elif g != b:
+                    rest[g] = -c
+                    heappush(heap, (key(g), next(tick), g))
+    return LinComb(out)

@@ -32,6 +32,11 @@ a_G z^(-r(G)) over the up-set of F, each a_G the product of the code
 letters of G.  The library reads the same sums off a table of root counts
 and arity multisets instead.
 
+The Moebius recursions of the two unitriangular basis changes: X_F in
+the C basis is X_F minus the expansions of every X_G with G < F in C_F, and
+F_sigma in the M basis likewise over the left weak order, each memoized
+per label.  The library peels a whole combination top down instead.
+
 Also kept here: Gaussian elimination over Fraction, S_n((1-q)A) and Psi_n
 as the limit of S_n((1-q)A)/(1-q) at q = 1, and the lattice-path encoding
 of words.
@@ -40,10 +45,11 @@ of words.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
+from itertools import chain
 from itertools import product as iter_product
 
-from planehopf import perms, tamari
+from planehopf import fqsym, perms, tamari
 from planehopf.compositions import compositions_of, descent_set, maj, weight
 from planehopf.ehrhart import lattice_points
 from planehopf.forests import (Forest, Tree, enumerate_forests, forest_size,
@@ -403,3 +409,25 @@ def tamari_sigma_plus(n: int, a: LaurentPoly) -> LinComb:
             groups.setdefault(e, []).append(w)
         out[f] = LaurentPoly({e: MultiPoly.sum(ws) for e, ws in groups.items()})
     return LinComb(out)
+
+
+# ---------------------------------------------------------------------------
+# Moebius recursions
+
+@lru_cache(maxsize=None)
+def x_in_c(f: Forest) -> LinComb:
+    """X_F in the C basis, from the expansions of every X_G with G < F."""
+    return LinComb(chain(((f, 1),),
+                         ((h, -c) for g in tamari.downset(f) if g != f
+                          for h, c in x_in_c(g).terms.items())))
+
+
+@lru_cache(maxsize=None)
+def m_in_f(sigma: tuple[int, ...]) -> LinComb:
+    """M_sigma in the F basis, F_sigma being the sum of M_tau over tau >=
+    sigma in the left weak order."""
+    return LinComb(chain(((sigma, 1),),
+                         ((rho, -c) for tau in perms.all_perms(len(sigma))
+                          if tau != sigma
+                          and sigma in fqsym._left_weak_below(tau)
+                          for rho, c in m_in_f(tau).terms.items())))

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from planehopf import birkhoff
+from planehopf import birkhoff, idempotents
 from planehopf.cli import main
 from planehopf.compositions import compositions_of
 
@@ -62,8 +62,8 @@ def test_cost_guard_exit_code(capsys):
     (("tamari", "downset", "--forest", "0" * 10), 4),
     (("tamari", "upset", "--forest", "1" * 9 + "0"), 4),
     (("hopf", "product", "--left", "20000", "--right", "10000"), 4),
-    (("hopf", "product", "--left", "2000", "--right", "10000", "--basis", "C"),
-     4),
+    (("hopf", "product", "--left", "20000", "--right", "10000",
+      "--basis", "C"), 4),
     (("ehrhart", "points", "--forest", "0000000", "--n", "9"), 4),
     (("birkhoff", "words", "--I", "14"), 4),
     (("birkhoff", "words", "--model", "S", "--I", "2,2,2,2,2,2,2"), 4),
@@ -147,6 +147,9 @@ def test_cost_guard_exit_code(capsys):
     # a suite at degree 0 or below checks nothing, so it is refused
     (("verify", "--suite", "hopf", "--n", "0"), 3),
     (("verify", "--suite", "words", "--n", "-1"), 3),
+    # the C product peels the product back to C, so 9 nodes answer
+    (("hopf", "product", "--left", "0000", "--right", "00000", "--basis", "C"),
+     0),
 ])
 def test_contract_exit_code(capsys, argv, expected):
     assert main(list(argv)) == expected
@@ -184,6 +187,23 @@ def test_words_guard_message_is_short(capsys):
     assert main(["birkhoff", "words", "--model", "S",
                  "--I", ",".join(["2"] * 600)]) == 4
     assert len(capsys.readouterr().err) < 200
+
+
+def test_idem_verify_reports_a_non_primitive(capsys, monkeypatch):
+    monkeypatch.setattr(idempotents, "is_primitive", lambda a: False)
+    code, out = run(capsys, "idem", "verify", "--what", "primitive", "--n",
+                    "3", "--format", "json")
+    assert code == 1
+    assert json.loads(out)["passed"] is False
+
+
+def test_idem_verify_reports_a_failed_square(capsys, monkeypatch):
+    monkeypatch.setattr(idempotents, "quasi_idempotent_check",
+                        lambda a, n: (False, 0))
+    code, out = run(capsys, "idem", "verify", "--what", "quasi", "--n", "3",
+                    "--format", "json")
+    assert code == 1
+    assert json.loads(out)["passed"] is False
 
 
 def readme_commands():

@@ -7,7 +7,9 @@ import pytest
 from planehopf import fqsym, hopf
 from planehopf.forests import enumerate_forests, parse_forest
 from planehopf.lincomb import LinComb
-from planehopf.perms import contains_132
+from planehopf.perms import all_perms, contains_132
+
+from oracles import m_in_f
 
 
 def mono(b):
@@ -39,7 +41,10 @@ def test_f_coproduct():
 
 
 def test_f_m_round_trip():
-    for sigma in [(1, 2), (2, 1), (2, 1, 3), (1, 3, 2)]:
+    # the peeling gives what the Moebius recursion builds, for every
+    # permutation of length at most 5
+    for sigma in (s for n in range(6) for s in all_perms(n)):
+        assert fqsym.m_to_f(mono(sigma)) == m_in_f(sigma)
         assert fqsym.f_to_m(fqsym.m_to_f(mono(sigma))) == mono(sigma)
         assert fqsym.m_to_f(fqsym.f_to_m(mono(sigma))) == mono(sigma)
 

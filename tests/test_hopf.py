@@ -16,10 +16,12 @@ from planehopf.forests import (chain_tree, enumerate_forests,
                                enumerate_trees, forest_code, forest_size,
                                parse_code, parse_forest, parse_tree,
                                singletons)
+from planehopf.laurent import LaurentPoly
 from planehopf.lincomb import LinComb
+from planehopf.polynomials import MultiPoly
 
 from oracles import (SingularMatrix, graft_tree, labelled_forest, solve,
-                     strict_below_pairs)
+                     strict_below_pairs, x_in_c)
 
 
 def lc(spec):
@@ -283,10 +285,40 @@ def test_merged_coproduct_counts_every_cut(f):
         assert total == 2 ** len(f)
 
 
+SMALL_FORESTS = [f for n in range(8) for f in enumerate_forests(n)]
+
+
 def test_c_basis_round_trip():
-    for f in enumerate_forests(4):
-        assert hopf.c_expand(hopf.x_to_c(LinComb.monomial(f))) \
-            == LinComb.monomial(f)
+    # the peeling gives what the Moebius recursion builds, forest by forest
+    for f in SMALL_FORESTS:
+        got = hopf.x_to_c(LinComb.monomial(f))
+        assert got == x_in_c(f)
+        assert hopf.c_expand(got) == LinComb.monomial(f)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.dictionaries(
+    st.sampled_from(SMALL_FORESTS),
+    st.one_of(st.integers(-3, 3),
+              st.fractions(min_value=-2, max_value=2, max_denominator=4)),
+    max_size=6).map(LinComb))
+def test_x_to_c_on_mixed_degrees(a):
+    got = hopf.x_to_c(a)
+    assert got == a.map_basis(x_in_c)
+    assert hopf.c_expand(got) == a
+
+
+@pytest.mark.parametrize("coeff", [
+    LaurentPoly({-1: 2, 1: MultiPoly.var("x")}),
+    MultiPoly.var("x") - Fraction(1, 2),
+])
+def test_x_to_c_polynomial_coefficients(coeff):
+    # the peeling subtracts coefficients, so no int - coefficient is formed
+    a = LinComb({parse_forest("0000"): coeff, parse_forest("1100"): -coeff,
+                 parse_forest("10"): coeff})
+    got = hopf.x_to_c(a)
+    assert got == a.map_basis(x_in_c)
+    assert hopf.c_expand(got) == a
 
 
 def test_c_basis_cherry():
