@@ -42,21 +42,18 @@ MAX_RIBBON_DEGREE = 12
 # the largest down-set 0.02 s at 10; birkhoff sigma-plus reads one root-count
 # table of the degree, 0.9 s and 56 MB at 9 in a fresh process (2.4 s and
 # 161 MB at 10 in the library), and the cap stays 9, since the contract tests
-# check that 10 is refused; idem eulerian takes every forest, 3.5 s at 9;
-# ehrhart qcount builds Gamma_F, 0.27 s for 12 singletons, 3.0 s for 14 and
-# 12.8 s and 204 MB for a 4-node tree followed by 10 singletons
+# check that 10 is refused; idem eulerian takes every forest, 3.5 s at 9
 MAX_TAMARI_SIZE = 9
 # hopf product grafts only the asked pair; in the C basis it also expands
 # both factors and peels the product back, which sets the cap: 4 singletons
 # by 5 take 0.96 s and 65 MB in a fresh process, 5 by 5 take 5.9 s and
 # 314 MB in the library
 MAX_PRODUCT_SIZE = 9
-# ehrhart points tries every point of {0..n}^|F|, and ehrhart qcount lists
-# C(n+|F|, |F|) monomials, no more than that; birkhoff words lists every
-# word of the model, birkhoff d-lambda in the C and ribbon bases every
-# arrangement of the padded partition, forest list every forest, hopf
-# coproduct in the Y basis every cut, and nsym psi, nsym psibar and idem
-# dynkin in the ribbon basis every part of the n hooks
+# ehrhart points tries every point of {0..n}^|F|, and ehrhart qcount shares
+# its guard; birkhoff words lists every word of the model, birkhoff d-lambda
+# in the C and ribbon bases every arrangement of the padded partition, forest
+# list every forest, hopf coproduct in the Y basis every cut, and nsym psi,
+# nsym psibar and idem dynkin in the ribbon basis every part of the n hooks
 MAX_LATTICE_CANDIDATES = 10 ** 6
 # verify at the cap and one above: factorization 1.4 s, over 25 s; hopf 1.4 s,
 # 10.8 s; words 3.3 s, 16.4 s; dendriform 0.8 s, 4.6 s; tamari 2.5 s, over
@@ -170,11 +167,10 @@ def _cmd_tamari(args) -> int:
         hi = _parse_forest_arg(args.upper)
         if forest_size(f) != forest_size(hi):
             raise DomainError("leq needs forests of equal size")
-    _refuse_over(f"tamari {args.action}", "the size", forest_size(f),
-                 MAX_TAMARI_SIZE)
-    if args.action == "leq":
         return _emit(args, {"command": "tamari leq", "lower": args.lower,
                             "upper": args.upper, "result": tamari.leq(f, hi)})
+    _refuse_over(f"tamari {args.action}", "the size", forest_size(f),
+                 MAX_TAMARI_SIZE)
     fam = tamari.upset(f) if args.action == "upset" else tamari.downset(f)
     return _emit(args, {"command": f"tamari {args.action}",
                         "forest": forest_code(f),
@@ -353,7 +349,6 @@ def _cmd_ehrhart(args) -> int:
                             "forest": forest_code(f), "n": args.n,
                             "interior": args.interior, "count": len(pts),
                             "points": sorted(",".join(map(str, p)) for p in pts)})
-    _refuse_over("ehrhart qcount", "the size", forest_size(f), MAX_TAMARI_SIZE)
     qc = ehrhart.q_count(f, args.n, interior=args.interior)
     signed = {str(e): str(qc[e]) for e in sorted(qc)}
     unsigned = {str(e): str(abs(qc[e])) for e in sorted(qc)}

@@ -6,12 +6,13 @@ integral points of its dilations are the (P, omega)-partitions of the poset,
 counted by Gamma_F (:func:`planehopf.ncsf.gamma_qsym_m`), and the interior
 points are the strict ones, counted by chi_F.  The order polynomial
 Gamma_F(alpha) (:func:`planehopf.idempotents.gamma_alpha`, built by the
-tree recursion) is the Ehrhart polynomial at alpha - 1; Gamma_F and chi_F
-on finite geometric alphabets give the q-counts.
+tree recursion) is the Ehrhart polynomial at alpha - 1.
 
 ``lattice_points`` lists the points tree by tree, each root value bounding
-its children's; the tests check it against the scan of every candidate
-point, and the Gamma_F routes against the points and a packed-word lift.
+its children's, and ``q_count`` counts them by coordinate sum the same way;
+the tests check both against the scan of every candidate point, the
+q-counts against Gamma_F and chi_F on geometric alphabets, and the Gamma_F
+routes against the points and a packed-word lift.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from itertools import zip_longest
 
 from .forests import Forest, forest_size
 from .idempotents import gamma_alpha
-from .ncsf import chi_qsym_m, eval_geometric, gamma_qsym_m
 from .polynomials import MultiPoly
 
 
@@ -55,8 +55,7 @@ def _points(f: Forest, lo: int, hi: int, gap: int) -> list[tuple[int, ...]]:
 def candidate_count(f: Forest, n: int, cap: int) -> int:
     """(n+1)^|F|, the size of {0..n}^|F| and an upper bound on the points
     that ``lattice_points`` lists, or ``cap`` if it is at least ``cap``.
-    It also bounds the C(n+|F|, |F|) monomials that ``q_count`` lists.  The
-    power is taken one factor at a time and stops at the cap."""
+    The power is taken one factor at a time and stops at the cap."""
     count = 1
     for _ in range(forest_size(f)):
         if count >= cap:
@@ -89,21 +88,38 @@ def reciprocity_check(f: Forest, n: int) -> bool:
 
 def q_count(f: Forest, n: int, interior: bool = False) -> dict[int, int]:
     """q-count of the points of the n-th dilation by sum of coordinates,
-    as a dict exponent -> coefficient.
-
-    Boundary: Gamma_F on the alphabet {1, q, ..., q^n}, one letter per
-    coordinate value 0..n.  Interior: chi_F on {1, q, ..., q^(n-2)}, with
-    each exponent shifted by |F| (coordinate values 1..n-1), negated, and
-    the global sign (-1)^|F| carried; the absolute value matches the
-    interior points weighted by q^(-sum)."""
+    as a dict exponent -> coefficient.  Interior points are weighted by
+    q^(-sum), and the global sign (-1)^|F| is carried."""
     if n < 0:
         raise ValueError("dilation factor must be nonnegative")
     if not interior:
-        return _q_exponents(eval_geometric(gamma_qsym_m(f), n + 1))
-    size = forest_size(f)
-    return {-(size + e): (-1) ** size * c for e, c in
-            _q_exponents(eval_geometric(chi_qsym_m(f), n - 1)).items()}
+        return _sums(f, n, 0, {})
+    sign = (-1) ** forest_size(f)
+    return {-s: sign * c for s, c in _sums(f, n - 1, 1, {}).items()}
 
 
-def _q_exponents(p: MultiPoly) -> dict[int, int]:
-    return {dict(m).get("q", 0): c for m, c in p.coeffs.items()}
+def _sums(f: Forest, hi: int, gap: int, memo: dict) -> dict[int, int]:
+    """{sum: count} over ``_points(f, gap, hi, gap)``: a tree sums its root
+    value v over its children's counts up to v - gap, and a forest
+    convolves its trees.  ``memo`` holds one call's results."""
+    if not f:
+        return {0: 1}
+    if (f, hi) not in memo:
+        out = {0: 1}
+        for t in f:
+            tree = {}
+            for v in range(gap, hi + 1):
+                for s, c in _sums(t, v - gap, gap, memo).items():
+                    tree[s + v] = tree.get(s + v, 0) + c
+            out = _convolve(out, tree)
+        memo[f, hi] = out
+    return memo[f, hi]
+
+
+def _convolve(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """The product of two {sum: count} series."""
+    out = {}
+    for s1, c1 in a.items():
+        for s2, c2 in b.items():
+            out[s1 + s2] = out.get(s1 + s2, 0) + c1 * c2
+    return out

@@ -3,8 +3,8 @@
 Bases on permutations: F (shifted-shuffle product), G_sigma = F of the
 inverse, S^sigma = sum of G_tau over tau below sigma in the left weak order,
 and M_sigma, the dual basis of S^sigma.  Since F_rho = sum of M_sigma over
-sigma above rho, ``f_to_m`` sums over up-sets and ``m_to_f`` peels the
-F_rho off one by one, the rho with fewest inversions left first.
+sigma above rho, ``f_to_m`` sums over up-sets, walked over covers, and
+``m_to_f`` peels the F_rho off one by one, fewest inversions first.
 
 The quotient by M_sigma = 0 whenever sigma contains the pattern 132
 identifies the surviving M_sigma with the dual Connes-Kreimer basis X_F,
@@ -20,8 +20,8 @@ from functools import lru_cache
 from .forests import (Forest, forest_from_max_extension, forest_size,
                       linear_extensions, max_linear_extension)
 from .lincomb import LinComb, bilinear, peel
-from .perms import (all_perms, contains_132, inverse, inversions,
-                    shifted_shuffle, standardize)
+from .perms import (contains_132, inverse, inversions, shifted_shuffle,
+                    standardize)
 
 MAX_QUOTIENT_DEGREE = 6
 
@@ -43,23 +43,35 @@ def f_coproduct(sigma: tuple[int, ...]) -> LinComb:
 
 
 @lru_cache(maxsize=None)
+def _left_weak_above(rho: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """All sigma >= rho in the left weak order, sorted: F_rho in the M basis.
+    A cover swaps the values v and v + 1 where v comes first."""
+    seen, todo = {rho}, [rho]
+    while todo:
+        sigma = todo.pop()
+        for v in range(1, len(sigma)):
+            i, j = sigma.index(v), sigma.index(v + 1)
+            if i > j:
+                continue
+            up = sigma[:i] + (v + 1,) + sigma[i + 1:j] + (v,) + sigma[j + 1:]
+            if up not in seen:
+                seen.add(up)
+                todo.append(up)
+    return tuple(sorted(seen))
+
+
 def _left_weak_below(sigma: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """All tau <= sigma in the left weak order (Inv(tau^-1) within Inv(sigma^-1))."""
-    target = inversions(inverse(sigma))
-    return tuple(tau for tau in all_perms(len(sigma))
-                 if inversions(inverse(tau)) <= target)
+    """All tau <= sigma in the left weak order, sorted: replacing each value
+    v by n + 1 - v reverses the order, so this maps the up-set over."""
+    return tuple(sorted(map(_complement, _left_weak_above(_complement(sigma)))))
+
+
+def _complement(sigma: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(len(sigma) + 1 - v for v in sigma)
 
 
 def s_in_f(sigma: tuple[int, ...]) -> LinComb:
     return LinComb({inverse(tau): 1 for tau in _left_weak_below(sigma)})
-
-
-@lru_cache(maxsize=None)
-def _left_weak_above(rho: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """All sigma >= rho in the left weak order: F_rho in the M basis."""
-    target = inversions(inverse(rho))
-    return tuple(sigma for sigma in all_perms(len(rho))
-                 if target <= inversions(inverse(sigma)))
 
 
 def f_to_m(a: LinComb) -> LinComb:

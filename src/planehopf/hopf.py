@@ -17,7 +17,7 @@ part of this product: the slots inside a tree T are the slots of its
 children's forest, so <X_F, X_T> grafts F into the children of T.
 
 C basis: C_F = sum of X_G over G <= F in the Tamari order; ``x_to_c`` peels
-the C_F off top down, the F of least depth sum left first.
+the C_F off top down, the F of least subtree-size sum left first.
 """
 
 from __future__ import annotations
@@ -147,15 +147,10 @@ def c_to_x(f: Forest) -> LinComb:
     return LinComb({g: 1 for g in tamari.downset(f)})
 
 
-def _depth_sum(f: Forest, depth: int = 0) -> int:
-    """The sum of the node depths of F, its roots at ``depth``."""
-    return sum(depth + _depth_sum(t, depth + 1) for t in f)
-
-
 def x_to_c(a: LinComb) -> LinComb:
-    """Rewrite a combination of X_F in the C basis, peeling top down: a
-    rotation lifts a subtree, so G < F has a larger depth sum than F."""
-    return peel(a, _depth_sum, tamari.downset)
+    """Rewrite a combination of X_F in the C basis, peeling top down: G < F
+    has larger subtrees, so a larger sum of subtree sizes than F."""
+    return peel(a, lambda f: sum(tamari.sizes(f)), tamari.downset)
 
 
 def c_expand(a: LinComb) -> LinComb:

@@ -4,16 +4,15 @@ Covers go upward by a left rotation: detach the leftmost child subtree of a
 non-leaf node and reinsert it as the sibling immediately to its left (as a
 new root immediately to the left when the node is itself a root).  The forest
 of singletons is the unique maximum in each degree; the chain forests sit at
-the bottom of their fibers.
+the bottom of their fibers.  A rotation keeps every node's postorder place
+and shrinks one subtree, so F <= G exactly when no node's subtree is larger
+in G than in F (the bracket vectors of Huang and Tamari), as ``leq`` checks.
 
 ``upset`` and ``downset`` are memoized recursions keyed by the forest; a
 plane tree is the tuple of its children, so B+(H) is H.  The up-set of a
 forest concatenates the up-sets of its trees, and the up-set of B+(H)
 collects G1 . B+(G2) over the splits G = G1 G2 at root boundaries of every
-G >= H.  Read backwards: G <= F exactly when the first tree B+(H) of G lies
-below a prefix T1..Tk of F, with H <= T1..T(k-1) followed by the children
-of Tk, and the rest of G lies below T(k+1)...  The test suite checks both
-against the transitive closure of ``covers``.
+G >= H; the test suite checks both against the transitive closure of covers.
 """
 
 from __future__ import annotations
@@ -34,9 +33,22 @@ def upset(f: Forest) -> frozenset[Forest]:
                      for cut in range(len(g) + 1))
 
 
+def sizes(f: Forest) -> list[int]:
+    """F's postorder subtree sizes; a node pushes where its entries start."""
+    out, stack = [], list(f[::-1])
+    while stack:
+        t = stack.pop()
+        if isinstance(t, int):
+            out.append(len(out) - t + 1)
+        else:
+            stack += (len(out),) + t[::-1]
+    return out
+
+
 def leq(f: Forest, g: Forest) -> bool:
-    """F <= G in the Tamari order."""
-    return g in upset(f)
+    """F <= G in the Tamari order; forests of unequal size are not."""
+    sf, sg = sizes(f), sizes(g)
+    return len(sf) == len(sg) and all(a >= b for a, b in zip(sf, sg))
 
 
 @lru_cache(maxsize=None)

@@ -15,7 +15,8 @@ Packed words: the points of the dilated order polytope of a forest poset,
 read as packed words, give a word-indexed lift of Gamma_F.  The sign change
 of alphabet M_u(-A) = (-1)^max(u) sum of M_v over the merges v of u turns
 the weak words into the strict ones, which lifts Ehrhart reciprocity.  The
-q-counts are also read off the points one by one.
+q-counts are also read off the points one by one, and off Gamma_F and
+chi_F on finite geometric alphabets.
 
 The forest poset by labels: the postorder labels of a forest as nested
 (label, children) pairs, the strict order relations among them, the scan of
@@ -35,7 +36,9 @@ and arity multisets instead.
 The Moebius recursions of the two unitriangular basis changes: X_F in
 the C basis is X_F minus the expansions of every X_G with G < F in C_F, and
 F_sigma in the M basis likewise over the left weak order, each memoized
-per label.  The library peels a whole combination top down instead.
+per label.  The library peels a whole combination top down instead.  The
+left weak order itself by a scan of every permutation of the length,
+comparing inversion sets; the library walks the covers instead.
 
 Also kept here: Gaussian elimination over Fraction, S_n((1-q)A) and Psi_n
 as the limit of S_n((1-q)A)/(1-q) at q = 1, and the lattice-path encoding
@@ -49,14 +52,15 @@ from functools import lru_cache, reduce
 from itertools import chain
 from itertools import product as iter_product
 
-from planehopf import fqsym, perms, tamari
+from planehopf import perms, tamari
 from planehopf.compositions import compositions_of, descent_set, maj, weight
 from planehopf.ehrhart import lattice_points
 from planehopf.forests import (Forest, Tree, enumerate_forests, forest_size,
                                reverse_polish_code)
 from planehopf.laurent import LaurentPoly
 from planehopf.lincomb import LinComb
-from planehopf.ncsf import r_product
+from planehopf.ncsf import (chi_qsym_m, eval_geometric, gamma_qsym_m,
+                            r_product)
 from planehopf.polynomials import MultiPoly, RationalFn, over_one_minus_q
 
 PackedWord = tuple[int, ...]
@@ -283,6 +287,22 @@ def q_count_points(f: Forest, n: int, interior: bool = False) -> dict[int, int]:
     return {e: c for e, c in out.items() if c}
 
 
+def q_count_qsym(f: Forest, n: int, interior: bool = False) -> dict[int, int]:
+    """The q-count of ``ehrhart.q_count`` from QSym.  Boundary: Gamma_F on
+    the alphabet {1, q, ..., q^n}, one letter per coordinate value 0..n.
+    Interior: chi_F on {1, q, ..., q^(n-2)}, each exponent shifted by |F|
+    (coordinate values 1..n-1) and negated, with the sign (-1)^|F|."""
+    if not interior:
+        return q_exponents(eval_geometric(gamma_qsym_m(f), n + 1))
+    size = forest_size(f)
+    return {-(size + e): (-1) ** size * c for e, c in
+            q_exponents(eval_geometric(chi_qsym_m(f), n - 1)).items()}
+
+
+def q_exponents(p: MultiPoly) -> dict[int, int]:
+    return {dict(m).get("q", 0): c for m, c in p.coeffs.items()}
+
+
 # ---------------------------------------------------------------------------
 # Exact linear algebra, Psi_n as a limit, lattice paths
 
@@ -427,7 +447,28 @@ def m_in_f(sigma: tuple[int, ...]) -> LinComb:
     """M_sigma in the F basis, F_sigma being the sum of M_tau over tau >=
     sigma in the left weak order."""
     return LinComb(chain(((sigma, 1),),
-                         ((rho, -c) for tau in perms.all_perms(len(sigma))
+                         ((rho, -c) for tau in left_weak_above_scan(sigma)
                           if tau != sigma
-                          and sigma in fqsym._left_weak_below(tau)
                           for rho, c in m_in_f(tau).terms.items())))
+
+
+@lru_cache(maxsize=None)
+def left_weak_above_scan(rho: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """All sigma >= rho in the left weak order, by a scan of all n!
+    permutations: Inv(rho^-1) within Inv(sigma^-1)."""
+    table = _inverse_inversions(len(rho))
+    return tuple(sigma for sigma, inv in table.items() if table[rho] <= inv)
+
+
+def left_weak_below_scan(sigma: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """All tau <= sigma in the left weak order, by a scan of all n!
+    permutations: Inv(tau^-1) within Inv(sigma^-1)."""
+    table = _inverse_inversions(len(sigma))
+    return tuple(tau for tau, inv in table.items() if inv <= table[sigma])
+
+
+@lru_cache(maxsize=None)
+def _inverse_inversions(n: int) -> dict:
+    """Inv(sigma^-1) for every permutation sigma of length n, in order."""
+    return {sigma: perms.inversions(perms.inverse(sigma))
+            for sigma in perms.all_perms(n)}

@@ -2,6 +2,7 @@
 Ehrhart polynomials, reciprocity, and q-counts."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -10,8 +11,9 @@ from planehopf.forests import enumerate_forests, parse_forest, singletons
 from planehopf.ncsf import chi_qsym_m, eval_geometric, gamma_qsym_m
 from planehopf.polynomials import MultiPoly
 
-from oracles import (gamma_wqsym, q_count_points, scan_lattice_points,
-                     signed_gamma_by_transform, wqsym_to_qsym)
+from oracles import (gamma_wqsym, q_count_points, q_count_qsym,
+                     scan_lattice_points, signed_gamma_by_transform,
+                     wqsym_to_qsym)
 
 CHERRY = parse_forest("200")
 x = MultiPoly.var("x")
@@ -95,6 +97,23 @@ def test_q_routes_agree():
                 assert eh.q_count(f, n) == q_count_points(f, n)
                 assert eh.q_count(f, n, interior=True) \
                     == q_count_points(f, n, interior=True)
+
+
+def test_q_count_matches_qsym_route():
+    # Gamma_F and chi_F on finite geometric alphabets, the former route
+    for sz in range(0, 6):
+        for f in enumerate_forests(sz):
+            for n in range(0, 4):
+                assert eh.q_count(f, n) == q_count_qsym(f, n)
+                assert eh.q_count(f, n, interior=True) \
+                    == q_count_qsym(f, n, interior=True)
+
+
+@pytest.mark.parametrize("k", range(10, 19))
+def test_q_count_many_singletons(k):
+    # k free coordinates in {0, 1}: C(k, s) points have sum s
+    assert eh.q_count(singletons(k), 1) == {s: comb(k, s)
+                                            for s in range(k + 1)}
 
 
 @pytest.mark.parametrize("k", range(7))

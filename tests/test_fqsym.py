@@ -9,7 +9,7 @@ from planehopf.forests import enumerate_forests, parse_forest
 from planehopf.lincomb import LinComb
 from planehopf.perms import all_perms, contains_132
 
-from oracles import m_in_f
+from oracles import left_weak_above_scan, left_weak_below_scan, m_in_f
 
 
 def mono(b):
@@ -47,6 +47,13 @@ def test_f_m_round_trip():
         assert fqsym.m_to_f(mono(sigma)) == m_in_f(sigma)
         assert fqsym.f_to_m(fqsym.m_to_f(mono(sigma))) == mono(sigma)
         assert fqsym.m_to_f(fqsym.f_to_m(mono(sigma))) == mono(sigma)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_left_weak_walk_matches_scan(n):
+    for sigma in all_perms(n):
+        assert fqsym._left_weak_above(sigma) == left_weak_above_scan(sigma)
+        assert fqsym._left_weak_below(sigma) == left_weak_below_scan(sigma)
 
 
 def test_m12_squared_quotient():

@@ -1,6 +1,8 @@
 """The Tamari order on plane forests: recursion, covers, and the
 letter-append code process."""
 
+import sys
+
 import pytest
 
 from planehopf import tamari
@@ -87,6 +89,35 @@ def test_downset_matches_upset_scan(n):
     for f in enumerate_forests(n):
         assert tamari.downset(f) == frozenset(
             g for g in enumerate_forests(n) if f in tamari.upset(g))
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_leq_matches_upset(n):
+    # the subtree-size criterion against membership in the up-set
+    for f in enumerate_forests(n):
+        up = tamari.upset(f)
+        for g in enumerate_forests(n):
+            assert tamari.leq(f, g) == (g in up)
+
+
+def test_leq_unequal_sizes():
+    assert not tamari.leq(parse_forest("0"), parse_forest("00"))
+    assert not tamari.leq(parse_forest("00"), parse_forest("0"))
+    assert not tamari.leq((), parse_forest("0"))
+
+
+def test_sizes_postorder():
+    assert tamari.sizes(parse_forest("1200")) == [1, 1, 3, 4]
+    assert tamari.sizes(parse_forest("0100")) == [1, 1, 2, 1]
+    assert tamari.sizes(()) == []
+
+
+def test_leq_on_a_chain_deeper_than_the_recursion_limit():
+    n = sys.getrecursionlimit() + 500
+    chain, top = parse_forest("1" * (n - 1) + "0"), singletons(n)
+    assert tamari.sizes(chain) == list(range(1, n + 1))
+    assert tamari.leq(chain, top)
+    assert not tamari.leq(top, chain)
 
 
 def test_leq_reflexive_antisymmetric():
