@@ -19,12 +19,12 @@ grouplike series C = sum of a_G C_G; the residue at z = 0 gives the
 primitive series D = sum over trees of a_T C_T, whose homogeneous pieces
 split into the quasi-idempotents D_lambda.
 
-The S, Lambda and ribbon expansions of sigma_a(+/-) are driven by the
-iterated Rota-Baxter brackets P^I_eps and, combinatorially, by the word sets
-W(I) and S(I) whose cardinalities are products of Catalan numbers.  The
-ribbon expansion of D_lambda is read from the word model: the residue keeps
-the words of sum n-1, and those with letters lambda padded with zeros are
-counted by their ribbon I.
+The ribbon expansion of sigma_a^+ (the tests keep the S and Lambda ones)
+is driven by the iterated Rota-Baxter brackets P^I_eps and,
+combinatorially, by the word sets W(I) and S(I) whose cardinalities are
+products of Catalan numbers.  The ribbon expansion of D_lambda is read
+from the word model: the residue keeps the words of sum n-1, and those
+with letters lambda padded with zeros are counted by their ribbon I.
 """
 
 from __future__ import annotations
@@ -291,20 +291,6 @@ def p_bracket(i: tuple[int, ...], eps: str, a: LaurentPoly) -> LaurentPoly:
             out = out * a
         out = out.polar_part() if s == "+" else out.regular_part()
     return out
-
-
-def sigma_plus_s(n: int, a: LaurentPoly) -> LinComb:
-    """sigma_a^+ in the S basis:
-    sum over I of (-1)^(l(I)-1) P^I_{-...-+}(a) S^I."""
-    return LinComb((i, p_bracket(i, "-" * (len(i) - 1) + "+", a) * (-1) ** (len(i) - 1))
-                   for i in compositions_of(n))
-
-
-def sigma_plus_lambda(n: int, a: LaurentPoly) -> LinComb:
-    """sigma_a^+ in the Lambda basis:
-    sum over I of (-1)^(|I|+l(I)) P^I_{+...+}(a) Lambda^I."""
-    return LinComb((i, p_bracket(i, "+" * len(i), a) * (-1) ** (n + len(i)))
-                   for i in compositions_of(n))
 
 
 def sigma_plus_ribbon(n: int, a: LaurentPoly) -> LinComb:

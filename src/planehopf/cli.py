@@ -57,11 +57,12 @@ MAX_PRODUCT_SIZE = 9
 MAX_LATTICE_CANDIDATES = 10 ** 6
 # verify at the cap and one above: factorization 1.4 s, over 25 s; hopf 1.4 s,
 # 10.8 s; words 3.3 s, 16.4 s; dendriform 0.8 s, 4.6 s; tamari 2.5 s, over
-# 25 s; quotient 3.7 s, then it only skips; idempotents 2.2 s, 11.4 s; idem verify
-# primitive 1.5 s, 5.6 s, quasi 1.6 s at 8 (kept at 6: cli_cold expects 7 refused)
+# 25 s; quotient 3.7 s, then its degree guard; idempotents 2.5 s and 38 MB,
+# 10.2 s and 86 MB; idem verify primitive 1.8 s and 64 MB, 7.0 s and 216 MB;
+# quasi 0.9 s at 8 (kept at 6: cli_cold expects 7 refused)
 MAX_VERIFY_DEGREE = {"factorization": 5, "hopf": 7, "words": 8, "dendriform": 8,
                      "tamari": 8, "quotient": fqsym.MAX_QUOTIENT_DEGREE,
-                     "idempotents": 9, "primitive": 10, "quasi": 6}
+                     "idempotents": 10, "primitive": 11, "quasi": 6}
 
 
 class DomainError(ValueError):
@@ -351,7 +352,9 @@ def _cmd_ehrhart(args) -> int:
                             "points": sorted(",".join(map(str, p)) for p in pts)})
     qc = ehrhart.q_count(f, args.n, interior=args.interior)
     signed = {str(e): str(qc[e]) for e in sorted(qc)}
-    unsigned = {str(e): str(abs(qc[e])) for e in sorted(qc)}
+    # a boundary count has no negative coefficient
+    unsigned = ({str(e): str(abs(qc[e])) for e in sorted(qc)}
+                if args.interior else signed)
     return _emit(args, {"command": "ehrhart qcount", "forest": forest_code(f),
                         "n": args.n, "interior": args.interior,
                         "q_terms": signed, "q_terms_abs": unsigned})

@@ -20,8 +20,7 @@ from functools import lru_cache
 from .forests import (Forest, forest_from_max_extension, forest_size,
                       linear_extensions, max_linear_extension)
 from .lincomb import LinComb, bilinear, peel
-from .perms import (contains_132, inverse, inversions, shifted_shuffle,
-                    standardize)
+from .perms import contains_132, inverse, inversions, shifted_shuffle
 
 MAX_QUOTIENT_DEGREE = 6
 
@@ -34,12 +33,6 @@ def f_product(a: LinComb, b: LinComb) -> LinComb:
     """Product in the F basis: shifted shuffles."""
     return bilinear(lambda u, v: LinComb((w, 1) for w in shifted_shuffle(u, v)),
                     a, b)
-
-
-def f_coproduct(sigma: tuple[int, ...]) -> LinComb:
-    """Coproduct in the F basis: standardized deconcatenations."""
-    return LinComb(((standardize(sigma[:k]), standardize(sigma[k:])), 1)
-                   for k in range(len(sigma) + 1))
 
 
 @lru_cache(maxsize=None)
@@ -58,20 +51,6 @@ def _left_weak_above(rho: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
                 seen.add(up)
                 todo.append(up)
     return tuple(sorted(seen))
-
-
-def _left_weak_below(sigma: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """All tau <= sigma in the left weak order, sorted: replacing each value
-    v by n + 1 - v reverses the order, so this maps the up-set over."""
-    return tuple(sorted(map(_complement, _left_weak_above(_complement(sigma)))))
-
-
-def _complement(sigma: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(len(sigma) + 1 - v for v in sigma)
-
-
-def s_in_f(sigma: tuple[int, ...]) -> LinComb:
-    return LinComb({inverse(tau): 1 for tau in _left_weak_below(sigma)})
 
 
 def f_to_m(a: LinComb) -> LinComb:

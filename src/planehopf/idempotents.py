@@ -28,23 +28,25 @@ every product and sum, is kept in the tests as the oracle.
 
 Certification is two-fold, inside the descent algebra: primitivity for the
 coproduct of Sym, and quasi-idempotency e * e = c e for the internal
-product, which Solomon's Mackey formula gives in the S basis.  Reading its
-matrices by columns instead of rows gives the opposite product, so a
-square is the same either way.
+product.  Both read one table, the rows of N-matrices under given column
+sums.  The rows of sum k under the parts of J list the S^J' (x) S^J'' of
+Delta S^J in degrees (k, |J| - k), and since Delta is cocommutative
+(Gelfand et al. 1995) the degrees k <= |J|/2 settle primitivity.  Solomon's
+Mackey formula stacks the same rows into the matrices of the internal
+product in the S basis.  Reading its matrices by columns instead of rows
+gives the opposite product, so a square is the same either way.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 from math import lcm
 
 from .compositions import compositions_of, descent_set, maj, weight
 from .forests import Forest, Tree, enumerate_forests, forest_size
 from .lincomb import LinComb, bilinear
-from .ncsf import (embed_r, psi_n, psi_bar_n, r_to_s, s_coproduct_n,
-                   s_to_r)
+from .ncsf import embed_r, psi_n, psi_bar_n, r_to_s, s_to_r
 from .polynomials import (MultiPoly, RationalFn, _cyclotomic_product,
                           _lowest_terms, discrete_integral, over_one_minus_q)
 
@@ -137,12 +139,6 @@ def q_solomon(n: int) -> LinComb:
     return LinComb(out)
 
 
-def s_n_over_1mq(n: int) -> LinComb:
-    """S_n(A/(1-q)) in the ribbon basis:
-    sum over I of q^maj(I) R_I / ((1-q)(1-q^2)...(1-q^n))."""
-    return transform_over_1mq(LinComb.monomial((n,)))
-
-
 def transform_over_1mq(a: LinComb) -> LinComb:
     """A -> A/(1-q) on an S-basis element with rational coefficients,
     output in the ribbon basis."""
@@ -187,41 +183,33 @@ def _over_1mq_of_weight(n: int, terms: list):
 
 
 # ---------------------------------------------------------------------------
-# Primitivity
-
-def s_coproduct(a: LinComb) -> LinComb:
-    """Coproduct of an S-basis element, as a combination of pairs (I, J):
-    Delta S_n = sum of S_i (x) S_j, extended multiplicatively."""
-
-    def concat(x, y):
-        return LinComb.monomial((x[0] + y[0], x[1] + y[1]))
-
-    def delta(i):
-        pairs = LinComb.monomial(((), ()))
-        for part in i:
-            pairs = bilinear(concat, pairs, s_coproduct_n(part))
-        return pairs
-
-    return a.map_basis(delta)
-
-
-def is_primitive(a: LinComb) -> bool:
-    """Whether Delta a = a (x) 1 + 1 (x) a (S-basis input, nonzero degree)."""
-    expected = LinComb((key, c) for i, c in a.terms.items()
-                       for key in ((i, ()), ((), i)))
-    return s_coproduct(a) == expected
-
-
-# ---------------------------------------------------------------------------
-# Internal product
+# Primitivity and the internal product, off one row table
 
 @lru_cache(maxsize=None)
 def _first_rows(total: int, caps: tuple[int, ...]) -> tuple:
-    """Rows of sum ``total`` under column sums ``caps``, as (entries, sums left)."""
-    return tuple((tuple(v for v in x if v),
-                  tuple(c - v for c, v in zip(caps, x) if c > v))
-                 for x in product(*(range(min(c, total) + 1) for c in caps))
-                 if sum(x) == total)
+    """Rows of sum ``total`` under column sums ``caps``, as (entries, sums
+    left), zeros dropped, in lexicographic order.  Built column by column:
+    a column takes at most what is left of ``total``, and at least what the
+    columns after it cannot hold."""
+    room = sum(caps)
+    rows = [((), (), total)] if total <= room else []
+    for c in caps:
+        room -= c
+        rows = [(entries + (v,) if v else entries,
+                 left + (c - v,) if c > v else left, k - v)
+                for entries, left, k in rows
+                for v in range(max(k - room, 0), min(c, k) + 1)]
+    return tuple((entries, left) for entries, left, _ in rows)
+
+
+def is_primitive(a: LinComb) -> bool:
+    """Whether Delta a = a (x) 1 + 1 (x) a, for an S-basis element a.  The
+    part of Delta S^J in degrees (k, |J| - k) is the sum of S^J' (x) S^J''
+    over the rows (J', J'') of sum k under J, and Delta is cocommutative, so
+    the degrees k <= |J|/2 are enough."""
+    return () not in a.terms and not LinComb(
+        (pair, c) for j, c in a.terms.items()
+        for k in range(1, weight(j) // 2 + 1) for pair in _first_rows(k, j))
 
 
 @lru_cache(maxsize=None)

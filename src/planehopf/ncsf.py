@@ -31,9 +31,9 @@ from types import MappingProxyType
 from .compositions import (coarsenings, complement, compositions_of,
                            refinements, weight)
 from .forests import Forest, enumerate_forests, forest_size
-from .lincomb import LinComb, bilinear
+from .lincomb import LinComb
 from .perms import descent_composition, shifted_shuffle
-from .polynomials import MultiPoly, RationalFn, binomial_poly, over_one_minus_q
+from .polynomials import MultiPoly, RationalFn, over_one_minus_q
 
 Composition = tuple
 
@@ -52,25 +52,8 @@ def r_to_s(a: LinComb) -> LinComb:
                    for i, c in a.terms.items() for j in coarsenings(i))
 
 
-def r_product(a: LinComb, b: LinComb) -> LinComb:
-    """Product in the R basis: R_I R_J = R_{I.J} + R_{I|>J}."""
-
-    def ribbons(i, j):
-        if not i or not j:
-            return LinComb.monomial(i + j)
-        return LinComb(((i + j, 1), (i[:-1] + (i[-1] + j[0],) + j[1:], 1)))
-
-    return bilinear(ribbons, a, b)
-
-
-def s_coproduct_n(n: int) -> LinComb:
-    """Delta S_n = sum of S_i tensor S_j over i + j = n, as composition pairs."""
-    return LinComb((((i,) if i else (), (n - i,) if n - i else ()), 1)
-                   for i in range(n + 1))
-
-
 # ---------------------------------------------------------------------------
-# QSym basis conversions and products
+# QSym basis conversions
 
 def f_to_m(a: LinComb) -> LinComb:
     """F_I = sum of M_J over J finer than I."""
@@ -81,50 +64,6 @@ def m_to_f(a: LinComb) -> LinComb:
     """M_I = sum over finer J of (-1)^(l(J)-l(I)) F_J."""
     return LinComb((j, c * (-1) ** (len(j) - len(i)))
                    for i, c in a.terms.items() for j in refinements(i))
-
-
-def _quasi_shuffles(i: Composition, j: Composition):
-    if not i:
-        yield j
-        return
-    if not j:
-        yield i
-        return
-    for rest in _quasi_shuffles(i[1:], j):
-        yield (i[0],) + rest
-    for rest in _quasi_shuffles(i, j[1:]):
-        yield (j[0],) + rest
-    for rest in _quasi_shuffles(i[1:], j[1:]):
-        yield (i[0] + j[0],) + rest
-
-
-def m_product(a: LinComb, b: LinComb) -> LinComb:
-    """Quasi-shuffle product in the M basis."""
-    return bilinear(lambda i, j: LinComb((k, 1) for k in _quasi_shuffles(i, j)),
-                    a, b)
-
-
-def pair(s_elem: LinComb, m_elem: LinComb):
-    """Duality pairing, S basis against M basis."""
-    total = 0
-    for i, c in s_elem.terms.items():
-        if i in m_elem.terms:
-            total = total + c * m_elem.terms[i]
-    return total
-
-
-def minus_x_m(a: LinComb) -> LinComb:
-    """The involution X -> -X in the M basis:
-    M_I(-X) = (-1)^l(I) sum of M_J over J coarser than I."""
-    return LinComb((j, c * (-1) ** len(i))
-                   for i, c in a.terms.items() for j in coarsenings(i))
-
-
-def minus_x_f(a: LinComb) -> LinComb:
-    """The involution X -> -X in the F basis:
-    F_I(-X) = (-1)^|I| F of the descent complement."""
-    return LinComb((complement(i), c * (-1) ** weight(i))
-                   for i, c in a.terms.items())
 
 
 # ---------------------------------------------------------------------------
@@ -216,11 +155,6 @@ def gamma_qsym_m(f: Forest) -> LinComb:
                    for i in compositions_of(forest_size(f)))
 
 
-def chi_qsym_m(f: Forest) -> LinComb:
-    """chi_F(X) = (-1)^|F| Gamma_F(-X), in the M basis."""
-    return minus_x_m(gamma_qsym_m(f)).scale((-1) ** forest_size(f))
-
-
 # ---------------------------------------------------------------------------
 # Power sums in Nsym
 
@@ -244,12 +178,6 @@ def hook_part_count(n: int, cap: int) -> int:
 
 # ---------------------------------------------------------------------------
 # Alphabet evaluations in QSym (M basis in, polynomials out)
-
-def eval_binomial(a: LinComb) -> "MultiPoly":
-    """Evaluate on an alphabet of alpha ones: M_I -> binomial(alpha, l(I))."""
-    return MultiPoly.sum(binomial_poly("alpha", len(i)) * MultiPoly.coerce(c)
-                         for i, c in a.terms.items())
-
 
 def eval_geometric(a: LinComb, m: int) -> "MultiPoly":
     """Evaluate on the alphabet {1, q, ..., q^(m-1)}."""

@@ -2,13 +2,7 @@
 
 from __future__ import annotations
 
-from itertools import permutations as _permutations
-
 from .compositions import from_descent_set
-
-
-def all_perms(n: int):
-    return (tuple(p) for p in _permutations(range(1, n + 1)))
 
 
 def inverse(sigma: tuple[int, ...]) -> tuple[int, ...]:
@@ -36,15 +30,6 @@ def descents(sigma: tuple[int, ...]) -> frozenset[int]:
 def descent_composition(sigma: tuple[int, ...]) -> tuple[int, ...]:
     """Ribbon shape of a permutation."""
     return from_descent_set(descents(sigma), len(sigma))
-
-
-def standardize(word: tuple[int, ...]) -> tuple[int, ...]:
-    """Standardization: relabel by rank, ties broken left to right."""
-    order = sorted(range(len(word)), key=lambda i: (word[i], i))
-    std = [0] * len(word)
-    for rank, i in enumerate(order, start=1):
-        std[i] = rank
-    return tuple(std)
 
 
 def contains_132(sigma: tuple[int, ...]) -> bool:

@@ -10,8 +10,8 @@ of them (lowest terms), so equal values are equal structurally.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, reduce
-from math import comb, factorial
+from functools import lru_cache
+from math import comb
 
 Monomial = tuple  # sorted tuple of (var, exp) pairs, exps > 0
 
@@ -472,13 +472,6 @@ def over_one_minus_q(num, den_ks, num_ks=()) -> RationalFn:
 
 # ---------------------------------------------------------------------------
 # Special polynomials
-
-def binomial_poly(var: str, k: int) -> MultiPoly:
-    """binomial(x, k) = x(x-1)...(x-k+1)/k! as a polynomial in ``var``."""
-    x = MultiPoly.var(var)
-    num = reduce(lambda p, i: p * (x - MultiPoly.const(i)), range(k), MultiPoly.const(1))
-    return Fraction(1, factorial(k)) * num
-
 
 @lru_cache(maxsize=None)
 def bernoulli_polynomial(m: int) -> MultiPoly:

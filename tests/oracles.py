@@ -40,27 +40,38 @@ per label.  The library peels a whole combination top down instead.  The
 left weak order itself by a scan of every permutation of the length,
 comparing inversion sets; the library walks the covers instead.
 
+Primitivity from the whole S-basis coproduct, built by nested products
+of the Delta S_n.  The library reads the same pairs off the rows of the
+Mackey table, in the degrees k <= n/2 only; the rows themselves are also
+kept here as a filter over every candidate row.
+
 Also kept here: Gaussian elimination over Fraction, S_n((1-q)A) and Psi_n
-as the limit of S_n((1-q)A)/(1-q) at q = 1, and the lattice-path encoding
-of words.
+as the limit of S_n((1-q)A)/(1-q) at q = 1, the lattice-path encoding of
+words, and routes that no library code calls: every permutation of a
+length, standardization and the F coproduct, S^sigma in the F basis, the
+ribbon and quasi-shuffle products, the S/M pairing, the minus alphabet in
+the M and F bases, chi_F in QSym, the evaluation on alpha ones, and
+sigma_a^+ in the S and Lambda bases.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import chain
+from itertools import chain, permutations
 from itertools import product as iter_product
+from math import factorial
 
-from planehopf import perms, tamari
-from planehopf.compositions import compositions_of, descent_set, maj, weight
+from planehopf import fqsym, perms, tamari
+from planehopf.birkhoff import p_bracket
+from planehopf.compositions import (coarsenings, complement, compositions_of,
+                                    descent_set, maj, weight)
 from planehopf.ehrhart import lattice_points
 from planehopf.forests import (Forest, Tree, enumerate_forests, forest_size,
                                reverse_polish_code)
 from planehopf.laurent import LaurentPoly
-from planehopf.lincomb import LinComb
-from planehopf.ncsf import (chi_qsym_m, eval_geometric, gamma_qsym_m,
-                            r_product)
+from planehopf.lincomb import LinComb, bilinear
+from planehopf.ncsf import eval_geometric, gamma_qsym_m
 from planehopf.polynomials import MultiPoly, RationalFn, over_one_minus_q
 
 PackedWord = tuple[int, ...]
@@ -94,7 +105,7 @@ def beta(a, n: int) -> dict:
     R_I -> sum of the permutations with descent set D(I)."""
     out: dict = {}
     classes: dict = {}
-    for sigma in perms.all_perms(n):
+    for sigma in all_perms(n):
         classes.setdefault(perms.descents(sigma), []).append(sigma)
     for i, c in a.terms.items():
         if weight(i) != n:
@@ -471,4 +482,168 @@ def left_weak_below_scan(sigma: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 def _inverse_inversions(n: int) -> dict:
     """Inv(sigma^-1) for every permutation sigma of length n, in order."""
     return {sigma: perms.inversions(perms.inverse(sigma))
-            for sigma in perms.all_perms(n)}
+            for sigma in all_perms(n)}
+
+
+# ---------------------------------------------------------------------------
+# Permutations: all of them, standardization, the F coproduct and S^sigma
+
+def all_perms(n: int):
+    return permutations(range(1, n + 1))
+
+
+def standardize(word: tuple[int, ...]) -> tuple[int, ...]:
+    """Standardization: relabel by rank, ties broken left to right."""
+    order = sorted(range(len(word)), key=lambda i: (word[i], i))
+    std = [0] * len(word)
+    for rank, i in enumerate(order, start=1):
+        std[i] = rank
+    return tuple(std)
+
+
+def f_coproduct(sigma: tuple[int, ...]) -> LinComb:
+    """Coproduct in the F basis: standardized deconcatenations."""
+    return LinComb(((standardize(sigma[:k]), standardize(sigma[k:])), 1)
+                   for k in range(len(sigma) + 1))
+
+
+def left_weak_below(sigma: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """All tau <= sigma in the left weak order, sorted: replacing each value
+    v by n + 1 - v reverses the order, so this maps the walked up-set over."""
+    return tuple(sorted(map(_complement,
+                            fqsym._left_weak_above(_complement(sigma)))))
+
+
+def _complement(sigma: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(len(sigma) + 1 - v for v in sigma)
+
+
+def s_in_f(sigma: tuple[int, ...]) -> LinComb:
+    return LinComb({perms.inverse(tau): 1 for tau in left_weak_below(sigma)})
+
+
+# ---------------------------------------------------------------------------
+# Products, pairing, the minus alphabet and alpha ones in Sym and QSym
+
+def r_product(a: LinComb, b: LinComb) -> LinComb:
+    """Product in the R basis: R_I R_J = R_{I.J} + R_{I|>J}."""
+
+    def ribbons(i, j):
+        if not i or not j:
+            return LinComb.monomial(i + j)
+        return LinComb(((i + j, 1), (i[:-1] + (i[-1] + j[0],) + j[1:], 1)))
+
+    return bilinear(ribbons, a, b)
+
+
+def _quasi_shuffles(i: tuple[int, ...], j: tuple[int, ...]):
+    if not i:
+        yield j
+        return
+    if not j:
+        yield i
+        return
+    for rest in _quasi_shuffles(i[1:], j):
+        yield (i[0],) + rest
+    for rest in _quasi_shuffles(i, j[1:]):
+        yield (j[0],) + rest
+    for rest in _quasi_shuffles(i[1:], j[1:]):
+        yield (i[0] + j[0],) + rest
+
+
+def m_product(a: LinComb, b: LinComb) -> LinComb:
+    """Quasi-shuffle product in the M basis."""
+    return bilinear(lambda i, j: LinComb((k, 1) for k in _quasi_shuffles(i, j)),
+                    a, b)
+
+
+def pair(s_elem: LinComb, m_elem: LinComb):
+    """Duality pairing, S basis against M basis."""
+    return sum(c * m_elem.coeff(i) for i, c in s_elem.terms.items())
+
+
+def minus_x_m(a: LinComb) -> LinComb:
+    """The involution X -> -X in the M basis:
+    M_I(-X) = (-1)^l(I) sum of M_J over J coarser than I."""
+    return LinComb((j, c * (-1) ** len(i))
+                   for i, c in a.terms.items() for j in coarsenings(i))
+
+
+def minus_x_f(a: LinComb) -> LinComb:
+    """The involution X -> -X in the F basis:
+    F_I(-X) = (-1)^|I| F of the descent complement."""
+    return LinComb((complement(i), c * (-1) ** weight(i))
+                   for i, c in a.terms.items())
+
+
+def chi_qsym_m(f: Forest) -> LinComb:
+    """chi_F(X) = (-1)^|F| Gamma_F(-X), in the M basis."""
+    return minus_x_m(gamma_qsym_m(f)).scale((-1) ** forest_size(f))
+
+
+def binomial_poly(var: str, k: int) -> MultiPoly:
+    """binomial(x, k) = x(x-1)...(x-k+1)/k! as a polynomial in ``var``."""
+    x = MultiPoly.var(var)
+    num = reduce(lambda p, i: p * (x - MultiPoly.const(i)), range(k),
+                 MultiPoly.const(1))
+    return Fraction(1, factorial(k)) * num
+
+
+def eval_binomial(a: LinComb) -> MultiPoly:
+    """Evaluate on an alphabet of alpha ones: M_I -> binomial(alpha, l(I))."""
+    return MultiPoly.sum(binomial_poly("alpha", len(i)) * MultiPoly.coerce(c)
+                         for i, c in a.terms.items())
+
+
+# ---------------------------------------------------------------------------
+# sigma_a^+ in the S and Lambda bases
+
+def sigma_plus_s(n: int, a: LaurentPoly) -> LinComb:
+    """sigma_a^+ in the S basis:
+    sum over I of (-1)^(l(I)-1) P^I_{-...-+}(a) S^I."""
+    return LinComb((i, p_bracket(i, "-" * (len(i) - 1) + "+", a)
+                    * (-1) ** (len(i) - 1)) for i in compositions_of(n))
+
+
+def sigma_plus_lambda(n: int, a: LaurentPoly) -> LinComb:
+    """sigma_a^+ in the Lambda basis:
+    sum over I of (-1)^(|I|+l(I)) P^I_{+...+}(a) Lambda^I."""
+    return LinComb((i, p_bracket(i, "+" * len(i), a) * (-1) ** (n + len(i)))
+                   for i in compositions_of(n))
+
+
+# ---------------------------------------------------------------------------
+# Primitivity from the whole S-basis coproduct
+
+def s_coproduct(a: LinComb) -> LinComb:
+    """Coproduct of an S-basis element, as a combination of pairs (I, J):
+    Delta S_n = sum of S_i (x) S_j, extended multiplicatively."""
+
+    def concat(x, y):
+        return LinComb.monomial((x[0] + y[0], x[1] + y[1]))
+
+    def delta(i):
+        pairs = LinComb.monomial(((), ()))
+        for part in i:
+            pairs = bilinear(concat, pairs, LinComb(
+                (((k,) if k else (), (part - k,) if part - k else ()), 1)
+                for k in range(part + 1)))
+        return pairs
+
+    return a.map_basis(delta)
+
+
+def is_primitive_by_coproduct(a: LinComb) -> bool:
+    """Whether Delta a = a (x) 1 + 1 (x) a, from the whole coproduct."""
+    expected = LinComb((key, c) for i, c in a.terms.items()
+                       for key in ((i, ()), ((), i)))
+    return s_coproduct(a) == expected
+
+
+def first_rows_by_filter(total: int, caps: tuple[int, ...]) -> tuple:
+    """``idempotents._first_rows`` by filtering every candidate row."""
+    return tuple((tuple(v for v in x if v),
+                  tuple(c - v for c, v in zip(caps, x) if c > v))
+                 for x in iter_product(*(range(min(c, total) + 1)
+                                         for c in caps))
+                 if sum(x) == total)

@@ -22,7 +22,8 @@ from planehopf.lincomb import LinComb
 from planehopf.polynomials import MultiPoly
 
 from fixtures import N3_TABLE, N4_TABLE, W4111_TABLE
-from oracles import a_weight, tamari_sigma_plus, word_to_path
+from oracles import (a_weight, sigma_plus_lambda, sigma_plus_s,
+                     tamari_sigma_plus, word_to_path)
 
 A = bk.a_series(6)
 
@@ -263,8 +264,8 @@ def test_d_lambda_ribbon_is_residue(n):
 def test_sigma_plus_expansions(n):
     # S, Lambda, and ribbon expansions all reassemble sigma+ in the X basis
     target = bk.sigma_plus(n, A)
-    for expansion, embed in ((bk.sigma_plus_s, ncsf.embed_s),
-                             (bk.sigma_plus_lambda, ncsf.embed_lambda),
+    for expansion, embed in ((sigma_plus_s, ncsf.embed_s),
+                             (sigma_plus_lambda, ncsf.embed_lambda),
                              (bk.sigma_plus_ribbon, ncsf.embed_r)):
         acc = LinComb.zero()
         for i, coeff in expansion(n, A).items():

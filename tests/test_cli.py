@@ -95,14 +95,14 @@ def test_cost_guard_exit_code(capsys):
     (("verify", "--suite", "tamari", "--n", "9"), 4),
     (("verify", "--suite", "quotient", "--n", "7"), 4),
     (("verify", "--suite", "quotient", "--n", "100000"), 4),
-    (("idem", "verify", "--what", "primitive", "--n", "11"), 4),
+    (("idem", "verify", "--what", "primitive", "--n", "12"), 4),
     (("idem", "verify", "--what", "quasi", "--n", "30"), 4),
     (("verify", "--suite", "bogus", "--n", "100"), 3),
     # Psi, Psi-bar and Solomon in the X basis embed every ribbon of the degree
     (("idem", "dynkin", "--n", "8", "--basis", "X"), 4),
     (("idem", "solomon", "--n", "8", "--basis", "X"), 4),
     (("idem", "qsolomon", "--n", "8", "--basis", "X"), 3),
-    (("verify", "--suite", "idempotents", "--n", "10"), 4),
+    (("verify", "--suite", "idempotents", "--n", "11"), 4),
     # input nested past the recursion limit is refused, not a traceback
     (("ehrhart", "poly", "--forest", "1" * 1499 + "0"), 4),
     # solomon and qsolomon in the ribbon basis list every ribbon of the degree

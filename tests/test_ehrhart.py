@@ -8,10 +8,10 @@ import pytest
 
 from planehopf import ehrhart as eh
 from planehopf.forests import enumerate_forests, parse_forest, singletons
-from planehopf.ncsf import chi_qsym_m, eval_geometric, gamma_qsym_m
+from planehopf.ncsf import eval_geometric, gamma_qsym_m
 from planehopf.polynomials import MultiPoly
 
-from oracles import (gamma_wqsym, q_count_points, q_count_qsym,
+from oracles import (chi_qsym_m, gamma_wqsym, q_count_points, q_count_qsym,
                      scan_lattice_points, signed_gamma_by_transform,
                      wqsym_to_qsym)
 

@@ -12,9 +12,9 @@ from planehopf.forests import (CodeError, NotAMaxExtension, b_plus,
                                parse_code, parse_forest, parse_tree,
                                polish_code, reverse_polish_code, singletons,
                                tree_size)
-from planehopf.perms import all_perms, inversions
+from planehopf.perms import inversions
 
-from oracles import strict_below_pairs
+from oracles import all_perms, strict_below_pairs
 
 
 def subtree_sizes(f):

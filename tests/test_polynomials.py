@@ -13,10 +13,9 @@ from planehopf import cli
 from planehopf.laurent import LaurentPoly
 from planehopf.lincomb import LinComb
 from planehopf.polynomials import (MultiPoly, RationalFn, bernoulli_polynomial,
-                                   binomial_poly, discrete_integral,
-                                   over_one_minus_q)
+                                   discrete_integral, over_one_minus_q)
 
-from oracles import SingularMatrix, solve
+from oracles import SingularMatrix, binomial_poly, solve
 
 x = MultiPoly.var("x")
 q = MultiPoly.var("q")
