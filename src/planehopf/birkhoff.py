@@ -20,8 +20,8 @@ primitive series D = sum over trees of a_T C_T, whose homogeneous pieces
 split into the quasi-idempotents D_lambda.
 
 The ribbon expansion of sigma_a^+ (the tests keep the S and Lambda ones)
-is driven by the iterated Rota-Baxter brackets P^I_eps and,
-combinatorially, by the word sets W(I) and S(I) whose cardinalities are
+comes from one walk over the iterated Rota-Baxter brackets P^I_eps and,
+combinatorially, from the word sets W(I) and S(I) whose cardinalities are
 products of Catalan numbers.  The ribbon expansion of D_lambda is read
 from the word model: the residue keeps the words of sum n-1, and those
 with letters lambda padded with zeros are counted by their ribbon I.
@@ -82,11 +82,6 @@ def phi_plus(f: Forest, a: LaurentPoly) -> LaurentPoly:
 def _phi_plus_tree(t: Tree, a: LaurentPoly) -> LaurentPoly:
     """phi+(Y_T) = P+(phi+(Y_F) a) for T = B+(F)."""
     return (phi_plus(tuple(t), a) * a).polar_part()
-
-
-def phi_minus(t: Tree, a: LaurentPoly) -> LaurentPoly:
-    """phi-(Y_T) = -P-(phi+(Y_F) a) for T = B+(F)."""
-    return -(phi_plus(tuple(t), a) * a).regular_part()
 
 
 def phi_plus_closed(t: Tree, a: LaurentPoly) -> LaurentPoly:
@@ -281,22 +276,25 @@ def arrangement_count(lam: tuple[int, ...], cap: int) -> int:
 # ---------------------------------------------------------------------------
 # Iterated Rota-Baxter brackets and basis expansions
 
-def p_bracket(i: tuple[int, ...], eps: str, a: LaurentPoly) -> LaurentPoly:
-    """P^I_eps(a): alternately multiply by a^(i_k) and project by P(eps_k)."""
-    if len(i) != len(eps) or any(s not in "+-" for s in eps):
-        raise ValueError("signs must be a +/- word matching the composition")
-    out = LaurentPoly.const(1)
-    for part, s in zip(i, eps):
-        for _ in range(part):
-            out = out * a
-        out = out.polar_part() if s == "+" else out.regular_part()
-    return out
-
-
 def sigma_plus_ribbon(n: int, a: LaurentPoly) -> LinComb:
     """sigma_a^+ in the ribbon basis: 1 + sum over sign words eps of
-    P_{eps,+}(a) R_{eps .}, with R_{eps .} = (-1)^(l(I)-1) R_I."""
-    return LinComb((i, p_bracket((1,) * n, sign_word(i)[:-1] + "+", a)
+    P_{eps,+}(a) R_{eps .}, with R_{eps .} = (-1)^(l(I)-1) R_I.
+
+    One walk builds the brackets of all sign words level by level: each
+    prefix is multiplied by a once and split by ``polar_split``.  With
+    ``left`` products to come, each raising the z-exponent by at least the
+    least exponent ``low`` of a, a term z^e with e + left * low >= 0 cannot
+    reach the final polar part, so it is dropped; this is exact for any a."""
+    if not n:
+        return LinComb.monomial((), LaurentPoly.const(1))
+    low = min(a.coeffs, default=0)
+    level = {"": LaurentPoly.const(1)}
+    for left in range(n - 1, 0, -1):
+        level = {eps + s: LaurentPoly({e: c for e, c in part.coeffs.items()
+                                       if e + left * low < 0})
+                 for eps, value in level.items()
+                 for s, part in zip("+-", (value * a).polar_split())}
+    return LinComb((i, (level[sign_word(i)[:-1]] * a).polar_part()
                     * (-1) ** (len(i) - 1)) for i in compositions_of(n))
 
 

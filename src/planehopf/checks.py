@@ -4,6 +4,7 @@ counterexample descriptions (empty means the suite passed)."""
 
 from __future__ import annotations
 
+from collections import Counter
 
 from . import birkhoff, fqsym, hopf, idempotents, tamari
 from .compositions import compositions_of, partitions_of
@@ -133,23 +134,32 @@ def suite_tamari(n: int) -> list[str]:
 
 
 def suite_factorization(n: int) -> list[str]:
-    """phi+ = phi- * phi as characters: for every forest, phi+(Y_F) equals
-    the convolution of phi- and the base character phi(Y_F) = a^|F| over
-    the admissible-cut coproduct."""
+    """phi+ = phi- * phi as characters: for every forest, phi+(Y_F), read
+    off the Tamari table of ``birkhoff.sigma_plus``, equals the convolution
+    of phi- and the base character phi(Y_F) = a^|F| over the admissible-cut
+    coproduct.  phi- is built once per tree, phi-(B+(G)) = -P-(phi+(Y_G) a),
+    and once per forest, as the product over its trees.  The cuts with equal
+    |F2| are summed first, and the sums are weighted by a^|F2| by Horner's
+    rule, each step one product by a."""
     bad = []
     a = birkhoff.a_series(n)
+    phi_minus = {(): LaurentPoly.const(1)}
+    plus = birkhoff.sigma_plus(0, a)
     for size in range(1, n + 1):
+        for g in enumerate_forests(size):
+            # a tree is the tuple of its children, so (G,) holds B+(G)
+            phi_minus[g] = (-(plus.coeff(g[0]) * a).regular_part()
+                            if len(g) == 1
+                            else phi_minus[g[:1]] * phi_minus[g[1:]])
+        plus = birkhoff.sigma_plus(size, a)
         for f in enumerate_forests(size):
-            conv = LaurentPoly.zero()
+            by_size = [LaurentPoly.zero()] * (size + 1)
             for (f1, f2), c in hopf.y_coproduct(f).items():
-                left = LaurentPoly.const(c)
-                for t in f1:
-                    left = left * birkhoff.phi_minus(t, a)
-                right = LaurentPoly.const(1)
-                for _ in range(forest_size(f2)):
-                    right = right * a
-                conv = conv + left * right
-            if conv != birkhoff.phi_plus(f, a):
+                by_size[forest_size(f2)] += phi_minus[f1] * c
+            conv = LaurentPoly.zero()
+            for cuts in reversed(by_size):
+                conv = conv * a + cuts
+            if conv != plus.coeff(f):
                 bad.append(f"factorization fails at {forest_code(f)}")
     return bad
 
@@ -157,7 +167,8 @@ def suite_factorization(n: int) -> list[str]:
 def suite_words(n: int) -> list[str]:
     """Word model against the bracket expansion: the ribbon coefficient of
     sigma_a^+ is (-1)^(l(I)-1) times the generating sum of W(I), and |W(I)|
-    is the Catalan block product."""
+    is the Catalan block product.  The words are counted by their sorted
+    letters, so each letter multiset is multiplied out once."""
     bad = []
     a = birkhoff.a_series(n)
     for size in range(1, n + 1):
@@ -166,13 +177,15 @@ def suite_words(n: int) -> list[str]:
             words = birkhoff.words_w(i)
             if len(words) != birkhoff.catalan_block_count(i):
                 bad.append(f"|W({i})| is not the Catalan block product")
-            gen = LaurentPoly.zero()
-            for w in words:
-                mono = MultiPoly.const(1)
-                for k in w:
+            by_power = {}
+            multisets = Counter(tuple(sorted(w)) for w in words)
+            for letters, count in multisets.items():
+                mono = MultiPoly.const((-1) ** (len(i) - 1) * count)
+                for k in letters:
                     mono = mono * MultiPoly.var(f"a{k}")
-                gen = gen + LaurentPoly.term(sum(w) - size, mono)
-            gen = gen * LaurentPoly.const((-1) ** (len(i) - 1))
+                by_power.setdefault(sum(letters) - size, []).append(mono)
+            gen = LaurentPoly({e: MultiPoly.sum(monos)
+                               for e, monos in by_power.items()})
             if gen != expansion.coeff(i):
                 bad.append(f"word sum differs from bracket at I={i}")
     return bad

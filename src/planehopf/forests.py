@@ -189,41 +189,15 @@ def linear_extensions(f: Forest) -> tuple[tuple[int, ...], ...]:
 
 def max_linear_extension(f: Forest) -> tuple[int, ...]:
     """The linear extension with the most inversions: that of G, shifted,
-    before that of T for T.G, and that of H before the root for B+(H)."""
+    before that of T for T.G, and that of H before the root for B+(H).
+    Its inverse is the 132-avoiding permutation that stands for X_F in the
+    FQSym quotient, which :mod:`planehopf.fqsym` tabulates per degree."""
     word: tuple[int, ...] = ()
     for t in f:
         tree = max_linear_extension(t)
         tree += (len(tree) + 1,)
         word = tuple(v + len(word) for v in tree) + word
     return word
-
-
-class NotAMaxExtension(ValueError):
-    """Raised when a word is not the maximal linear extension of any forest."""
-
-
-def forest_from_max_extension(sigma: tuple[int, ...]) -> Forest:
-    """Invert ``max_linear_extension``.  Raises if the round trip fails."""
-    if sorted(sigma) != list(range(1, len(sigma) + 1)):
-        raise NotAMaxExtension(f"not a permutation: {sigma}")
-    f = _read_max_extension(tuple(sigma), 0)
-    if max_linear_extension(f) != tuple(sigma):
-        raise NotAMaxExtension(f"{sigma} is not maximal for any forest")
-    return f
-
-
-def _read_max_extension(word: tuple[int, ...], offset: int) -> Forest:
-    """Trees read off the right end of ``word``, whose labels start after
-    ``offset``: the next tree owns the suffix ending at its root, the label
-    ``offset + k`` for a tree of k nodes."""
-    trees = []
-    while word:
-        k = word[-1] - offset
-        if not 1 <= k <= len(word):
-            raise NotAMaxExtension(f"{word} does not end at a tree root")
-        trees.append(_read_max_extension(word[-k:-1], offset))
-        word, offset = word[:-k], offset + k
-    return tuple(trees)
 
 
 # ---------------------------------------------------------------------------

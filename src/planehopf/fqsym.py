@@ -8,8 +8,9 @@ sigma above rho, ``f_to_m`` sums over up-sets, walked over covers, and
 
 The quotient by M_sigma = 0 whenever sigma contains the pattern 132
 identifies the surviving M_sigma with the dual Connes-Kreimer basis X_F,
-where sigma is the inverse of the maximal linear extension of F.  This gives
-an independent route to the X product, compared against the coproduct
+where sigma is the inverse of the maximal linear extension of F; one table
+per degree lists these sigma with their forests.  This gives an
+independent route to the X product, compared against the coproduct
 transpose in the test suite.
 """
 
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .forests import (Forest, forest_from_max_extension, forest_size,
+from .forests import (Forest, enumerate_forests, forest_size,
                       linear_extensions, max_linear_extension)
 from .lincomb import LinComb, bilinear, peel
 from .perms import contains_132, inverse, inversions, shifted_shuffle
@@ -71,9 +72,18 @@ def m_product(a: LinComb, b: LinComb) -> LinComb:
     return f_to_m(f_product(m_to_f(a), m_to_f(b)))
 
 
+@lru_cache(maxsize=None)
+def _quotient_table(n: int) -> dict[tuple[int, ...], Forest]:
+    """inverse(max_linear_extension(F)) -> F over the forests of size n:
+    the 132-avoiding permutations of length n, each with its forest."""
+    return {inverse(max_linear_extension(f)): f for f in enumerate_forests(n)}
+
+
 def m_quotient(a: LinComb) -> LinComb:
-    """Image of an M-expansion in the 132-quotient, in the X basis."""
-    return LinComb((forest_from_max_extension(inverse(sigma)), c)
+    """Image of an M-expansion in the 132-quotient, in the X basis: the
+    132-avoiding sigma survive and are looked up in the table of their
+    degree, so a survivor missing from it raises ``KeyError``."""
+    return LinComb((_quotient_table(len(sigma))[sigma], c)
                    for sigma, c in a.terms.items() if not contains_132(sigma))
 
 

@@ -45,13 +45,17 @@ of the Delta S_n.  The library reads the same pairs off the rows of the
 Mackey table, in the degrees k <= n/2 only; the rows themselves are also
 kept here as a filter over every candidate row.
 
+The iterated Rota-Baxter brackets one sign word at a time: P^I_eps(a) by
+alternate products and projections, and sigma_a^+ in the S, Lambda and
+ribbon bases from them.  The library builds the ribbon brackets of every
+sign word in one walk instead, each prefix multiplied by a once.
+
 Also kept here: Gaussian elimination over Fraction, S_n((1-q)A) and Psi_n
 as the limit of S_n((1-q)A)/(1-q) at q = 1, the lattice-path encoding of
 words, and routes that no library code calls: every permutation of a
 length, standardization and the F coproduct, S^sigma in the F basis, the
 ribbon and quasi-shuffle products, the S/M pairing, the minus alphabet in
-the M and F bases, chi_F in QSym, the evaluation on alpha ones, and
-sigma_a^+ in the S and Lambda bases.
+the M and F bases, chi_F in QSym, and the evaluation on alpha ones.
 """
 
 from __future__ import annotations
@@ -63,9 +67,8 @@ from itertools import product as iter_product
 from math import factorial
 
 from planehopf import fqsym, perms, tamari
-from planehopf.birkhoff import p_bracket
 from planehopf.compositions import (coarsenings, complement, compositions_of,
-                                    descent_set, maj, weight)
+                                    descent_set, maj, sign_word, weight)
 from planehopf.ehrhart import lattice_points
 from planehopf.forests import (Forest, Tree, enumerate_forests, forest_size,
                                reverse_polish_code)
@@ -596,7 +599,26 @@ def eval_binomial(a: LinComb) -> MultiPoly:
 
 
 # ---------------------------------------------------------------------------
-# sigma_a^+ in the S and Lambda bases
+# sigma_a^+ in the S, Lambda and ribbon bases, one bracket at a time
+
+def p_bracket(i: tuple[int, ...], eps: str, a: LaurentPoly) -> LaurentPoly:
+    """P^I_eps(a): alternately multiply by a^(i_k) and project by P(eps_k)."""
+    if len(i) != len(eps) or any(s not in "+-" for s in eps):
+        raise ValueError("signs must be a +/- word matching the composition")
+    out = LaurentPoly.const(1)
+    for part, s in zip(i, eps):
+        for _ in range(part):
+            out = out * a
+        out = out.polar_part() if s == "+" else out.regular_part()
+    return out
+
+
+def sigma_plus_ribbon_by_word(n: int, a: LaurentPoly) -> LinComb:
+    """sigma_a^+ in the ribbon basis for n >= 1, one bracket per sign word:
+    sum over I of (-1)^(l(I)-1) P^(1^n)_eps(I)(a) R_I."""
+    return LinComb((i, p_bracket((1,) * n, sign_word(i), a)
+                    * (-1) ** (len(i) - 1)) for i in compositions_of(n))
+
 
 def sigma_plus_s(n: int, a: LaurentPoly) -> LinComb:
     """sigma_a^+ in the S basis:

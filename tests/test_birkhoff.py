@@ -22,8 +22,9 @@ from planehopf.lincomb import LinComb
 from planehopf.polynomials import MultiPoly
 
 from fixtures import N3_TABLE, N4_TABLE, W4111_TABLE
-from oracles import (a_weight, sigma_plus_lambda, sigma_plus_s,
-                     tamari_sigma_plus, word_to_path)
+from oracles import (a_weight, p_bracket, sigma_plus_lambda,
+                     sigma_plus_ribbon_by_word, sigma_plus_s, tamari_sigma_plus,
+                     word_to_path)
 
 A = bk.a_series(6)
 
@@ -117,6 +118,34 @@ _a_series = st.dictionaries(st.integers(-1, 5),
                             max_size=5).map(LaurentPoly)
 
 
+# the same, with exponents from -2: double poles, which the bracket routes
+# accept and the Tamari formula refuses
+_a_laurent = st.dictionaries(st.integers(-2, 5),
+                             st.one_of(st.integers(-3, 3), _polys),
+                             max_size=4).map(LaurentPoly)
+
+
+@settings(deadline=None, max_examples=60)
+@given(_a_laurent, st.integers(1, 5))
+def test_ribbon_walk_matches_bracket_per_word(a, n):
+    assert bk.sigma_plus_ribbon(n, a) == sigma_plus_ribbon_by_word(n, a)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("series", [bk.a_series, bk.a_series_ab],
+                         ids=["generic", "ab"])
+def test_ribbon_walk_matches_bracket_per_word_on_specs(n, series):
+    a = series(n)
+    assert bk.sigma_plus_ribbon(n, a) == sigma_plus_ribbon_by_word(n, a)
+
+
+def test_ribbon_expansion_in_degree_zero():
+    # the degree-0 part of sigma_a^+ is the unit, with an integer sign
+    expansion = bk.sigma_plus_ribbon(0, A)
+    assert expansion == LinComb.monomial((), LaurentPoly.const(1))
+    assert expansion.coeff(()).text() == "(1)"
+
+
 @settings(deadline=None, max_examples=100)
 @given(_a_series, st.integers(0, 5))
 def test_root_count_route_matches_phi_plus_recursion(a, n):
@@ -149,6 +178,24 @@ def test_birkhoff_reads_no_upset(monkeypatch):
 
 def test_factorization_suite():
     assert suite_factorization(4) == []
+
+
+def test_factorization_suite_reads_the_tamari_table(monkeypatch):
+    # one wrong sigma_plus coefficient is reported at its forest, and at the
+    # tree grafted on it, whose phi- it enters
+    sigma_plus = bk.sigma_plus
+
+    def corrupt(n, a):
+        out = sigma_plus(n, a)
+        if n == 3:
+            out = out + LinComb.monomial(parse_forest("000"),
+                                         LaurentPoly.term(-1, 1))
+        return out
+
+    monkeypatch.setattr(bk, "sigma_plus", corrupt)
+    bad = suite_factorization(4)
+    assert "factorization fails at 000" in bad
+    assert "factorization fails at 3000" in bad
 
 
 @pytest.mark.parametrize("n", range(1, 5))
@@ -281,7 +328,7 @@ def test_birkhoff_bracket_identities():
         prod = LaurentPoly.const(1)
         for _ in range(n):
             prod = prod * A
-        assert bk.p_bracket((n,), "-", A) == prod.regular_part()
+        assert p_bracket((n,), "-", A) == prod.regular_part()
 
 
 def test_words_s_112():

@@ -90,7 +90,7 @@ def test_cost_guard_exit_code(capsys):
     # verify and idem verify refuse degrees above MAX_VERIFY_DEGREE
     (("verify", "--suite", "factorization", "--n", "6"), 4),
     (("verify", "--suite", "hopf", "--n", "8"), 4),
-    (("verify", "--suite", "words", "--n", "9"), 4),
+    (("verify", "--suite", "words", "--n", "11"), 4),
     (("verify", "--suite", "dendriform", "--n", "9"), 4),
     (("verify", "--suite", "tamari", "--n", "9"), 4),
     (("verify", "--suite", "quotient", "--n", "7"), 4),

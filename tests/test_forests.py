@@ -4,15 +4,15 @@ from math import comb, factorial, prod
 
 import pytest
 
-from planehopf.forests import (CodeError, NotAMaxExtension, b_plus,
-                               catalan_count, chain_tree, corolla,
-                               enumerate_forests, enumerate_trees, forest_code,
-                               forest_from_max_extension, forest_size,
-                               linear_extensions, max_linear_extension,
-                               parse_code, parse_forest, parse_tree,
-                               polish_code, reverse_polish_code, singletons,
-                               tree_size)
-from planehopf.perms import inversions
+from planehopf import fqsym
+from planehopf.forests import (CodeError, b_plus, catalan_count, chain_tree,
+                               corolla, enumerate_forests, enumerate_trees,
+                               forest_code, forest_size, linear_extensions,
+                               max_linear_extension, parse_code, parse_forest,
+                               parse_tree, polish_code, reverse_polish_code,
+                               singletons, tree_size)
+from planehopf.lincomb import LinComb
+from planehopf.perms import contains_132, inverse, inversions
 
 from oracles import all_perms, strict_below_pairs
 
@@ -113,28 +113,32 @@ def test_max_extension_has_most_inversions(n):
 
 
 def test_max_extension_round_trip():
+    # the quotient table maps the inverse of each maximal extension back to
+    # its forest
     for n in range(1, 6):
+        table = fqsym._quotient_table(n)
         for f in enumerate_forests(n):
-            assert forest_from_max_extension(max_linear_extension(f)) == f
+            assert table[inverse(max_linear_extension(f))] == f
 
 
-@pytest.mark.parametrize("n", range(7))
+@pytest.mark.parametrize("n", range(8))
 def test_max_extension_decoder_refuses_the_rest(n):
-    # a forest comes back for exactly the maximal extensions; every other
-    # permutation is refused
-    maximal = {max_linear_extension(f): f for f in enumerate_forests(n)}
-    for sigma in all_perms(n):
-        if sigma in maximal:
-            assert forest_from_max_extension(sigma) == maximal[sigma]
-        else:
-            with pytest.raises(NotAMaxExtension):
-                forest_from_max_extension(sigma)
+    # the 132-avoiders of S_n are exactly the keys of the quotient table,
+    # each the inverse of the maximal extension of the forest it maps to;
+    # every other permutation is absent
+    table = fqsym._quotient_table(n)
+    assert set(table) == {s for s in all_perms(n) if not contains_132(s)}
+    for sigma, f in table.items():
+        assert inverse(sigma) == max_linear_extension(f)
 
 
 @pytest.mark.parametrize("word", [(1, 1), (2, 3), (0, 1), (1, 2, 4)])
 def test_max_extension_decoder_refuses_non_permutations(word):
-    with pytest.raises(NotAMaxExtension, match="not a permutation"):
-        forest_from_max_extension(word)
+    # a word with no 132 pattern that is not in the table raises, rather
+    # than being dropped from the quotient
+    assert not contains_132(word)
+    with pytest.raises(KeyError):
+        fqsym.m_quotient(LinComb.monomial(word))
 
 
 def test_parse_tree_rejects_forest():
