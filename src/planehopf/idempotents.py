@@ -47,8 +47,8 @@ from .compositions import compositions_of, descent_set, maj, weight
 from .forests import Forest, Tree, enumerate_forests, forest_size
 from .lincomb import LinComb, bilinear
 from .ncsf import embed_r, psi_n, psi_bar_n, r_to_s, s_to_r
-from .polynomials import (MultiPoly, RationalFn, _cyclotomic_product,
-                          _lowest_terms, discrete_integral, over_one_minus_q)
+from .polynomials import (MultiPoly, RationalFn, _common_denominator,
+                          _lowest_terms, discrete_integral)
 
 # ---------------------------------------------------------------------------
 # Dynkin
@@ -127,15 +127,20 @@ def solomon_x(n: int) -> LinComb:
 def q_solomon(n: int) -> LinComb:
     """phi_n(q) in the ribbon basis, with RationalFn coefficients:
     (1/n) sum over I of (-1)^(l-1) q^(maj(I) - l(l-1)/2) / qbin(n-1, l-1) R_I,
-    each Gaussian binomial entered as its cyclotomic factors.
+    each Gaussian binomial entered as its cyclotomic factors: Phi_d occurs
+    in qbin(n-1, l-1) [(n-1)/d] - [(l-1)/d] - [(n-l)/d] times.  A monomial
+    over them is in lowest terms.
     """
-    q = MultiPoly.var("q")
+    if n < 1:
+        raise ValueError(f"need n >= 1, got n={n}")
     out = {}
     for i in compositions_of(n):
         l = len(i)
-        num = q ** (maj(i) - l * (l - 1) // 2) * Fraction((-1) ** (l - 1), n)
-        # 1 / qbin(n-1, l-1) = prod_{k < l} (1 - q^k) / (1 - q^(n-k))
-        out[i] = over_one_minus_q(num, range(n - l + 1, n), range(1, l))
+        e = maj(i) - l * (l - 1) // 2
+        num = MultiPoly({(("q", e),) if e else (): Fraction((-1) ** (l - 1), n)})
+        out[i] = RationalFn._make(num, {
+            ("q", d): m for d in range(2, n)
+            if (m := (n - 1) // d - (l - 1) // d - (n - l) // d)})
     return LinComb(out)
 
 
@@ -153,21 +158,16 @@ def _over_1mq_of_weight(n: int, terms: list):
     """The ribbon terms of sum c_I S^I(A/(1-q)) over compositions I of n.
     The numerators are put over the least common denominator and scaled to
     integers; the numerator of each ribbon is reduced once."""
-    # (q)_m = (-1)^m prod_d Phi_d^(m // d)
-    mults = [{d: sum(p // d for p in i) for d in range(1, n + 1)}
-             for i, _ in terms]
-    den = {("q", d): k for d in range(1, n + 1)
-           if (k := max(m[d] for m in mults))}
+    # (q)_m = prod_{k <= m} (1 - q^k)
+    den, cofactors = _common_denominator(
+        [tuple(k for part in i for k in range(1, part + 1)) for i, _ in terms])
     scale = lcm(*(c.denominator for _, c in terms))
     rows = []
-    for (i, c), m in zip(terms, mults):
-        cofactor = _cyclotomic_product(
-            {key: k - m[key[1]] for key, k in den.items() if k > m[key[1]]})
-        c = int(c * scale) * (-1) ** n
+    for (i, c), cofactor in zip(terms, cofactors):
+        c = int(c * scale)
         # offsets[d]: d minus the largest partial sum of I at or below d
         rows.append((tuple(j for part in i for j in range(part)),
-                     [(mono[0][1] if mono else 0, x * c)
-                      for mono, x in cofactor.coeffs.items()]))
+                     [(j, x * c) for j, x in cofactor]))
     for k in compositions_of(n):
         descents = descent_set(k)
         num: dict = {}

@@ -17,8 +17,9 @@ extensions themselves, with X-basis products of the S_n and Lambda_n and
 with packed-word counts.
 
 Evaluations on the infinite alphabets {1, q, q^2, ...} and (q, t) return
-canonical RationalFns: each M_I has a denominator prod (1 - q^k), entered
-as its cyclotomic factors, and every sum is kept in lowest terms.
+canonical RationalFns: each M_I is a sum of terms q^e t^j / prod (1 - q^k),
+and all the terms of one evaluation go to ``q_series_sum``, which puts
+them over one cyclotomic denominator and reduces the sum once.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .compositions import (coarsenings, complement, compositions_of,
 from .forests import Forest, enumerate_forests, forest_size
 from .lincomb import LinComb
 from .perms import descent_composition, shifted_shuffle
-from .polynomials import MultiPoly, RationalFn, over_one_minus_q
+from .polynomials import MultiPoly, RationalFn, q_series_sum
 
 Composition = tuple
 
@@ -190,44 +191,32 @@ def eval_geometric(a: LinComb, m: int) -> "MultiPoly":
 def eval_geometric_inf(a: LinComb) -> RationalFn:
     """Evaluate on the infinite alphabet {1, q, q^2, ...}:
     M_I -> q^(sum (k-1) i_k) / prod_k (1 - q^(i_k + ... + i_l))."""
-    return sum((_even_factor(i) * c for i, c in a.terms.items()),
-               RationalFn(0))
+    terms = ((c, _geometric(i)) for i, c in a.terms.items())
+    return q_series_sum((c, e, (), ks) for c, (e, ks) in terms)
 
 
 def eval_xqt(a: LinComb) -> RationalFn:
     """Evaluate on the (q, t) alphabet: even letters q^i (i >= 0) ascending,
-    odd letters q^j t (j >= 1) descending; each M_I splits as an even prefix
-    and an odd suffix."""
-    return sum((_even_factor(i[:cut]) * _odd_part_factor(i[cut:]) * c
-                for i, c in a.terms.items() for cut in range(len(i) + 1)),
-               RationalFn(0))
+    odd letters q^j t (j >= 1) descending.  Each M_I splits as an even
+    prefix, valued as on {1, q, q^2, ...}, and an odd suffix J.  The odd
+    letters come in blocks of equal letters, with strictly decreasing j;
+    blocks with partial sums s_1 < ... < s_b of J give
+    (-1)^l(J) t^|J| q^(s_1 + ... + s_b) / prod_k (1 - q^(s_k))."""
+    def terms():
+        for i, c in a.terms.items():
+            for cut in range(len(i) + 1):
+                e, ks = _geometric(i[:cut])
+                odd = i[cut:]
+                t = (("t", weight(odd)),) if odd else ()
+                for blocks in coarsenings(odd):
+                    sums = tuple(accumulate(blocks))
+                    yield (c * (-1) ** len(odd), e + sum(sums), t, ks + sums)
+
+    return q_series_sum(terms())
 
 
-def _even_factor(i: Composition) -> RationalFn:
-    q = MultiPoly.var("q")
-    return over_one_minus_q(
-        q ** sum((k - 1) * part for k, part in enumerate(i, start=1)),
-        [sum(i[k:]) for k in range(len(i))])
-
-
-def _odd_part_factor(i: Composition) -> RationalFn:
-    """Contribution of the odd letters q^j t (j >= 1), taken with strictly
-    decreasing j along the blocks; within a block the letters coincide."""
-    q = MultiPoly.var("q")
-    t = MultiPoly.var("t")
-
-    def blockings(parts):
-        if not parts:
-            yield ()
-            return
-        for cut in range(1, len(parts) + 1):
-            for rest in blockings(parts[cut:]):
-                yield (parts[:cut],) + rest
-
-    def term(blocks):
-        sizes = [sum(block) for block in blocks]
-        num_exp = sum((len(blocks) - m) * size for m, size in enumerate(sizes))
-        return over_one_minus_q((-1) ** len(i) * q ** num_exp * t ** weight(i),
-                                list(accumulate(sizes)))
-
-    return sum(map(term, blockings(i)), RationalFn(0))
+def _geometric(i: Composition) -> tuple:
+    """(e, ks) with M_I(1, q, q^2, ...) = q^e / prod_{k in ks} (1 - q^k),
+    ks the suffix sums of I."""
+    ks = tuple(sum(i[k:]) for k in range(len(i)))
+    return sum(ks) - weight(i), ks

@@ -4,13 +4,16 @@ Monomials are sorted tuples of (variable name, positive exponent); coefficients
 are ``int``, or ``Fraction`` where a division made one.  A rational function's
 denominator is a product of cyclotomic polynomials Phi_d in one variable, as
 every (1 - q^k) of the q-series is, and its numerator is kept coprime to each
-of them (lowest terms), so equal values are equal structurally.
+of them (lowest terms), so equal values are equal structurally.  A sum of
+q-series terms c q^e m / prod (1 - q^k) is put over one common cyclotomic
+denominator and reduced once, not after each addition (``q_series_sum``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import comb
 
 Monomial = tuple  # sorted tuple of (var, exp) pairs, exps > 0
@@ -150,6 +153,9 @@ class MultiPoly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
+        if n and len(self.coeffs) == 1:
+            (m, c), = self.coeffs.items()
+            return MultiPoly({tuple((v, e * n) for v, e in m): c ** n})
         out = MultiPoly.const(1)
         base = self
         while n:
@@ -255,7 +261,10 @@ def _divmod_monic(p: list, m: tuple) -> tuple[list, list]:
 
 def _phi_divides(d: int, p: list) -> bool:
     """Whether Phi_d divides p: fold exponents mod d (Phi_d | q^d - 1),
-    then take the remainder."""
+    then take the remainder.  Phi_d(0) = +-1, so Phi_d never divides a
+    nonzero c q^e."""
+    if len(p) - p.count(0) == 1:
+        return False
     if len(p) > d:
         folded = [0] * d
         for e, c in enumerate(p):
@@ -311,6 +320,41 @@ def _cyclotomic_product(den: dict) -> MultiPoly:
                          for e, c in enumerate(_cyclotomic(d))})
         out = out * phi ** m
     return out
+
+
+def _common_denominator(shapes) -> tuple[dict, list]:
+    """The least common multiple D of the prod_{k in ks} (1 - q^k) over
+    the tuples ks in ``shapes``, as {("q", d): multiplicity of Phi_d}, and
+    for each shape the nonzero (exponent, coefficient) pairs of
+    D / prod_{k in ks} (1 - q^k)."""
+    top: dict = {}
+    for ks in shapes:
+        if min(ks, default=1) < 0:
+            raise ValueError(f"negative k in 1 - q^k: {ks}")
+        if 0 in ks:
+            raise ZeroDivisionError("a factor 1 - q^0 in the denominator")
+        for d in range(1, max(ks, default=0) + 1):
+            top[d] = max(top.get(d, 0), sum(k % d == 0 for k in ks))
+    den = [1]
+    for d, m in top.items():
+        phi = _cyclotomic(d)
+        for _ in range(m):
+            prod = [0] * (len(den) + len(phi) - 1)
+            for i, x in enumerate(den):
+                for j, y in enumerate(phi):
+                    prod[i + j] += x * y
+            den = prod
+    cofactors = []
+    for ks in shapes:
+        p = list(den)
+        for k in ks:
+            # p = (1 - q^k) r: r is p summed along each class mod k, and
+            # deg r = deg p - k
+            for j in range(k):
+                p[j::k] = accumulate(p[j::k])
+            del p[len(p) - k:]
+        cofactors.append([(j, x) for j, x in enumerate(p) if x])
+    return {("q", d): m for d, m in top.items() if m}, cofactors
 
 
 def _lowest_terms(num: MultiPoly, den: dict) -> tuple[MultiPoly, dict]:
@@ -453,21 +497,26 @@ class RationalFn:
         return f"RationalFn({self.text()})"
 
 
-def over_one_minus_q(num, den_ks, num_ks=()) -> RationalFn:
-    """num * prod_{k in num_ks} (1 - q^k) / prod_{k in den_ks} (1 - q^k),
-    read off cyclotomic multiplicities: 1 - q^k = -prod_{d | k} Phi_d(q)."""
-    mult: dict = {}
-    for ks, sign in ((den_ks, 1), (num_ks, -1)):
-        for k in ks:
-            for d in range(1, k + 1):
-                if k % d == 0:
-                    mult[("q", d)] = mult.get(("q", d), 0) + sign
-    num = MultiPoly.coerce(num) * (-1) ** (len(den_ks) + len(num_ks))
-    extra = {key: -m for key, m in mult.items() if m < 0}
-    if extra:
-        num = num * _cyclotomic_product(extra)
-    return RationalFn._make(*_lowest_terms(
-        num, {key: m for key, m in mult.items() if m > 0}))
+def q_series_sum(terms) -> RationalFn:
+    """The sum of c q^e m / prod_{k in ks} (1 - q^k) over the terms
+    (c, e, m, ks), m a monomial free of q.  Terms with equal (e, m, ks)
+    are added first; every term then goes over one common cyclotomic
+    denominator, the numerators are added up in one dict per monomial m,
+    and the sum is reduced to lowest terms once."""
+    grouped: dict = {}
+    for c, e, m, ks in terms:
+        grouped[e, m, ks] = grouped.get((e, m, ks), 0) + c
+    shapes = list(dict.fromkeys(ks for _, _, ks in grouped))
+    den, cofactors = _common_denominator(shapes)
+    cofactors = dict(zip(shapes, cofactors))
+    num: dict = {}
+    for (e, m, ks), c in grouped.items():
+        row = num.setdefault(m, {})
+        for j, x in cofactors[ks]:
+            row[e + j] = row.get(e + j, 0) + c * x
+    return RationalFn._make(*_lowest_terms(MultiPoly(
+        {_mono_mul(m, (("q", e),)) if e else m: x
+         for m, row in num.items() for e, x in row.items()}), den))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,13 @@ the S_{i_k}(A/(1-q)), each the sum of q^maj(J) R_J / (q)_{i_k}, with every
 product and sum reduced to lowest terms again.  The library reads each
 ribbon's coefficient off one formula instead.
 
+The q-series term by term: ``over_one_minus_q`` builds one quotient of
+products of 1 - q^k and reduces it, and the evaluations of QSym on
+{1, q, q^2, ...} and on the (q, t) alphabet add one such RationalFn at a
+time, each partial sum put over a new common denominator and reduced again.
+The library puts every term of a sum over one cyclotomic denominator and
+reduces once.
+
 The symmetric group algebra: a ribbon element of degree n is sent to the
 group algebra of S_n, R_I going to the sum of the permutations with descent
 composition I, and squared by convolution.  That costs n!^2 steps, so it is
@@ -62,9 +69,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import chain, permutations
+from itertools import accumulate, chain, permutations
 from itertools import product as iter_product
 from math import factorial
+from operator import mul
 
 from planehopf import fqsym, perms, tamari
 from planehopf.compositions import (coarsenings, complement, compositions_of,
@@ -75,11 +83,67 @@ from planehopf.forests import (Forest, Tree, enumerate_forests, forest_size,
 from planehopf.laurent import LaurentPoly
 from planehopf.lincomb import LinComb, bilinear
 from planehopf.ncsf import eval_geometric, gamma_qsym_m
-from planehopf.polynomials import MultiPoly, RationalFn, over_one_minus_q
+from planehopf.polynomials import MultiPoly, RationalFn
 
 PackedWord = tuple[int, ...]
 
 MAX_GROUP_DEGREE = 6
+
+
+def over_one_minus_q(num, den_ks, num_ks=()) -> RationalFn:
+    """num * prod_{k in num_ks} (1 - q^k) / prod_{k in den_ks} (1 - q^k),
+    multiplied out and reduced by RationalFn.  A factor 1 - q^0 = 0 makes
+    the value 0 above the bar and raises ZeroDivisionError below it."""
+    if any(k < 0 for k in (*den_ks, *num_ks)):
+        raise ValueError(f"negative k in 1 - q^k: {den_ks}, {num_ks}")
+    q = MultiPoly.var("q")
+    return RationalFn(
+        reduce(mul, (1 - q ** k for k in num_ks), MultiPoly.coerce(num)),
+        reduce(mul, (1 - q ** k for k in den_ks), MultiPoly.const(1)))
+
+
+def eval_geometric_inf_pairwise(a: LinComb) -> RationalFn:
+    """M_I on {1, q, q^2, ...}, one RationalFn per term, summed pairwise."""
+    return sum((_even_factor(i) * c for i, c in a.terms.items()),
+               RationalFn(0))
+
+
+def eval_xqt_pairwise(a: LinComb) -> RationalFn:
+    """M_I on the (q, t) alphabet as the product of an even prefix and an
+    odd suffix factor, summed pairwise."""
+    return sum((_even_factor(i[:cut]) * _odd_part_factor(i[cut:]) * c
+                for i, c in a.terms.items() for cut in range(len(i) + 1)),
+               RationalFn(0))
+
+
+def _even_factor(i: tuple[int, ...]) -> RationalFn:
+    q = MultiPoly.var("q")
+    return over_one_minus_q(
+        q ** sum((k - 1) * part for k, part in enumerate(i, start=1)),
+        [sum(i[k:]) for k in range(len(i))])
+
+
+def _odd_part_factor(i: tuple[int, ...]) -> RationalFn:
+    """Contribution of the odd letters q^j t (j >= 1), taken with strictly
+    decreasing j along the blocks; within a block the letters coincide."""
+    q = MultiPoly.var("q")
+    t = MultiPoly.var("t")
+
+    def blockings(parts):
+        if not parts:
+            yield ()
+            return
+        for cut in range(1, len(parts) + 1):
+            for rest in blockings(parts[cut:]):
+                yield (parts[:cut],) + rest
+
+    def term(blocks):
+        sizes = [sum(block) for block in blocks]
+        num_exp = sum((len(blocks) - m) * size for m, size in enumerate(sizes))
+        return over_one_minus_q((-1) ** len(i) * q ** num_exp * t ** weight(i),
+                                list(accumulate(sizes)))
+
+    return sum(map(term, blockings(i)), RationalFn(0))
 
 
 def product_s_n_over_1mq(n: int) -> LinComb:

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from planehopf import birkhoff, idempotents as idem, ncsf
 from planehopf.checks import suite_idempotents
-from planehopf.compositions import compositions_of, partitions_of
+from planehopf.compositions import compositions_of, maj, partitions_of
 from planehopf.forests import (chain_tree, enumerate_forests, enumerate_trees,
                                parse_forest)
 from planehopf.hopf import s_n
@@ -19,7 +19,8 @@ from planehopf.polynomials import MultiPoly, RationalFn
 from fixtures import E4_TABLES
 from oracles import (beta, eval_binomial, first_rows_by_filter, group_product,
                      group_quasi_idempotent_check, is_primitive_by_coproduct,
-                     product_transform_over_1mq, r_product, s_n_1mq)
+                     over_one_minus_q, product_transform_over_1mq, r_product,
+                     s_n_1mq)
 
 
 def xelt(spec):
@@ -106,6 +107,23 @@ def test_q_solomon_specializations(n):
     q0 = LinComb({i: c.substitute({"q": Fraction(0)})
                   for i, c in phi.terms.items()})
     assert q0 == psi_n(n).scale(Fraction(1, n))
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_q_solomon_term_by_term(n):
+    # each coefficient as the product of its 1 - q^k factors, reduced
+    q = MultiPoly.var("q")
+    for i, c in idem.q_solomon(n).items():
+        l = len(i)
+        num = q ** (maj(i) - l * (l - 1) // 2) * Fraction((-1) ** (l - 1), n)
+        want = over_one_minus_q(num, range(n - l + 1, n), range(1, l))
+        assert c.num.coeffs == want.num.coeffs and c.den == want.den
+
+
+@pytest.mark.parametrize("n", [0, -1, -5])
+def test_q_solomon_refuses_degree_below_one(n):
+    with pytest.raises(ValueError):
+        idem.q_solomon(n)
 
 
 def _transform_1mq_ratfn(a):

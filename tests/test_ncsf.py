@@ -14,7 +14,8 @@ from planehopf.forests import (enumerate_forests, forest_code,
                                linear_extensions, parse_forest)
 from planehopf.lincomb import LinComb
 from planehopf.perms import descent_composition, shifted_shuffle
-from planehopf.polynomials import MultiPoly, RationalFn
+from planehopf.polynomials import (MultiPoly, RationalFn, _cyclotomic,
+                                   _divmod_monic)
 
 q = MultiPoly.var("q")
 t = MultiPoly.var("t")
@@ -25,7 +26,8 @@ def mono(b, c=1):
 
 
 from fixtures import R_TO_X_TABLE
-from oracles import (all_perms, m_product, minus_x_f, minus_x_m, pair,
+from oracles import (all_perms, eval_geometric_inf_pairwise,
+                     eval_xqt_pairwise, m_product, minus_x_f, minus_x_m, pair,
                      psi_n_via_limit)
 
 
@@ -198,6 +200,55 @@ def test_eval_xqt_functional_equation(i):
         + ncsf.eval_xqt(mono(i[:-1])) * RationalFn((q * t) ** i[-1],
                                                    MultiPoly.const(1))
     assert lhs == rhs
+
+
+def _same_structure(got, want):
+    return got.num.coeffs == want.num.coeffs and got.den == want.den
+
+
+def _in_lowest_terms(r):
+    """Whether no Phi_d of the denominator divides the numerator, read in q
+    with one dense polynomial per power of t."""
+    slices: dict = {}
+    for m, c in r.num.coeffs.items():
+        d = dict(m)
+        p = slices.setdefault(d.get("t", 0), [])
+        p.extend([0] * (d.get("q", 0) + 1 - len(p)))
+        p[d.get("q", 0)] = c
+    return all(any(any(_divmod_monic(p, _cyclotomic(d))[1])
+                   for p in slices.values())
+               for (_, d) in r.den)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_eval_geometric_inf_matches_pairwise_sum(n):
+    for f in enumerate_forests(n):
+        a = ncsf.gamma_qsym_m(f)
+        assert _same_structure(ncsf.eval_geometric_inf(a),
+                               eval_geometric_inf_pairwise(a)), f
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_eval_xqt_matches_pairwise_sum(n):
+    for f in enumerate_forests(n):
+        a = ncsf.f_to_m(ncsf.gamma_qsym_f(f))
+        assert _same_structure(ncsf.eval_xqt(a), eval_xqt_pairwise(a)), f
+
+
+m_combinations = st.dictionaries(
+    st.integers(0, 5).flatmap(lambda n: st.sampled_from(list(compositions_of(n)))),
+    st.fractions(min_value=-3, max_value=3, max_denominator=6),
+    max_size=4).map(LinComb)
+
+
+@settings(deadline=None, max_examples=40)
+@given(m_combinations)
+def test_evaluations_match_pairwise_sums(a):
+    for fast, slow in ((ncsf.eval_geometric_inf, eval_geometric_inf_pairwise),
+                       (ncsf.eval_xqt, eval_xqt_pairwise)):
+        got = fast(a)
+        assert _same_structure(got, slow(a))
+        assert _in_lowest_terms(got)
 
 
 def _gamma_prime_fixtures():

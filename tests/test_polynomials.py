@@ -12,10 +12,11 @@ from hypothesis import strategies as st
 from planehopf import cli
 from planehopf.laurent import LaurentPoly
 from planehopf.lincomb import LinComb
-from planehopf.polynomials import (MultiPoly, RationalFn, bernoulli_polynomial,
-                                   discrete_integral, over_one_minus_q)
+from planehopf.polynomials import (MultiPoly, RationalFn, _phi_divides,
+                                   bernoulli_polynomial, discrete_integral,
+                                   q_series_sum)
 
-from oracles import SingularMatrix, binomial_poly, solve
+from oracles import SingularMatrix, binomial_poly, over_one_minus_q, solve
 
 x = MultiPoly.var("x")
 q = MultiPoly.var("q")
@@ -110,6 +111,71 @@ def test_rationalfn_is_canonical(pair):
     assert again.den == got.den
     assert hash(again) == hash(got)
     assert (got - again).num == MultiPoly.zero()
+
+
+@st.composite
+def q_series_terms(draw):
+    """Terms (c, e, m, ks) of q_series_sum, m a power of t, with the sum
+    they stand for built by RationalFn arithmetic."""
+    terms = draw(st.lists(st.tuples(
+        st.one_of(st.integers(-3, 3),
+                  st.fractions(min_value=-2, max_value=2, max_denominator=4)),
+        st.integers(0, 6), st.integers(0, 2),
+        st.lists(st.integers(1, 6), max_size=4).map(tuple)), max_size=6))
+    want = sum((RationalFn(c * q ** e * t ** j,
+                           reduce(mul, (1 - q ** k for k in ks),
+                                  MultiPoly.const(1)))
+                for c, e, j, ks in terms), RationalFn(0))
+    return [(c, e, (("t", j),) if j else (), ks)
+            for c, e, j, ks in terms], want
+
+
+@settings(deadline=None, max_examples=150)
+@given(q_series_terms())
+def test_q_series_sum_matches_pairwise_sum(case):
+    terms, want = case
+    got = q_series_sum(terms)
+    assert got.num.coeffs == want.num.coeffs
+    assert got.den == want.den
+
+
+@pytest.mark.parametrize("ks, error", [((0,), ZeroDivisionError),
+                                       ((2, 0, 1), ZeroDivisionError),
+                                       ((-1,), ValueError),
+                                       ((3, -2), ValueError)])
+def test_factor_one_minus_q_to_k_at_most_zero(ks, error):
+    # 1 - q^0 = 0 has no inverse, and 1 - q^k for k < 0 is no q-series factor
+    with pytest.raises(error):
+        q_series_sum([(1, 0, (), ks)])
+    with pytest.raises(error):
+        over_one_minus_q(1, ks)
+    if error is ValueError:
+        with pytest.raises(error):
+            over_one_minus_q(1, [], ks)
+    else:
+        assert over_one_minus_q(1, [], ks) == 0
+
+
+def test_q_series_sum_edge_cases():
+    assert q_series_sum([]) == 0
+    assert q_series_sum([(2, 1, (), (1,)), (-2, 1, (), (1,))]) == 0
+    assert q_series_sum([(1, 0, (), ())]) == 1
+
+
+@pytest.mark.parametrize("c", [q, 3 * q * t, Fraction(-1, 2) * q ** 2 * t,
+                               MultiPoly.const(-2), MultiPoly.zero(), 1 + q])
+def test_power_by_repeated_products(c):
+    want = MultiPoly.const(1)
+    for n in range(6):
+        assert (c ** n).coeffs == want.coeffs
+        want = want * c
+
+
+def test_no_cyclotomic_polynomial_divides_a_monomial():
+    for d in range(1, 13):
+        for e in range(15):
+            assert not _phi_divides(d, [0] * e + [Fraction(-3, 2)])
+        assert _phi_divides(d, [0] * 4)
 
 
 int_dicts = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 1)),
