@@ -108,11 +108,11 @@ def suite_dendriform(n: int) -> list[str]:
 
 
 def suite_tamari(n: int) -> list[str]:
-    """Up-set and down-set recursions against the transitive closure of the
-    cover relation."""
+    """Up-set and down-set recursions against the transitive closures of
+    the covers, each inverted into the down-sets as it is found."""
     bad = []
     for size in range(1, n + 1):
-        closures = {}
+        below = {}
         for f in enumerate_forests(size):
             seen = {f}
             frontier = [f]
@@ -124,11 +124,12 @@ def suite_tamari(n: int) -> list[str]:
                             seen.add(h)
                             nxt.append(h)
                 frontier = nxt
-            closures[f] = seen
             if seen != set(tamari.upset(f)):
                 bad.append(f"upset mismatch at {forest_code(f)}")
-        for f in closures:
-            if tamari.downset(f) != {g for g, up in closures.items() if f in up}:
+            for g in seen:
+                below.setdefault(g, set()).add(f)
+        for f in enumerate_forests(size):
+            if tamari.downset(f) != below[f]:
                 bad.append(f"downset mismatch at {forest_code(f)}")
     return bad
 

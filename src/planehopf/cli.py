@@ -42,8 +42,13 @@ MAX_RIBBON_DEGREE = 12
 # the largest down-set 0.02 s at 10; birkhoff sigma-plus reads one root-count
 # table of the degree, 0.9 s and 56 MB at 9 in a fresh process (2.4 s and
 # 161 MB at 10 in the library), and the cap stays 9, since the contract tests
-# check that 10 is refused; idem eulerian takes every forest, 3.5 s at 9
+# check that 10 is refused; idem eulerian interpolates Gamma_F of every
+# forest, 0.3 s and 17 MB at 9 in a fresh process
 MAX_TAMARI_SIZE = 9
+# ehrhart poly interpolates the point counts of |F| + 1 dilations; on 800
+# nodes, in a fresh process, the chain takes 0.5 s, the singletons 0.9 s and
+# 400 copies of 10 0.8 s
+MAX_EHRHART_SIZE = 800
 # hopf product grafts only the asked pair; in the C basis it also expands
 # both factors and peels the product back, which sets the cap: 4 singletons
 # by 5 take 0.96 s and 65 MB in a fresh process, 5 by 5 take 5.9 s and
@@ -58,10 +63,11 @@ MAX_LATTICE_CANDIDATES = 10 ** 6
 # verify at the cap and one above, each in a fresh CLI process on 2 vCPUs:
 # factorization 0.3 s, 1.2 s (8.7 s at 7; kept at 5: the contract tests expect
 # 6 refused); hopf 1.3 s, 8.8 s; words 2.0 s and 24 MB, 6.3 s and 38 MB;
-# dendriform 0.6 s, 2.4 s; tamari 2.2 s, 21.4 s and 441 MB; quotient 0.6 s,
-# then its degree guard; idempotents 3.2 s and 38 MB, 14.1 s and 87 MB; idem
-# verify primitive 2.7 s and 64 MB, 8.6 s and 217 MB; quasi 0.3 s at 7 and
-# 1.5 s at 8 (kept at 6: cli_cold expects 7 refused)
+# dendriform 0.6 s, 2.4 s; tamari 1.9 s and 59 MB, 12.1 s and 323 MB (kept
+# at 8: the contract tests expect 9 refused); quotient 0.6 s, then its degree
+# guard; idempotents 3.2 s and 38 MB, 14.1 s and 87 MB; idem verify primitive
+# 2.7 s and 64 MB, 8.6 s and 217 MB; quasi 0.3 s at 7 and 1.5 s at 8 (kept at
+# 6: cli_cold expects 7 refused)
 MAX_VERIFY_DEGREE = {"factorization": 5, "hopf": 7, "words": 10, "dendriform": 8,
                      "tamari": 8, "quotient": fqsym.MAX_QUOTIENT_DEGREE,
                      "idempotents": 10, "primitive": 11, "quasi": 6}
@@ -219,7 +225,9 @@ def _cmd_nsym(args) -> int:
         return _emit(args, {"command": "nsym embed", "basis": args.basis,
                             "I": args.I, "terms": _terms_payload(result)})
     if args.n is None:
-        raise DomainError("nsym psi needs --n")
+        raise DomainError(f"nsym {args.action} needs --n")
+    if args.n < 1:
+        raise DomainError(f"nsym {args.action} needs --n >= 1")
     _refuse_over(f"nsym {args.action}", "the number of hook parts",
                  ncsf.hook_part_count(args.n, MAX_LATTICE_CANDIDATES + 1),
                  MAX_LATTICE_CANDIDATES)
@@ -270,7 +278,7 @@ def _cmd_birkhoff(args) -> int:
 
 def _cmd_idem(args) -> int:
     n = args.n
-    if n < 1 and args.action in ("solomon", "qsolomon", "verify"):
+    if n < 1 and args.action in ("dynkin", "solomon", "qsolomon", "verify"):
         raise DomainError(f"idem {args.action} needs --n >= 1")
     if args.action == "verify":
         return _idem_verify(args, n)
@@ -336,6 +344,8 @@ def _idem_verify(args, n: int) -> int:
 def _cmd_ehrhart(args) -> int:
     f = _parse_forest_arg(args.forest)
     if args.action == "poly":
+        _refuse_over("ehrhart poly", "the size", forest_size(f),
+                     MAX_EHRHART_SIZE)
         return _emit(args, {"command": "ehrhart poly",
                             "forest": forest_code(f),
                             "poly": ehrhart.ehrhart_polynomial(f).text()})

@@ -5,23 +5,24 @@ The order polytope of the canonically labelled forest poset is cut out by
 integral points of its dilations are the (P, omega)-partitions of the poset,
 counted by Gamma_F (:func:`planehopf.ncsf.gamma_qsym_m`), and the interior
 points are the strict ones, counted by chi_F.  The order polynomial
-Gamma_F(alpha) (:func:`planehopf.idempotents.gamma_alpha`, built by the
-tree recursion) is the Ehrhart polynomial at alpha - 1.
+Gamma_F(alpha) is the Ehrhart polynomial at alpha - 1.
 
 ``lattice_points`` lists the points tree by tree, each root value bounding
-its children's, and ``q_count`` counts them by coordinate sum the same way;
-the tests check both against the scan of every candidate point, the
-q-counts against Gamma_F and chi_F on geometric alphabets, and the Gamma_F
-routes against the points and a packed-word lift.
+its children's, ``q_count`` counts them by coordinate sum the same way, and
+``_counts`` counts those of the dilations 0..m at once.  The Ehrhart
+polynomial has degree |F| (Stanley, EC1 3.15), so ``ehrhart_polynomial``
+and ``gamma_alpha`` interpolate |F| + 1 counts.  The tests check the points
+against the scan of every candidate point, the q-counts against Gamma_F
+and chi_F on geometric alphabets, and the polynomials against Gamma_F in
+the M basis and by reciprocity through Bernoulli polynomials.
 """
 
 from __future__ import annotations
 
-from itertools import zip_longest
+from itertools import accumulate, zip_longest
 
 from .forests import Forest, forest_size
-from .idempotents import gamma_alpha
-from .polynomials import MultiPoly
+from .polynomials import MultiPoly, interpolate
 
 
 # ---------------------------------------------------------------------------
@@ -65,11 +66,34 @@ def candidate_count(f: Forest, n: int, cap: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Ehrhart polynomial and reciprocity
+# Order polynomial, Ehrhart polynomial and reciprocity
+
+def _counts(f: Forest, top: int) -> list[int]:
+    """[Omega_F(m) for m in 0..top], Omega_F(m) the number of points of the
+    m-th dilation: a tree B+(H) takes the prefix sums of Omega_H, its root
+    value bounding its children's, and a forest multiplies its trees' counts
+    entry by entry."""
+    out = [1] * (top + 1)
+    for t in f:
+        out = [a * b for a, b in zip(out, accumulate(_counts(t, top)))]
+    return out
+
+
+def _poly(values: list[int], var: str) -> MultiPoly:
+    return MultiPoly({((var, e),) if e else (): c
+                      for e, c in enumerate(interpolate(values))})
+
 
 def ehrhart_polynomial(f: Forest) -> MultiPoly:
     """E(x) with E(n) = number of integral points of the n-th dilation."""
-    return gamma_alpha(f).substitute({"alpha": MultiPoly.var("x") + 1})
+    return _poly(_counts(f, forest_size(f)), "x")
+
+
+def gamma_alpha(f: Forest) -> MultiPoly:
+    """The order polynomial Gamma_F(alpha), the number of maps into a chain
+    of alpha elements that weakly increase toward the roots: E(alpha - 1)
+    for alpha >= 1, and at 0, 1 for the empty forest and 0 otherwise."""
+    return _poly([int(not f)] + _counts(f, forest_size(f) - 1), "alpha")
 
 
 def interior_count_poly(f: Forest, n: int):

@@ -4,11 +4,9 @@ Dynkin (Psi_n and its mirror), Solomon (log sigma_1), the Eulerian family
 e_n^(k), and the q-interpolating phi_n(q).  Under the embedding into the
 dual Connes-Kreimer algebra, Psi_n lands on the chain tree and the mirror
 Psi-bar_n on the sum of all trees; the Eulerian pieces expand with the
-coefficient of X_F given by [alpha^k] of the order polynomial Gamma_F.
-Gamma_F comes from the tree recursion for the strict order polynomials
-chi_T (a discrete integral per node, memoized per tree) by reciprocity,
-Gamma_F(alpha) = (-1)^|F| prod over trees of chi_T(-alpha); the tests
-compare it with Gamma_F in the M basis evaluated on alpha ones.
+coefficient of X_F given by [alpha^k] of the order polynomial Gamma_F,
+which :func:`planehopf.ehrhart.gamma_alpha` interpolates through point
+counts of the order polytope.
 phi_n(q) and the A/(1-q) transform have RationalFn coefficients in lowest
 terms, so their identities are checked with ``==``.
 
@@ -44,11 +42,12 @@ from functools import lru_cache
 from math import lcm
 
 from .compositions import compositions_of, descent_set, maj, weight
-from .forests import Forest, Tree, enumerate_forests, forest_size
+from .ehrhart import gamma_alpha
+from .forests import enumerate_forests
 from .lincomb import LinComb, bilinear
 from .ncsf import embed_r, psi_n, psi_bar_n, r_to_s, s_to_r
 from .polynomials import (MultiPoly, RationalFn, _common_denominator,
-                          _lowest_terms, discrete_integral)
+                          _lowest_terms)
 
 # ---------------------------------------------------------------------------
 # Dynkin
@@ -67,31 +66,6 @@ def dynkin_x(n: int) -> tuple[LinComb, LinComb]:
 def embed_x(a: LinComb) -> LinComb:
     """Embed a ribbon-basis element of Sym into the X basis."""
     return a.map_basis(embed_r)
-
-
-# ---------------------------------------------------------------------------
-# Tree characteristic polynomials
-
-@lru_cache(maxsize=None)
-def chi_poly(t: Tree) -> MultiPoly:
-    """chi_T(t): put t at each leaf, and at each internal node take the
-    discrete integral (Delta g = f, g(0) = 0) of the product of the
-    children.  A leaf is the integral of the empty product, which is t."""
-    prod = MultiPoly.const(1)
-    for child in t:
-        prod = prod * chi_poly(child)
-    return discrete_integral(prod)
-
-
-@lru_cache(maxsize=None)
-def gamma_alpha(f: Forest) -> MultiPoly:
-    """The order polynomial Gamma_F(alpha) of the forest poset, by
-    reciprocity from the strict one: the product over the trees T of F of
-    (-1)^|T| chi_T(-alpha)."""
-    chi = MultiPoly.const(1)
-    for t in f:
-        chi = chi * chi_poly(t)
-    return chi.substitute({"t": -MultiPoly.var("alpha")}) * (-1) ** forest_size(f)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ every (1 - q^k) of the q-series is, and its numerator is kept coprime to each
 of them (lowest terms), so equal values are equal structurally.  A sum of
 q-series terms c q^e m / prod (1 - q^k) is put over one common cyclotomic
 denominator and reduced once, not after each addition (``q_series_sum``).
+``interpolate`` takes integer values at 0..d to the polynomial through them
+in Newton's form, in integers until one final division.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import comb
 
 Monomial = tuple  # sorted tuple of (var, exp) pairs, exps > 0
 
@@ -499,13 +500,14 @@ class RationalFn:
 
 def q_series_sum(terms) -> RationalFn:
     """The sum of c q^e m / prod_{k in ks} (1 - q^k) over the terms
-    (c, e, m, ks), m a monomial free of q.  Terms with equal (e, m, ks)
-    are added first; every term then goes over one common cyclotomic
-    denominator, the numerators are added up in one dict per monomial m,
-    and the sum is reduced to lowest terms once."""
+    (c, e, m, ks), m a monomial free of q.  Terms with equal e, m and
+    multiset ks are added first; every term then goes over one common
+    cyclotomic denominator, the numerators are added up in one dict per
+    monomial m, and the sum is reduced to lowest terms once."""
     grouped: dict = {}
     for c, e, m, ks in terms:
-        grouped[e, m, ks] = grouped.get((e, m, ks), 0) + c
+        key = e, m, tuple(sorted(ks))
+        grouped[key] = grouped.get(key, 0) + c
     shapes = list(dict.fromkeys(ks for _, _, ks in grouped))
     den, cofactors = _common_denominator(shapes)
     cofactors = dict(zip(shapes, cofactors))
@@ -520,34 +522,21 @@ def q_series_sum(terms) -> RationalFn:
 
 
 # ---------------------------------------------------------------------------
-# Special polynomials
+# Interpolation
 
-@lru_cache(maxsize=None)
-def bernoulli_polynomial(m: int) -> MultiPoly:
-    """Bernoulli polynomial B_m in t, pinned by the defining recursion
-    sum_{j<=m} C(m+1, j) B_j(t) = (m+1) t^m."""
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    bs: list[MultiPoly] = []
-    t = MultiPoly.var("t")
-    for k in range(m + 1):
-        rhs = (k + 1) * t ** k
-        acc = MultiPoly.sum(comb(k + 1, j) * bs[j] for j in range(k))
-        bs.append(Fraction(1, k + 1) * (rhs - acc))
-    return bs[m]
-
-
-def discrete_integral(p: MultiPoly) -> MultiPoly:
-    """Linear extension of t^p -> (B_{p+1}(t) - B_{p+1}(0)) / (p+1).
-
-    The result g satisfies g(t+1) - g(t) = p(t) and g(0) = 0.
-    """
-    extra = p.variables() - {"t"}
-    if extra:
-        raise ValueError(f"polynomial must be univariate in t, found {extra}")
-
-    def term(e, c):
-        b = bernoulli_polynomial(e + 1)
-        return (c * Fraction(1, e + 1)) * (b - MultiPoly.const(b.constant_term()))
-
-    return MultiPoly.sum(term(dict(m).get("t", 0), c) for m, c in p.coeffs.items())
+def interpolate(values: list[int]) -> list:
+    """The dense coefficients, constant term first, of the p of degree below
+    len(values) = d + 1 with p(m) = values[m].  Newton's form sum_k D^k p(0)
+    C(x, k) has integer forward differences D^k p(0); times d!, it is
+    expanded by Horner's rule over the falling factorials."""
+    diffs, row = [], list(values)
+    while row:
+        diffs.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    poly, scale = [], 1
+    for k in reversed(range(len(diffs))):
+        # poly <- (x - k) poly + d!/k! D^k p(0); scale ends at d!
+        poly = [a - k * b for a, b in
+                zip([scale * diffs[k]] + poly, poly + [0])]
+        scale *= k or 1
+    return [Fraction(c, scale) for c in poly]

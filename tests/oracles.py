@@ -57,6 +57,12 @@ alternate products and projections, and sigma_a^+ in the S, Lambda and
 ribbon bases from them.  The library builds the ribbon brackets of every
 sign word in one walk instead, each prefix multiplied by a once.
 
+The order polynomial Gamma_F(alpha) by reciprocity: the strict order
+polynomial chi_T of each tree is the discrete integral, by Bernoulli
+polynomials, of the product of its children's, and Gamma_F(alpha) is
+(-1)^|F| times the product of the chi_T(-alpha).  The library interpolates
+Gamma_F and the Ehrhart polynomial through |F| + 1 point counts instead.
+
 Also kept here: Gaussian elimination over Fraction, S_n((1-q)A) and Psi_n
 as the limit of S_n((1-q)A)/(1-q) at q = 1, the lattice-path encoding of
 words, and routes that no library code calls: every permutation of a
@@ -71,7 +77,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import accumulate, chain, permutations
 from itertools import product as iter_product
-from math import factorial
+from math import comb, factorial
 from operator import mul
 
 from planehopf import fqsym, perms, tamari
@@ -660,6 +666,61 @@ def eval_binomial(a: LinComb) -> MultiPoly:
     """Evaluate on an alphabet of alpha ones: M_I -> binomial(alpha, l(I))."""
     return MultiPoly.sum(binomial_poly("alpha", len(i)) * MultiPoly.coerce(c)
                          for i, c in a.terms.items())
+
+
+# ---------------------------------------------------------------------------
+# The order polynomial by reciprocity from the strict one
+
+@lru_cache(maxsize=None)
+def bernoulli_polynomial(m: int) -> MultiPoly:
+    """Bernoulli polynomial B_m in t, pinned by the defining recursion
+    sum_{j<=m} C(m+1, j) B_j(t) = (m+1) t^m."""
+    if m < 0:
+        raise ValueError("m must be nonnegative")
+    bs: list[MultiPoly] = []
+    t = MultiPoly.var("t")
+    for k in range(m + 1):
+        rhs = (k + 1) * t ** k
+        acc = MultiPoly.sum(comb(k + 1, j) * bs[j] for j in range(k))
+        bs.append(Fraction(1, k + 1) * (rhs - acc))
+    return bs[m]
+
+
+def discrete_integral(p: MultiPoly) -> MultiPoly:
+    """Linear extension of t^p -> (B_{p+1}(t) - B_{p+1}(0)) / (p+1).
+
+    The result g satisfies g(t+1) - g(t) = p(t) and g(0) = 0.
+    """
+    extra = p.variables() - {"t"}
+    if extra:
+        raise ValueError(f"polynomial must be univariate in t, found {extra}")
+
+    def term(e, c):
+        b = bernoulli_polynomial(e + 1)
+        return (c * Fraction(1, e + 1)) * (b - MultiPoly.const(b.constant_term()))
+
+    return MultiPoly.sum(term(dict(m).get("t", 0), c) for m, c in p.coeffs.items())
+
+
+@lru_cache(maxsize=None)
+def chi_poly(t: Tree) -> MultiPoly:
+    """chi_T(t): put t at each leaf, and at each internal node take the
+    discrete integral (Delta g = f, g(0) = 0) of the product of the
+    children.  A leaf is the integral of the empty product, which is t."""
+    prod = MultiPoly.const(1)
+    for child in t:
+        prod = prod * chi_poly(child)
+    return discrete_integral(prod)
+
+
+def gamma_by_reciprocity(f: Forest) -> MultiPoly:
+    """The order polynomial Gamma_F(alpha) of the forest poset, by
+    reciprocity from the strict one: the product over the trees T of F of
+    (-1)^|T| chi_T(-alpha)."""
+    chi = MultiPoly.const(1)
+    for t in f:
+        chi = chi * chi_poly(t)
+    return chi.substitute({"t": -MultiPoly.var("alpha")}) * (-1) ** forest_size(f)
 
 
 # ---------------------------------------------------------------------------

@@ -103,7 +103,7 @@ def test_cost_guard_exit_code(capsys):
     (("idem", "solomon", "--n", "8", "--basis", "X"), 4),
     (("idem", "qsolomon", "--n", "8", "--basis", "X"), 3),
     (("verify", "--suite", "idempotents", "--n", "11"), 4),
-    # input nested past the recursion limit is refused, not a traceback
+    # a chain nested past the recursion limit is over the ehrhart poly cap
     (("ehrhart", "poly", "--forest", "1" * 1499 + "0"), 4),
     # solomon and qsolomon in the ribbon basis list every ribbon of the degree
     (("idem", "qsolomon", "--n", "13"), 4),
@@ -130,7 +130,7 @@ def test_cost_guard_exit_code(capsys):
     (("nsym", "psibar", "--n", "1414"), 4),
     (("idem", "dynkin", "--n", "4000"), 4),
     (("idem", "dynkin", "--n", "1414", "--basis", "R"), 4),
-    (("nsym", "psi", "--n", "-3"), 0),
+    (("nsym", "psi", "--n", "-3"), 3),
     # the sizes are capped where they are counted, so a huge input is
     # refused at once
     (("birkhoff", "words", "--I", "1000000"), 4),
@@ -151,6 +151,13 @@ def test_cost_guard_exit_code(capsys):
     # the C product peels the product back to C, so 9 nodes answer
     (("hopf", "product", "--left", "0000", "--right", "00000", "--basis", "C"),
      0),
+    # ehrhart poly interpolates |F| + 1 point counts, up to MAX_EHRHART_SIZE
+    (("ehrhart", "poly", "--forest", "0" * 801), 4),
+    # Psi_n, Psi-bar_n and the Dynkin pair start at degree 1
+    (("nsym", "psi", "--n", "0"), 3),
+    (("nsym", "psibar", "--n", "-1"), 3),
+    (("idem", "dynkin", "--n", "-1"), 3),
+    (("idem", "dynkin", "--n", "0", "--basis", "X"), 3),
 ])
 def test_contract_exit_code(capsys, argv, expected):
     assert main(list(argv)) == expected

@@ -1,5 +1,5 @@
 """Order polytopes of forest posets: points, packed-word expansions,
-Ehrhart polynomials, reciprocity, and q-counts."""
+order and Ehrhart polynomials, reciprocity, and q-counts."""
 
 from fractions import Fraction
 from math import comb
@@ -11,9 +11,9 @@ from planehopf.forests import enumerate_forests, parse_forest, singletons
 from planehopf.ncsf import eval_geometric, gamma_qsym_m
 from planehopf.polynomials import MultiPoly
 
-from oracles import (chi_qsym_m, gamma_wqsym, q_count_points, q_count_qsym,
-                     scan_lattice_points, signed_gamma_by_transform,
-                     wqsym_to_qsym)
+from oracles import (chi_qsym_m, gamma_by_reciprocity, gamma_wqsym,
+                     q_count_points, q_count_qsym, scan_lattice_points,
+                     signed_gamma_by_transform, wqsym_to_qsym)
 
 CHERRY = parse_forest("200")
 x = MultiPoly.var("x")
@@ -54,6 +54,18 @@ def test_ehrhart_polynomial_fixtures():
     assert eh.ehrhart_polynomial(CHERRY) * 6 == (x + 1) * (x + 2) * (2 * x + 3)
     assert eh.ehrhart_polynomial(parse_forest("0")) == x + 1
     assert eh.ehrhart_polynomial(parse_forest("10")) * 2 == (x + 1) * (x + 2)
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_interpolation_matches_reciprocity_route(n):
+    # the same polynomials as the Bernoulli route, term for term and in text
+    for f in enumerate_forests(n):
+        gamma = gamma_by_reciprocity(f)
+        for got, want in ((eh.gamma_alpha(f), gamma),
+                          (eh.ehrhart_polynomial(f),
+                           gamma.substitute({"alpha": x + 1}))):
+            assert got.coeffs == want.coeffs
+            assert got.text() == want.text()
 
 
 def test_ehrhart_counts():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from planehopf import birkhoff, idempotents as idem, ncsf
+from planehopf import birkhoff, ehrhart, idempotents as idem, ncsf
 from planehopf.checks import suite_idempotents
 from planehopf.compositions import compositions_of, maj, partitions_of
 from planehopf.forests import (chain_tree, enumerate_forests, enumerate_trees,
@@ -17,10 +17,10 @@ from planehopf.ncsf import psi_bar_n, psi_n, r_to_s, s_to_r
 from planehopf.polynomials import MultiPoly, RationalFn
 
 from fixtures import E4_TABLES
-from oracles import (beta, eval_binomial, first_rows_by_filter, group_product,
-                     group_quasi_idempotent_check, is_primitive_by_coproduct,
-                     over_one_minus_q, product_transform_over_1mq, r_product,
-                     s_n_1mq)
+from oracles import (beta, chi_poly, eval_binomial, first_rows_by_filter,
+                     group_product, group_quasi_idempotent_check,
+                     is_primitive_by_coproduct, over_one_minus_q,
+                     product_transform_over_1mq, r_product, s_n_1mq)
 
 
 def xelt(spec):
@@ -46,7 +46,7 @@ def test_chi_dual_route():
     t_var = MultiPoly.var("t")
     for n in range(1, 6):
         for t in enumerate_trees(n):
-            chi = idem.chi_poly(t)
+            chi = chi_poly(t)
             g = eval_binomial(ncsf.gamma_qsym_m((t,)))
             assert chi == g.substitute({"alpha": -t_var}) \
                 * Fraction((-1) ** n)
@@ -54,9 +54,10 @@ def test_chi_dual_route():
 
 @pytest.mark.parametrize("n", range(7))
 def test_gamma_alpha_routes(n):
-    # the tree recursion against Gamma_F in the M basis on alpha ones
+    # the interpolated point counts against Gamma_F in the M basis on
+    # alpha ones
     for f in enumerate_forests(n):
-        assert idem.gamma_alpha(f) \
+        assert ehrhart.gamma_alpha(f) \
             == eval_binomial(ncsf.gamma_qsym_m(f))
 
 
@@ -64,11 +65,11 @@ def test_chi_difference_equation():
     t_var = MultiPoly.var("t")
     for n in range(1, 6):
         for t in enumerate_trees(n):
-            chi = idem.chi_poly(t)
+            chi = chi_poly(t)
             delta = chi.substitute({"t": t_var + 1}) - chi
             prod = MultiPoly.const(1)
             for c in t:
-                prod = prod * idem.chi_poly(c)
+                prod = prod * chi_poly(c)
             assert delta == prod
 
 

@@ -13,10 +13,10 @@ from planehopf import cli
 from planehopf.laurent import LaurentPoly
 from planehopf.lincomb import LinComb
 from planehopf.polynomials import (MultiPoly, RationalFn, _phi_divides,
-                                   bernoulli_polynomial, discrete_integral,
-                                   q_series_sum)
+                                   interpolate, q_series_sum)
 
-from oracles import SingularMatrix, binomial_poly, over_one_minus_q, solve
+from oracles import (SingularMatrix, bernoulli_polynomial, binomial_poly,
+                     discrete_integral, over_one_minus_q, solve)
 
 x = MultiPoly.var("x")
 q = MultiPoly.var("q")
@@ -122,6 +122,9 @@ def q_series_terms(draw):
                   st.fractions(min_value=-2, max_value=2, max_denominator=4)),
         st.integers(0, 6), st.integers(0, 2),
         st.lists(st.integers(1, 6), max_size=4).map(tuple)), max_size=6))
+    # the same denominator written in another order
+    terms += [(draw(st.integers(-3, 3)), e, j, tuple(draw(st.permutations(ks))))
+              for _, e, j, ks in terms]
     want = sum((RationalFn(c * q ** e * t ** j,
                            reduce(mul, (1 - q ** k for k in ks),
                                   MultiPoly.const(1)))
@@ -250,6 +253,15 @@ def test_discrete_integral():
     g = discrete_integral(t)
     assert g.substitute({"t": t + 1}) - g == t
     assert g.substitute({"t": Fraction(0)}).as_constant() == 0
+
+
+@given(st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=12))
+def test_interpolate_takes_the_values(values):
+    # the polynomial of degree at most len(values) - 1 through the values
+    coeffs = interpolate(values)
+    assert len(coeffs) <= len(values)
+    for m, v in enumerate(values):
+        assert sum(c * m ** e for e, c in enumerate(coeffs)) == v
 
 
 def test_gaussian_binomial():

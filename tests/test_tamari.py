@@ -65,6 +65,16 @@ def test_covers_closure_matches_upset():
     assert suite_tamari(5) == []
 
 
+def test_suite_reports_a_downset_missing_a_forest(monkeypatch):
+    f = parse_forest("1200")
+    downset = tamari.downset
+    monkeypatch.setattr(tamari, "downset", lambda g: downset(g) - {f})
+    # 1200 is missing from its own down-set and from those of the forests
+    # above it
+    assert sorted(suite_tamari(4)) == [f"downset mismatch at {code}"
+                                       for code in codes(tamari.upset(f))]
+
+
 def test_cover_of_1200():
     assert codes(tamari.covers(parse_forest("1200"))) == ["2000", "2010"]
 
