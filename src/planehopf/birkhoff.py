@@ -12,10 +12,11 @@ with a_F the product of the code letters of F and r(F) its number of roots.
 The sum depends on each F only through r(F) and its arity multiset, so one
 table per degree, independent of a, counts the up-set of every forest by
 those two; it is filled by the recursion of the up-sets without listing
-them.  ``sigma_plus`` reads every X_F coefficient of sigma_a^+ off that
-table, with no Laurent products and one power product per multiset; the
-``phi_plus`` recursion is kept as its oracle.  Setting z = 1 gives the
-grouplike series C = sum of a_G C_G; the residue at z = 0 gives the
+them, and it holds one row per non-plane shape (OEIS A000081).
+``sigma_plus`` reads every X_F coefficient of sigma_a^+ off that table,
+with no Laurent products, one power product per multiset and one sum per
+row; the ``phi_plus`` recursion is kept as its oracle.  Setting z = 1 gives
+the grouplike series C = sum of a_G C_G; the residue at z = 0 gives the
 primitive series D = sum over trees of a_T C_T, whose homogeneous pieces
 split into the quasi-idempotents D_lambda.
 
@@ -37,7 +38,8 @@ from math import comb, inf
 from .compositions import (compositions_of, descent_set, from_descent_set,
                            refinements, sign_word, weight)
 from .forests import (EMPTY_FOREST, CodeError, Forest, Tree, catalan_count,
-                      enumerate_forests, parse_code, tree_size)
+                      enumerate_forests, enumerate_trees, parse_code,
+                      tree_size)
 from .hopf import c_expand
 from .laurent import LaurentPoly
 from .lincomb import LinComb
@@ -97,12 +99,14 @@ def sigma_plus(n: int, a: LaurentPoly) -> LinComb:
     coefficients, read from the Tamari formula: the X_F coefficient is
     phi+(Y_F) = sum over G >= F of a_G z^(-r(G)), the sum of
     count * a^m z^(-r) over the root-count row W(F).  ``phi_plus`` is the
-    recursive oracle of the same values."""
+    recursive oracle of the same values.  Each distinct row is summed once,
+    and the forests that share it share its ``LaurentPoly``."""
     _refuse_double_pole(a)
     table = _root_count_table(n)
-    weights = _multiset_weights(a, (key for key, _ in table.values()))
-    return LinComb({f: _row_sum(row, weights)
-                    for f, (_, row) in table.items()})
+    rows = {id(row): (key, row) for key, row in table.values()}
+    weights = _multiset_weights(a, (key for key, _ in rows.values()))
+    sums = {i: _row_sum(row, weights) for i, (_, row) in rows.items()}
+    return LinComb({f: sums[id(row)] for f, (_, row) in table.items()})
 
 
 def series_c(n: int, a: LaurentPoly) -> LinComb:
@@ -139,27 +143,38 @@ def _root_count_table(n: int) -> dict[Forest, tuple[int, dict[int, int]]]:
     W(T.G) is the convolution of W(T) and W(G), and each (r, m) of W(H)
     gives (s, m + {r - s + 1}) in W(B+(H)) for s = 1..r+1, the forests
     G1 . B+(G2) that split G >= H after s - 1 roots; s = 1 is B+(H) itself.
-    The counts do not depend on a(z), so one table serves every series."""
+    The counts do not depend on a(z), so one table serves every series.
+    The convolution is commutative, so W(F) depends only on the non-plane
+    shape of F, and the forests of one shape share one (key, row) pair: a
+    tree's is found by its children's row, a forest's by the multiset of its
+    trees' rows.  There are A000081(n + 1) rows: 115 for 429 forests at 7."""
     if not n:
         return {EMPTY_FOREST: (0, {0: 1})}
-    out = {}
+    out, shapes = {}, {}
+    tree_rows = {t: id(_root_count_table(k)[(t,)][1])
+                 for k in range(1, n) for t in enumerate_trees(k)}
     for f in enumerate_forests(n):
-        acc: dict[int, int] = {}
         if len(f) == 1:
             key, row = _root_count_table(n - 1)[f[0]]
-            for k, count in row.items():
-                for s in range(1, (k & _MASK) + 2):
-                    g = _grafted(k, s)
-                    acc[g] = acc.get(g, 0) + count
-            out[f] = (_grafted(key, 1), acc)
+            shape = id(row)
+            if shape not in shapes:
+                acc: dict[int, int] = {}
+                for k, count in row.items():
+                    for s in range(1, (k & _MASK) + 2):
+                        g = _grafted(k, s)
+                        acc[g] = acc.get(g, 0) + count
+                shapes[shape] = (_grafted(key, 1), acc)
         else:
-            size = tree_size(f[0])
-            key1, row1 = _root_count_table(size)[f[:1]]
-            key2, row2 = _root_count_table(n - size)[f[1:]]
-            for k1, c1 in row1.items():
-                for k2, c2 in row2.items():
-                    acc[k1 + k2] = acc.get(k1 + k2, 0) + c1 * c2
-            out[f] = (key1 + key2, acc)
+            shape = tuple(sorted(tree_rows[t] for t in f))
+            if shape not in shapes:
+                size, acc = tree_size(f[0]), {}
+                key1, row1 = _root_count_table(size)[f[:1]]
+                key2, row2 = _root_count_table(n - size)[f[1:]]
+                for k1, c1 in row1.items():
+                    for k2, c2 in row2.items():
+                        acc[k1 + k2] = acc.get(k1 + k2, 0) + c1 * c2
+                shapes[shape] = (key1 + key2, acc)
+        out[f] = shapes[shape]
     return out
 
 

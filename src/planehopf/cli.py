@@ -40,10 +40,11 @@ MAX_EMBED_DEGREE = 7
 MAX_RIBBON_DEGREE = 12
 # the largest up-set (a chain's) takes 0.02 s at 10 nodes and 0.35 s at 12,
 # the largest down-set 0.02 s at 10; birkhoff sigma-plus reads one root-count
-# table of the degree, 0.9 s and 56 MB at 9 in a fresh process (2.4 s and
-# 161 MB at 10 in the library), and the cap stays 9, since the contract tests
-# check that 10 is refused; idem eulerian interpolates Gamma_F of every
-# forest, 0.3 s and 17 MB at 9 in a fresh process
+# table of the degree, with one row per non-plane shape, 0.22 s and 31 MB at
+# 9 in a fresh process (0.3 s and 38 MB at 10 and 1.0 s and 100 MB at 11 in
+# the library), and the cap stays 9, since the contract tests check that 10
+# is refused; idem eulerian interpolates Gamma_F of every forest, 0.3 s and
+# 17 MB at 9 in a fresh process
 MAX_TAMARI_SIZE = 9
 # ehrhart poly interpolates the point counts of |F| + 1 dilations; on 800
 # nodes, in a fresh process, the chain takes 0.5 s, the singletons 0.9 s and
@@ -123,8 +124,11 @@ def _key_str(key) -> str:
 
 
 def _terms_payload(a: LinComb) -> dict:
-    return {_key_str(k): _coeff_str(c)
-            for k, c in sorted(a.terms.items(), key=lambda kv: _key_str(kv[0]))}
+    """Key text -> coefficient text, each coefficient object rendered once;
+    both ``_emit`` paths sort the keys."""
+    shared = {id(c): c for c in a.terms.values()}
+    texts = {i: _coeff_str(c) for i, c in shared.items()}
+    return {_key_str(k): texts[id(c)] for k, c in a.terms.items()}
 
 
 def _pair_key_str(key) -> str:

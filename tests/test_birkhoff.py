@@ -87,7 +87,7 @@ def _key(g):
     return len(g) + sum(1 << (bk._DIGIT * (c + 1)) for c in polish_code(g))
 
 
-@pytest.mark.parametrize("n", range(0, 8))
+@pytest.mark.parametrize("n", range(0, 9))
 def test_root_count_rows_count_the_upsets(n):
     # each row counts the up-set of its forest by root count and arity
     # multiset, and the key beside it is the forest's own
@@ -96,6 +96,62 @@ def test_root_count_rows_count_the_upsets(n):
         assert sum(row.values()) == len(up)
         assert row == Counter(map(_key, up))
         assert key == _key(f)
+
+
+def _shape(f):
+    """The non-plane shape of a forest: its trees, each sorted the same way,
+    in sorted order."""
+    return tuple(sorted(_shape(t) for t in f))
+
+
+def _permuted(f, data):
+    """The forest with the siblings under every node, and its roots, put in
+    a drawn order."""
+    return tuple(data.draw(st.permutations([_permuted(t, data) for t in f])))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 7).flatmap(lambda n: st.sampled_from(
+    enumerate_forests(n))), st.data())
+def test_upset_counts_depend_only_on_the_shape(f, data):
+    # through the routes that read no table: phi+ by its recursion, and the
+    # Tamari up-set counted by root count and arity multiset
+    g = _permuted(f, data)
+    assert _shape(g) == _shape(f)
+    a = bk.a_series(len(polish_code(f)))
+    assert bk.phi_plus(g, a) == bk.phi_plus(f, a)
+    assert Counter(map(_key, tamari.upset(g))) == \
+        Counter(map(_key, tamari.upset(f)))
+
+
+@pytest.mark.parametrize("n, rows", enumerate(
+    (1, 1, 2, 4, 9, 20, 48, 115, 286)))
+def test_root_count_rows_are_one_per_shape(n, rows):
+    # one row object per non-plane shape (OEIS A000081), and two forests
+    # share it exactly when their shapes are equal
+    table = bk._root_count_table(n)
+    ids = {id(row) for _, row in table.values()}
+    assert len(ids) == rows
+    by_shape = {}
+    for f, (_, row) in table.items():
+        by_shape.setdefault(_shape(f), set()).add(id(row))
+    assert all(len(s) == 1 for s in by_shape.values())
+    assert len(by_shape) == rows
+
+
+def test_sigma_plus_sums_each_row_once(monkeypatch):
+    row_sum, calls = bk._row_sum, []
+
+    def counted(row, weights):
+        calls.append(id(row))
+        return row_sum(row, weights)
+
+    monkeypatch.setattr(bk, "_row_sum", counted)
+    for n in range(0, 8):
+        calls.clear()
+        bk.sigma_plus(n, bk.a_series(n))
+        table = bk._root_count_table(n)
+        assert sorted(calls) == sorted({id(row) for _, row in table.values()})
 
 
 def test_sigma_plus_refuses_double_pole():
