@@ -32,10 +32,10 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from itertools import groupby
+from itertools import accumulate, groupby
 from math import comb, inf
 
-from .compositions import (compositions_of, descent_set, from_descent_set,
+from .compositions import (compositions_of, descent_set, from_descent_mask,
                            refinements, sign_word, weight)
 from .forests import (EMPTY_FOREST, CodeError, Forest, Tree, catalan_count,
                       enumerate_forests, enumerate_trees, parse_code,
@@ -370,13 +370,11 @@ def ribbon_from_word(w: tuple[int, ...]) -> tuple[int, ...]:
     n = len(w)
     if sum(w) >= n:
         raise ValueError(f"not a contributing word (sum must be < {n}): {w}")
-    total = 0
-    descents = set()
-    for k, x in enumerate(w[:-1], start=1):
-        total += x
+    mask = 0
+    for k, total in enumerate(accumulate(w[:-1]), start=1):
         if total >= k:
-            descents.add(k)
-    return from_descent_set(descents, n)
+            mask |= 1 << k - 1
+    return from_descent_mask(mask, n)
 
 
 def catalan_block_count(i: tuple[int, ...]) -> int:

@@ -113,17 +113,13 @@ def suite_tamari(n: int) -> list[str]:
     bad = []
     for size in range(1, n + 1):
         below = {}
+        covers = {f: tamari.covers(f) for f in enumerate_forests(size)}
         for f in enumerate_forests(size):
-            seen = {f}
-            frontier = [f]
-            while frontier:
-                nxt = []
-                for g in frontier:
-                    for h in tamari.covers(g):
-                        if h not in seen:
-                            seen.add(h)
-                            nxt.append(h)
-                frontier = nxt
+            seen, stack = {f}, [f]
+            while stack:
+                for h in covers[stack.pop()] - seen:
+                    seen.add(h)
+                    stack.append(h)
             if seen != set(tamari.upset(f)):
                 bad.append(f"upset mismatch at {forest_code(f)}")
             for g in seen:

@@ -29,9 +29,9 @@ EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_GUARD = 4
 
-# nsym embed reads Gamma_F of every forest of the degree off the tree
-# recursion: 0.03 s at degree 7, 0.19 s at 8 and 1.2 s and 62 MB at 9 in a
-# fresh process; the cap stays 7, since the contract tests and the cli_cold
+# nsym embed reads Gamma_F of every forest of the degree, keyed by descent
+# masks: 0.06 s at degree 7, 0.13 s at 8 and 0.7 s and 49 MB at 9 in a fresh
+# process; the cap stays 7, since the contract tests and the cli_cold
 # benchmark check that degrees 8 and 9 are refused
 MAX_EMBED_DEGREE = 7
 # idem solomon and idem qsolomon in the ribbon basis list all 2^(n-1)
@@ -64,11 +64,11 @@ MAX_LATTICE_CANDIDATES = 10 ** 6
 # verify at the cap and one above, each in a fresh CLI process on 2 vCPUs:
 # factorization 0.3 s, 1.2 s (8.7 s at 7; kept at 5: the contract tests expect
 # 6 refused); hopf 1.3 s, 8.8 s; words 2.0 s and 24 MB, 6.3 s and 38 MB;
-# dendriform 0.6 s, 2.4 s; tamari 1.9 s and 59 MB, 12.1 s and 323 MB (kept
+# dendriform 0.6 s, 2.4 s; tamari 0.6 s and 60 MB, 3.9 s and 328 MB (kept
 # at 8: the contract tests expect 9 refused); quotient 0.6 s, then its degree
 # guard; idempotents 3.2 s and 38 MB, 14.1 s and 87 MB; idem verify primitive
-# 2.7 s and 64 MB, 8.6 s and 217 MB; quasi 0.3 s at 7 and 1.5 s at 8 (kept at
-# 6: cli_cold expects 7 refused)
+# 2.7 s and 64 MB, 8.6 s and 217 MB; quasi 0.13 s at 7 and 0.6 s at 8 (kept
+# at 6: cli_cold expects 7 refused)
 MAX_VERIFY_DEGREE = {"factorization": 5, "hopf": 7, "words": 10, "dendriform": 8,
                      "tamari": 8, "quotient": fqsym.MAX_QUOTIENT_DEGREE,
                      "idempotents": 10, "primitive": 11, "quasi": 6}

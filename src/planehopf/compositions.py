@@ -1,5 +1,5 @@
-"""Compositions of integers: descent sets, complement, refinement, sign
-words, and integer partitions.
+"""Compositions of integers: descent sets (also as int masks, bit d - 1 for
+descent d), refinement, sign words, and integer partitions.
 
 Orientation convention used throughout (matching the word-model identity
 S(I) = union of W(J) over J finer than I): ``J <= I`` means J is COARSER,
@@ -8,7 +8,7 @@ i.e. obtained from I by merging adjacent parts, D(J) a subset of D(I).
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import accumulate
 
 
 def weight(parts: tuple[int, ...]) -> int:
@@ -16,66 +16,55 @@ def weight(parts: tuple[int, ...]) -> int:
 
 
 def descent_set(parts: tuple[int, ...]) -> frozenset[int]:
-    out, s = set(), 0
-    for p in parts[:-1]:
-        s += p
-        out.add(s)
-    return frozenset(out)
+    return frozenset(accumulate(parts[:-1]))
 
 
-def from_descent_set(descents, n: int) -> tuple[int, ...]:
-    if n == 0:
-        return ()
-    ds = sorted(descents)
-    if ds and (ds[0] < 1 or ds[-1] > n - 1):
-        raise ValueError(f"descent set {ds} out of range for n={n}")
-    prev, parts = 0, []
-    for d in ds:
+def descent_mask(parts: tuple[int, ...]) -> int:
+    """D(I) as an int, with bit d - 1 set for each descent d."""
+    return sum(1 << d - 1 for d in accumulate(parts[:-1]))
+
+
+def from_descent_mask(mask: int, n: int) -> tuple[int, ...]:
+    parts, prev = [], 0
+    while mask:
+        d = (mask & -mask).bit_length()
         parts.append(d - prev)
-        prev = d
-    parts.append(n - prev)
-    return tuple(parts)
+        prev, mask = d, mask & mask - 1
+    return tuple(parts) + (n - prev,) if n else ()
 
 
 def maj(parts: tuple[int, ...]) -> int:
     return sum(descent_set(parts))
 
 
-def complement(parts: tuple[int, ...]) -> tuple[int, ...]:
-    n = weight(parts)
-    return from_descent_set(set(range(1, n)) - descent_set(parts), n)
+def submasks(x: int, base: int = 0):
+    """base | s for each submask s of x, from x down to 0."""
+    s = x
+    while True:
+        yield base | s
+        if not s:
+            return
+        s = s - 1 & x
 
 
 def coarsenings(parts: tuple[int, ...]):
     """All J <= I (merging adjacent parts), including I itself."""
     n = weight(parts)
-    ds = sorted(descent_set(parts))
-    for r in range(len(ds) + 1):
-        for keep in combinations(ds, r):
-            yield from_descent_set(keep, n)
+    return (from_descent_mask(s, n) for s in submasks(descent_mask(parts)))
 
 
 def refinements(parts: tuple[int, ...]):
     """All J >= I (D(J) contains D(I)), including I itself."""
-    n = weight(parts)
-    base = descent_set(parts)
-    free = sorted(set(range(1, n)) - base)
-    for r in range(len(free) + 1):
-        for extra in combinations(free, r):
-            yield from_descent_set(base | set(extra), n)
+    n, x = weight(parts), descent_mask(parts)
+    free = (1 << max(n - 1, 0)) - 1 & ~x
+    return (from_descent_mask(s, n) for s in submasks(free, x))
 
 
 def compositions_of(n: int):
-    """All compositions of n, by descent subsets, deterministic order."""
+    """All compositions of n, by descent mask, in increasing order."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n == 0:
-        yield ()
-        return
-    positions = list(range(1, n))
-    for r in range(len(positions) + 1):
-        for ds in combinations(positions, r):
-            yield from_descent_set(ds, n)
+    return (from_descent_mask(m, n) for m in range(1 << max(n - 1, 0)))
 
 
 def sign_word(parts: tuple[int, ...]) -> str:

@@ -211,7 +211,10 @@ def quasi_idempotent_check(a: LinComb, n: int) -> tuple[bool, int | Fraction]:
     s = r_to_s(a)
     if not s:
         return True, 0
+    # square den * s, with integer coefficients: its scalar is den * c
+    den = lcm(*(c.denominator for c in s.terms.values()))
+    s = LinComb((j, int(c * den)) for j, c in s.terms.items())
     square = internal_product(s, s)
     pivot = next(iter(s.terms))
     c = Fraction(square.coeff(pivot), s.terms[pivot])
-    return square == s.scale(c), c
+    return square == s.scale(c), c / den

@@ -9,12 +9,12 @@ subset of D(I).
 The embedding of Sym spanned by the S_n = sum of all X_F (equivalently the
 Lambda_n = X on a singleton forest) sends R_I, S^I and Lambda^I to explicit
 X-expansions counted by labellings of forests.  Every count is read off
-Gamma_F = sum of F_{Des s} over the linear extensions s of F, built by a
-memoized recursion over the forest in the F basis: the root of B+(H) adds 1
-to the last part of each composition of Gamma_H, and Gamma_{T.G} is the
-QSym product Gamma_T Gamma_G.  The tests compare it with the linear
-extensions themselves, with X-basis products of the S_n and Lambda_n and
-with packed-word counts.
+Gamma_F = sum of F_{Des s} over the linear extensions s of F, one memoized
+map per forest keyed by descent masks (bit d - 1 for descent d).  The root
+of B+(H) adds 1 to the last part, which keeps the descent set, so a tree
+shares its children's map; Gamma_{T.G} is the QSym product Gamma_T Gamma_G,
+each F_I F_J counted by a DP over the shifted shuffles.  R_I reads one mask,
+S^I the submasks of D(I), Lambda^I the masks above the complement of D(I).
 
 Evaluations on the infinite alphabets {1, q, q^2, ...} and (q, t) return
 canonical RationalFns: each M_I is a sum of terms q^e t^j / prod (1 - q^k),
@@ -26,14 +26,14 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, repeat
+from operator import add
 from types import MappingProxyType
 
-from .compositions import (coarsenings, complement, compositions_of,
-                           refinements, weight)
+from .compositions import (coarsenings, descent_mask, from_descent_mask,
+                           refinements, submasks, weight)
 from .forests import Forest, enumerate_forests, forest_size
 from .lincomb import LinComb
-from .perms import descent_composition, shifted_shuffle
 from .polynomials import MultiPoly, RationalFn, q_series_sum
 
 Composition = tuple
@@ -70,90 +70,111 @@ def m_to_f(a: LinComb) -> LinComb:
 # ---------------------------------------------------------------------------
 # Labelling counts and the embedding into the X basis
 
-def _descent_class(i: Composition) -> tuple[int, ...]:
-    """A permutation with descent composition I: increasing runs of lengths
-    I, each run above the next."""
-    out, top = [], weight(i)
-    for part in i:
-        out.extend(range(top - part + 1, top + 1))
-        top -= part
-    return tuple(out)
-
-
 @lru_cache(maxsize=None)
-def _f_product(i: Composition, j: Composition) -> tuple:
-    """F_I F_J in QSym as (K, count) pairs: the descent compositions of the
-    shifted shuffles of any two permutations with descent compositions I
-    and J, which do not depend on the choice (descent compositions are
-    shuffle-compatible)."""
-    return tuple(Counter(map(descent_composition, shifted_shuffle(
-        _descent_class(i), _descent_class(j)))).items())
+def _f_product(a: int, x: int, b: int, y: int) -> tuple:
+    """F_I F_J in QSym as (mask, count) pairs, for I of weight a with descent
+    mask x and J of weight b with mask y: the descent masks of the shifted
+    shuffles of any u and v with these descent sets (descent sets are
+    shuffle-compatible), counted letter by letter over (letters of u used,
+    source of the last letter).  A step inside u or inside v is a descent
+    where u or v has one, a step u -> v never is, a step v -> u always is."""
+    if not a or not b:
+        return ((x | y, 1),)
+    level = {(1, 0): {0: 1}, (0, 1): {0: 1}}
+    for k in range(1, a + b):
+        nxt, bit = {}, 1 << k - 1
+        for (p, src), masks in level.items():
+            q = k - p
+            for more, key, down in ((p < a, (p + 1, 0), src or x >> p - 1 & 1),
+                                    (q < b, (p, 1), src and y >> q - 1 & 1)):
+                if more:
+                    step, to = bit if down else 0, nxt.setdefault(key, {})
+                    for m, c in masks.items():
+                        to[m | step] = to.get(m | step, 0) + c
+        level = nxt
+    return tuple(sum(map(Counter, level.values()), Counter()).items())
 
 
 @lru_cache(maxsize=None)
 def _gamma(f: Forest) -> MappingProxyType:
-    """Gamma_F as a read-only map F_I -> count of the linear extensions of
-    F with descent composition I.  A tree is the tuple of its children, so
-    B+(H) is H."""
+    """Gamma_F as a read-only map, descent mask -> count of the linear
+    extensions of F with that descent set.  A tree is the tuple of its
+    children, and the root of B+(H) comes last, adding 1 to the last part
+    of each composition: the descent sets stay, so B+(H) shares H's map."""
     if not f:
-        return MappingProxyType({(): 1})
+        return MappingProxyType({0: 1})
     if len(f) == 1:
-        # the root carries the largest postorder label and comes last
-        return MappingProxyType({i[:-1] + (i[-1] + 1,) if i else (1,): c
-                                 for i, c in _gamma(f[0]).items()})
+        return _gamma(f[0])
     out = {}
+    a, b = forest_size(f[:1]), forest_size(f[1:])
     rest = _gamma(f[1:]).items()
-    for i, a in _gamma(f[:1]).items():
-        for j, b in rest:
-            ab = a * b
-            for k, c in _f_product(i, j):
-                out[k] = out.get(k, 0) + ab * c
+    for x, c in _gamma(f[:1]).items():
+        for y, d in rest:
+            cd = c * d
+            for z, e in _f_product(a, x, b, y):
+                out[z] = out.get(z, 0) + cd * e
     return MappingProxyType(out)
+
+
+def _strict_masks(i: Composition) -> list:
+    """The descent masks of the compositions finer than the complement of I."""
+    x = descent_mask(i)
+    return list(submasks(x, (1 << max(weight(i) - 1, 0)) - 1 & ~x))
+
+
+def _embed(n: int, masks: list) -> LinComb:
+    """Each X_F, |F| = n, with coefficient Gamma_F summed over ``masks``."""
+    return LinComb((f, sum(map(_gamma(f).get, masks, repeat(0))))
+                   for f in enumerate_forests(n))
 
 
 def gamma_qsym_f(f: Forest) -> LinComb:
     """Gamma_F(X) in the F basis: the descent compositions of the linear
     extensions of F, read off the tree recursion."""
-    return LinComb(_gamma(f).items())
+    n = forest_size(f)
+    return LinComb((from_descent_mask(m, n), c) for m, c in _gamma(f).items())
 
 
 def nondecreasing_labellings(f: Forest, i: Composition) -> int:
     """Labellings u of the forest with evaluation I and u weakly increasing
     from the leaves toward the roots: the M_I coefficient of Gamma_F, i.e.
     its F_J coefficients summed over J coarser than I."""
-    g = _gamma(f)
-    return sum(g.get(j, 0) for j in coarsenings(i))
+    return sum(map(_gamma(f).get, submasks(descent_mask(i)), repeat(0)))
 
 
 def strict_labellings(f: Forest, i: Composition) -> int:
     """Labellings with evaluation I, strictly increasing toward the roots:
     the F_J of Gamma_F summed over J finer than the complement of I."""
-    g = _gamma(f)
-    return sum(g.get(j, 0) for j in refinements(complement(i)))
+    return sum(map(_gamma(f).get, _strict_masks(i), repeat(0)))
 
 
 def embed_r(i: Composition) -> LinComb:
     """R_I in the X basis: linear extensions of ribbon shape I."""
-    return LinComb((f, _gamma(f).get(i, 0))
-                   for f in enumerate_forests(weight(i)))
+    return _embed(weight(i), [descent_mask(i)])
 
 
 def embed_s(i: Composition) -> LinComb:
     """S^I in the X basis: nondecreasing labellings of evaluation I."""
-    return LinComb((f, nondecreasing_labellings(f, i))
-                   for f in enumerate_forests(weight(i)))
+    return _embed(weight(i), list(submasks(descent_mask(i))))
 
 
 def embed_lambda(i: Composition) -> LinComb:
     """Lambda^I in the X basis: strict labellings of evaluation I."""
-    return LinComb((f, strict_labellings(f, i))
-                   for f in enumerate_forests(weight(i)))
+    return _embed(weight(i), _strict_masks(i))
 
 
 def gamma_qsym_m(f: Forest) -> LinComb:
-    """Gamma_F(X) in the M basis: nondecreasing labelling counts."""
-    return LinComb((i, nondecreasing_labellings(f, i))
-                   for i in compositions_of(forest_size(f)))
+    """Gamma_F(X) in the M basis: nondecreasing labelling counts, each F_J
+    pushed up to the compositions finer than J one descent at a time."""
+    n = forest_size(f)
+    sums = [0] * (1 << max(n - 1, 0))
+    for m, c in _gamma(f).items():
+        sums[m] = c
+    for k in range(n - 1):
+        step = 1 << k
+        for lo in range(step, len(sums), 2 * step):
+            sums[lo:lo + step] = map(add, sums[lo:lo + step], sums[lo - step:lo])
+    return LinComb((from_descent_mask(m, n), c) for m, c in enumerate(sums))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,6 @@
-"""Permutation words: inverses, inversions, descent compositions, patterns."""
+"""Permutation words: inverses, inversions, descents, patterns, shuffles."""
 
 from __future__ import annotations
-
-from .compositions import from_descent_set
 
 
 def inverse(sigma: tuple[int, ...]) -> tuple[int, ...]:
@@ -25,11 +23,6 @@ def inversions(sigma: tuple[int, ...]) -> frozenset[tuple[int, int]]:
 def descents(sigma: tuple[int, ...]) -> frozenset[int]:
     """Positions i with sigma(i) > sigma(i + 1)."""
     return frozenset(i for i in range(1, len(sigma)) if sigma[i - 1] > sigma[i])
-
-
-def descent_composition(sigma: tuple[int, ...]) -> tuple[int, ...]:
-    """Ribbon shape of a permutation."""
-    return from_descent_set(descents(sigma), len(sigma))
 
 
 def contains_132(sigma: tuple[int, ...]) -> bool:

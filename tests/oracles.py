@@ -63,12 +63,17 @@ polynomials, of the product of its children's, and Gamma_F(alpha) is
 (-1)^|F| times the product of the chi_T(-alpha).  The library interpolates
 Gamma_F and the Ehrhart polynomial through |F| + 1 point counts instead.
 
+The quasi-idempotent check on the Fraction coefficients of the S basis.
+The library scales them to integers by their common denominator first.
+
 Also kept here: Gaussian elimination over Fraction, S_n((1-q)A) and Psi_n
 as the limit of S_n((1-q)A)/(1-q) at q = 1, the lattice-path encoding of
 words, and routes that no library code calls: every permutation of a
 length, standardization and the F coproduct, S^sigma in the F basis, the
 ribbon and quasi-shuffle products, the S/M pairing, the minus alphabet in
-the M and F bases, chi_F in QSym, and the evaluation on alpha ones.
+the M and F bases, chi_F in QSym, the evaluation on alpha ones, and
+compositions from descent sets (the library keys them by int masks), the
+descent composition of a permutation and the complement of a composition.
 """
 
 from __future__ import annotations
@@ -78,17 +83,18 @@ from functools import lru_cache, reduce
 from itertools import accumulate, chain, permutations
 from itertools import product as iter_product
 from math import comb, factorial
-from operator import mul
+from operator import mul, sub
 
 from planehopf import fqsym, perms, tamari
-from planehopf.compositions import (coarsenings, complement, compositions_of,
-                                    descent_set, maj, sign_word, weight)
+from planehopf.compositions import (coarsenings, compositions_of, descent_set,
+                                    maj, sign_word, weight)
 from planehopf.ehrhart import lattice_points
 from planehopf.forests import (Forest, Tree, enumerate_forests, forest_size,
                                reverse_polish_code)
 from planehopf.laurent import LaurentPoly
+from planehopf.idempotents import internal_product
 from planehopf.lincomb import LinComb, bilinear
-from planehopf.ncsf import eval_geometric, gamma_qsym_m
+from planehopf.ncsf import eval_geometric, gamma_qsym_m, r_to_s
 from planehopf.polynomials import MultiPoly, RationalFn
 
 PackedWord = tuple[int, ...]
@@ -219,6 +225,21 @@ def group_quasi_idempotent_check(a, n: int) -> tuple[bool, int | Fraction]:
     c = Fraction(square.get(pivot, 0), b[pivot])
     scaled = {sigma: coeff * c for sigma, coeff in b.items() if coeff * c}
     return square == scaled, c
+
+
+def fraction_quasi_idempotent_check(a, n: int) -> tuple[bool, int | Fraction]:
+    """(ok, c): whether a * a = c a, squared in the descent algebra on the
+    Fraction coefficients of a in the S basis, not scaled to integers."""
+    for i in a.terms:
+        if weight(i) != n:
+            raise ValueError(f"composition {i} is not of weight {n}")
+    s = r_to_s(a)
+    if not s:
+        return True, 0
+    square = internal_product(s, s)
+    pivot = next(iter(s.terms))
+    c = Fraction(square.coeff(pivot), s.terms[pivot])
+    return square == s.scale(c), c
 
 
 # ---------------------------------------------------------------------------
@@ -574,6 +595,21 @@ def standardize(word: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(std)
 
 
+def from_descent_set(descents, n: int) -> tuple[int, ...]:
+    """The composition of n with descent set ``descents``."""
+    if n == 0:
+        return ()
+    ds = sorted(descents)
+    if ds and (ds[0] < 1 or ds[-1] > n - 1):
+        raise ValueError(f"descent set {ds} out of range for n={n}")
+    return tuple(map(sub, ds + [n], [0] + ds))
+
+
+def descent_composition(sigma: tuple[int, ...]) -> tuple[int, ...]:
+    """Ribbon shape of a permutation."""
+    return from_descent_set(perms.descents(sigma), len(sigma))
+
+
 def f_coproduct(sigma: tuple[int, ...]) -> LinComb:
     """Coproduct in the F basis: standardized deconcatenations."""
     return LinComb(((standardize(sigma[:k]), standardize(sigma[k:])), 1)
@@ -633,6 +669,12 @@ def m_product(a: LinComb, b: LinComb) -> LinComb:
 def pair(s_elem: LinComb, m_elem: LinComb):
     """Duality pairing, S basis against M basis."""
     return sum(c * m_elem.coeff(i) for i, c in s_elem.terms.items())
+
+
+def complement(parts: tuple[int, ...]) -> tuple[int, ...]:
+    """The composition whose descent set is the complement of D(I)."""
+    n = weight(parts)
+    return from_descent_set(set(range(1, n)) - descent_set(parts), n)
 
 
 def minus_x_m(a: LinComb) -> LinComb:

@@ -18,7 +18,8 @@ from planehopf.polynomials import MultiPoly, RationalFn
 
 from fixtures import E4_TABLES
 from oracles import (beta, chi_poly, eval_binomial, first_rows_by_filter,
-                     group_product, group_quasi_idempotent_check,
+                     fraction_quasi_idempotent_check, group_product,
+                     group_quasi_idempotent_check,
                      is_primitive_by_coproduct, over_one_minus_q,
                      product_transform_over_1mq, r_product, s_n_1mq)
 
@@ -362,6 +363,16 @@ def test_quasi_idempotent_check_against_group_algebra(n):
     named += [LinComb.monomial(i) for i in compositions_of(n)]
     for elem in named:
         assert _agrees_with_group_algebra(elem, n), elem
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_integer_square_matches_fraction_square(n):
+    # the square of den * r_to_s(a) over the integers, its scalar divided
+    # by den, against the square on the Fraction coefficients
+    for elem in (psi_n(n), psi_bar_n(n), s_to_r(idem.solomon(n))):
+        want = fraction_quasi_idempotent_check(elem, n)
+        assert idem.quasi_idempotent_check(elem, n) == want
+        assert want[0]
 
 
 def test_eulerian_domain_errors():

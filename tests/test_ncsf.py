@@ -9,11 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planehopf import birkhoff, forests, hopf, ncsf
-from planehopf.compositions import compositions_of
+from planehopf.compositions import (coarsenings, compositions_of,
+                                    descent_mask, descent_set,
+                                    from_descent_mask, refinements)
 from planehopf.forests import (enumerate_forests, forest_code,
                                linear_extensions, parse_forest)
 from planehopf.lincomb import LinComb
-from planehopf.perms import descent_composition, shifted_shuffle
+from planehopf.perms import descents, shifted_shuffle
 from planehopf.polynomials import (MultiPoly, RationalFn, _cyclotomic,
                                    _divmod_monic)
 
@@ -26,8 +28,9 @@ def mono(b, c=1):
 
 
 from fixtures import R_TO_X_TABLE
-from oracles import (all_perms, eval_geometric_inf_pairwise,
-                     eval_xqt_pairwise, m_product, minus_x_f, minus_x_m, pair,
+from oracles import (descent_composition,
+                     eval_geometric_inf_pairwise, eval_xqt_pairwise,
+                     from_descent_set, m_product, minus_x_f, minus_x_m, pair,
                      psi_n_via_limit)
 
 
@@ -86,7 +89,7 @@ def test_one_enumeration_per_forest(monkeypatch):
     assert ncsf._gamma.cache_info().misses <= small == 23
 
 
-@pytest.mark.parametrize("n", range(8))
+@pytest.mark.parametrize("n", range(9))
 def test_gamma_matches_linear_extensions(n):
     # dual route: the tree recursion against the descent compositions of
     # the listed linear extensions
@@ -95,26 +98,42 @@ def test_gamma_matches_linear_extensions(n):
         assert ncsf.gamma_qsym_f(f) == LinComb(want), forest_code(f)
 
 
-@st.composite
-def descent_class_member(draw, n):
-    """A composition I of n and a permutation drawn from those with
-    descent composition I."""
-    i = draw(st.sampled_from(list(compositions_of(n))))
-    perm = draw(st.sampled_from([p for p in all_perms(n)
-                                 if descent_composition(p) == i]))
-    return i, perm
+def _mask(sigma):
+    return sum(1 << d - 1 for d in descents(sigma))
+
+
+def _perm(n):
+    return st.permutations(range(1, n + 1)).map(tuple)
 
 
 @settings(deadline=None, max_examples=150)
-@given(st.tuples(st.integers(0, 6), st.integers(0, 6))
-       .filter(lambda ab: sum(ab) <= 6)
-       .flatmap(lambda ab: st.tuples(descent_class_member(ab[0]),
-                                     descent_class_member(ab[1]))))
+@given(st.tuples(st.integers(0, 9), st.integers(0, 9))
+       .filter(lambda ab: sum(ab) <= 9)
+       .flatmap(lambda ab: st.tuples(_perm(ab[0]), _perm(ab[1]))))
 def test_f_product_is_shuffle_of_any_representatives(pair):
-    # F_I F_J does not depend on the permutations chosen for I and J
-    (i, u), (j, v) = pair
-    want = Counter(map(descent_composition, shifted_shuffle(u, v)))
-    assert dict(ncsf._f_product(i, j)) == want
+    # F_I F_J, counted from the descent masks of I and J alone, against the
+    # listed shifted shuffles of any permutations u and v with those masks
+    u, v = pair
+    want = Counter(map(_mask, shifted_shuffle(u, v)))
+    assert dict(ncsf._f_product(len(u), _mask(u), len(v), _mask(v))) == want
+
+
+def test_descent_masks_match_descent_sets():
+    # every composition of n <= 7, once each, and its coarsenings and
+    # refinements, against the descent-set route
+    for n in range(8):
+        comps = list(compositions_of(n))
+        assert len(set(comps)) == len(comps) == max(2 ** (n - 1), 1)
+        for m, i in enumerate(comps):
+            ds = {d for d in range(1, n) if m >> d - 1 & 1}
+            assert i == from_descent_mask(m, n) == from_descent_set(ds, n)
+            assert descent_mask(i) == m and descent_set(i) == ds
+            coarser = list(coarsenings(i))
+            finer = list(refinements(i))
+            assert len(coarser) == 2 ** len(ds)
+            assert len(finer) == len(comps) >> len(ds)
+            assert set(coarser) == {j for j in comps if descent_set(j) <= ds}
+            assert set(finer) == {j for j in comps if descent_set(j) >= ds}
 
 
 def test_r_s_round_trip():
