@@ -43,12 +43,12 @@ MAX_RIBBON_DEGREE = 12
 # table of the degree, with one row per non-plane shape, 0.22 s and 31 MB at
 # 9 in a fresh process (0.3 s and 38 MB at 10 and 1.0 s and 100 MB at 11 in
 # the library), and the cap stays 9, since the contract tests check that 10
-# is refused; idem eulerian interpolates Gamma_F of every forest, 0.3 s and
-# 17 MB at 9 in a fresh process
+# is refused; idem eulerian dots one integer row with the point counts of
+# every forest, 0.1 s at 9 in a fresh process (0.2 s and 22 MB at 10)
 MAX_TAMARI_SIZE = 9
 # ehrhart poly interpolates the point counts of |F| + 1 dilations; on 800
-# nodes, in a fresh process, the chain takes 0.5 s, the singletons 0.9 s and
-# 400 copies of 10 0.8 s
+# nodes, in a fresh process, the chain takes 0.4 s, the singletons 0.9 s and
+# 400 copies of 10 0.7 s
 MAX_EHRHART_SIZE = 800
 # hopf product grafts only the asked pair; in the C basis it also expands
 # both factors and peels the product back, which sets the cap: 4 singletons
@@ -63,12 +63,12 @@ MAX_PRODUCT_SIZE = 9
 MAX_LATTICE_CANDIDATES = 10 ** 6
 # verify at the cap and one above, each in a fresh CLI process on 2 vCPUs:
 # factorization 0.3 s, 1.2 s (8.7 s at 7; kept at 5: the contract tests expect
-# 6 refused); hopf 1.3 s, 8.8 s; words 2.0 s and 24 MB, 6.3 s and 38 MB;
-# dendriform 0.6 s, 2.4 s; tamari 0.6 s and 60 MB, 3.9 s and 328 MB (kept
-# at 8: the contract tests expect 9 refused); quotient 0.6 s, then its degree
-# guard; idempotents 3.2 s and 38 MB, 14.1 s and 87 MB; idem verify primitive
-# 2.7 s and 64 MB, 8.6 s and 217 MB; quasi 0.13 s at 7 and 0.6 s at 8 (kept
-# at 6: cli_cold expects 7 refused)
+# 6 refused); hopf 0.4 s, 2 s (kept at 7: the contract tests expect 8 refused);
+# words 2.0 s and 24 MB, 6.3 s and 38 MB; dendriform 0.6 s, 2.4 s; tamari
+# 0.6 s and 60 MB, 3.9 s and 328 MB (kept at 8: the contract tests expect 9
+# refused); quotient 0.6 s, then its degree guard; idempotents 3.2 s and
+# 38 MB, 14.1 s and 87 MB; idem verify primitive 2.7 s and 64 MB, 8.6 s and
+# 217 MB; quasi 0.13 s at 7, 0.6 s at 8 (kept at 6: cli_cold wants 7 refused)
 MAX_VERIFY_DEGREE = {"factorization": 5, "hopf": 7, "words": 10, "dendriform": 8,
                      "tamari": 8, "quotient": fqsym.MAX_QUOTIENT_DEGREE,
                      "idempotents": 10, "primitive": 11, "quasi": 6}

@@ -9,19 +9,20 @@ Gamma_F(alpha) is the Ehrhart polynomial at alpha - 1.
 
 ``lattice_points`` lists the points tree by tree, each root value bounding
 its children's, ``q_count`` counts them by coordinate sum the same way, and
-``_counts`` counts those of the dilations 0..m at once.  The Ehrhart
-polynomial has degree |F| (Stanley, EC1 3.15), so ``ehrhart_polynomial``
-and ``gamma_alpha`` interpolate |F| + 1 counts.  The tests check the points
-against the scan of every candidate point, the q-counts against Gamma_F
-and chi_F on geometric alphabets, and the polynomials against Gamma_F in
-the M basis and by reciprocity through Bernoulli polynomials.
+``_counts`` counts those of the dilations 0..m at once, node by node.  The
+Ehrhart polynomial has degree |F| (Stanley, EC1 3.15), so
+``ehrhart_polynomial`` interpolates |F| + 1 counts.  The tests check the
+points against the scan of every candidate point, the q-counts against
+Gamma_F and chi_F on geometric alphabets, and the polynomials against
+Gamma_F in the M basis and by reciprocity through Bernoulli polynomials.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate, zip_longest
+from operator import mul
 
-from .forests import Forest, forest_size
+from .forests import Forest, forest_size, reverse_polish_code
 from .polynomials import MultiPoly, interpolate
 
 
@@ -68,32 +69,33 @@ def candidate_count(f: Forest, n: int, cap: int) -> int:
 # ---------------------------------------------------------------------------
 # Order polynomial, Ehrhart polynomial and reciprocity
 
-def _counts(f: Forest, top: int) -> list[int]:
-    """[Omega_F(m) for m in 0..top], Omega_F(m) the number of points of the
-    m-th dilation: a tree B+(H) takes the prefix sums of Omega_H, its root
-    value bounding its children's, and a forest multiplies its trees' counts
-    entry by entry."""
-    out = [1] * (top + 1)
-    for t in f:
-        out = [a * b for a, b in zip(out, accumulate(_counts(t, top)))]
+def forest_counts(trees: list[list[int]], top: int) -> list[int]:
+    """Omega_F(0..top), its trees' lists Omega_T(0..top) multiplied."""
+    out = trees[0] if trees else [1] * (top + 1)
+    for t in trees[1:]:
+        out = list(map(mul, out, t))
     return out
 
 
-def _poly(values: list[int], var: str) -> MultiPoly:
-    return MultiPoly({((var, e),) if e else (): c
-                      for e, c in enumerate(interpolate(values))})
+def tree_counts(children: list[list[int]], top: int) -> list[int]:
+    """Omega_T(0..top) of T = B+(H), the prefix sums of Omega_H."""
+    return list(accumulate(forest_counts(children, top)))
+
+
+def _counts(f: Forest, top: int) -> list[int]:
+    """[Omega_F(m) for m in 0..top], the point counts of the dilations, node
+    by node off the reverse Polish code: a deep tree needs no recursion stack."""
+    stack = []
+    for arity in reverse_polish_code(f):
+        cut = len(stack) - arity
+        stack[cut:] = [tree_counts(stack[cut:], top)]
+    return forest_counts(stack, top)
 
 
 def ehrhart_polynomial(f: Forest) -> MultiPoly:
     """E(x) with E(n) = number of integral points of the n-th dilation."""
-    return _poly(_counts(f, forest_size(f)), "x")
-
-
-def gamma_alpha(f: Forest) -> MultiPoly:
-    """The order polynomial Gamma_F(alpha), the number of maps into a chain
-    of alpha elements that weakly increase toward the roots: E(alpha - 1)
-    for alpha >= 1, and at 0, 1 for the empty forest and 0 otherwise."""
-    return _poly([int(not f)] + _counts(f, forest_size(f) - 1), "alpha")
+    return MultiPoly({(("x", e),) if e else (): c for e, c in
+                      enumerate(interpolate(_counts(f, forest_size(f))))})
 
 
 def interior_count_poly(f: Forest, n: int):

@@ -4,9 +4,9 @@ Dynkin (Psi_n and its mirror), Solomon (log sigma_1), the Eulerian family
 e_n^(k), and the q-interpolating phi_n(q).  Under the embedding into the
 dual Connes-Kreimer algebra, Psi_n lands on the chain tree and the mirror
 Psi-bar_n on the sum of all trees; the Eulerian pieces expand with the
-coefficient of X_F given by [alpha^k] of the order polynomial Gamma_F,
-which :func:`planehopf.ehrhart.gamma_alpha` interpolates through point
-counts of the order polytope.
+coefficient of X_F given by [alpha^k] of the order polynomial Gamma_F: one
+integer row per call, dotted with Gamma_F(1..n), the point counts of the
+order polytope's dilations, read off one table of the counts of the trees.
 phi_n(q) and the A/(1-q) transform have RationalFn coefficients in lowest
 terms, so their identities are checked with ``==``.
 
@@ -40,14 +40,15 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from operator import mul
 
 from .compositions import compositions_of, descent_set, maj, weight
-from .ehrhart import gamma_alpha
-from .forests import enumerate_forests
+from .ehrhart import forest_counts, tree_counts
+from .forests import enumerate_forests, enumerate_trees
 from .lincomb import LinComb, bilinear
 from .ncsf import embed_r, psi_n, psi_bar_n, r_to_s, s_to_r
 from .polynomials import (MultiPoly, RationalFn, _common_denominator,
-                          _lowest_terms)
+                          _lowest_terms, interpolate)
 
 # ---------------------------------------------------------------------------
 # Dynkin
@@ -76,11 +77,20 @@ def eulerian(n: int, k: int) -> LinComb:
     Gamma_F(alpha)."""
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    # [alpha^k] is linear in v_m = Gamma_F(m) = Omega_F(m - 1), and v_0 = 0
+    row = [interpolate([int(i == m) for i in range(n + 1)])[k]
+           for m in range(1, n + 1)]
+    den = lcm(*(c.denominator for c in row))
+    row = [int(c * den) for c in row]
+    counts = {}
+    for size in range(1, n + 1):
+        for t in enumerate_trees(size):
+            counts[t] = tree_counts([counts[c] for c in t], n - 1)
     out = {}
     for f in enumerate_forests(n):
-        c = gamma_alpha(f).coefficient("alpha", k).as_constant()
+        c = sum(map(mul, row, forest_counts([counts[t] for t in f], n - 1)))
         if c:
-            out[f] = c
+            out[f] = Fraction(c, den)
     return LinComb(out)
 
 

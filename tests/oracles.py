@@ -61,7 +61,9 @@ The order polynomial Gamma_F(alpha) by reciprocity: the strict order
 polynomial chi_T of each tree is the discrete integral, by Bernoulli
 polynomials, of the product of its children's, and Gamma_F(alpha) is
 (-1)^|F| times the product of the chi_T(-alpha).  The library interpolates
-Gamma_F and the Ehrhart polynomial through |F| + 1 point counts instead.
+the Ehrhart polynomial through |F| + 1 point counts instead.  Gamma_F
+interpolated the same way, one forest at a time: the library reads each
+[alpha^k] Gamma_F as one integer row dotted with the forest's counts.
 
 The quasi-idempotent check on the Fraction coefficients of the S basis.
 The library scales them to integers by their common denominator first.
@@ -88,14 +90,14 @@ from operator import mul, sub
 from planehopf import fqsym, perms, tamari
 from planehopf.compositions import (coarsenings, compositions_of, descent_set,
                                     maj, sign_word, weight)
-from planehopf.ehrhart import lattice_points
+from planehopf.ehrhart import _counts, lattice_points
 from planehopf.forests import (Forest, Tree, enumerate_forests, forest_size,
                                reverse_polish_code)
 from planehopf.laurent import LaurentPoly
 from planehopf.idempotents import internal_product
 from planehopf.lincomb import LinComb, bilinear
 from planehopf.ncsf import eval_geometric, gamma_qsym_m, r_to_s
-from planehopf.polynomials import MultiPoly, RationalFn
+from planehopf.polynomials import MultiPoly, RationalFn, interpolate
 
 PackedWord = tuple[int, ...]
 
@@ -763,6 +765,23 @@ def gamma_by_reciprocity(f: Forest) -> MultiPoly:
     for t in f:
         chi = chi * chi_poly(t)
     return chi.substitute({"t": -MultiPoly.var("alpha")}) * (-1) ** forest_size(f)
+
+
+def gamma_alpha(f: Forest) -> MultiPoly:
+    """The order polynomial Gamma_F(alpha), the number of maps into a chain
+    of alpha elements that weakly increase toward the roots: E(alpha - 1)
+    for alpha >= 1, and at 0, 1 for the empty forest and 0 otherwise.  It is
+    interpolated through those |F| + 1 values."""
+    values = [int(not f)] + _counts(f, forest_size(f) - 1)
+    return MultiPoly({(("alpha", e),) if e else (): c
+                      for e, c in enumerate(interpolate(values))})
+
+
+def eulerian_by_interpolation(n: int, k: int) -> LinComb:
+    """e_n^(k) in the X basis, each coefficient [alpha^k] of the
+    interpolated Gamma_F."""
+    return LinComb((f, gamma_alpha(f).coefficient("alpha", k).as_constant())
+                   for f in enumerate_forests(n))
 
 
 # ---------------------------------------------------------------------------

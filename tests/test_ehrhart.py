@@ -7,13 +7,15 @@ from math import comb
 import pytest
 
 from planehopf import ehrhart as eh
-from planehopf.forests import enumerate_forests, parse_forest, singletons
+from planehopf.forests import (chain_tree, enumerate_forests, parse_forest,
+                               singletons)
 from planehopf.ncsf import eval_geometric, gamma_qsym_m
 from planehopf.polynomials import MultiPoly
 
-from oracles import (chi_qsym_m, gamma_by_reciprocity, gamma_wqsym,
-                     q_count_points, q_count_qsym, scan_lattice_points,
-                     signed_gamma_by_transform, wqsym_to_qsym)
+from oracles import (chi_qsym_m, gamma_alpha, gamma_by_reciprocity,
+                     gamma_wqsym, q_count_points, q_count_qsym,
+                     scan_lattice_points, signed_gamma_by_transform,
+                     wqsym_to_qsym)
 
 CHERRY = parse_forest("200")
 x = MultiPoly.var("x")
@@ -61,11 +63,18 @@ def test_interpolation_matches_reciprocity_route(n):
     # the same polynomials as the Bernoulli route, term for term and in text
     for f in enumerate_forests(n):
         gamma = gamma_by_reciprocity(f)
-        for got, want in ((eh.gamma_alpha(f), gamma),
+        for got, want in ((gamma_alpha(f), gamma),
                           (eh.ehrhart_polynomial(f),
                            gamma.substitute({"alpha": x + 1}))):
             assert got.coeffs == want.coeffs
             assert got.text() == want.text()
+
+
+def test_ehrhart_polynomial_of_a_deep_chain():
+    # the 1,000-node chain is past the recursion limit: E(m) = C(m + 1000, m)
+    e = eh.ehrhart_polynomial((chain_tree(1000),))
+    for m in range(3):
+        assert e.substitute({"x": m}).as_constant() == comb(m + 1000, 1000)
 
 
 def test_ehrhart_counts():

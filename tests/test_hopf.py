@@ -130,6 +130,23 @@ def test_hopf_suite():
     assert suite_hopf(6) == []
 
 
+def test_hopf_suite_reports_a_corrupted_coproduct(monkeypatch):
+    # one extra (0, 0) term in the Y coproduct of two singletons is seen by
+    # the duality and bialgebra checks, which read the suite's one table
+    y_coproduct, dots = hopf.y_coproduct, singletons(2)
+
+    def corrupt(f):
+        out = y_coproduct(f)
+        if f == dots:
+            out = out + LinComb.monomial((singletons(1), singletons(1)))
+        return out
+
+    monkeypatch.setattr(hopf, "y_coproduct", corrupt)
+    bad = suite_hopf(3)
+    assert "duality fails at 0,0 vs 00" in bad
+    assert "bialgebra fails at 0,0" in bad
+
+
 def test_dendriform_suite():
     assert suite_dendriform(6) == []
 

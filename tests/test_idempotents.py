@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from planehopf import birkhoff, ehrhart, idempotents as idem, ncsf
+from planehopf import birkhoff, idempotents as idem, ncsf
 from planehopf.checks import suite_idempotents
 from planehopf.compositions import compositions_of, maj, partitions_of
 from planehopf.forests import (chain_tree, enumerate_forests, enumerate_trees,
@@ -17,8 +17,9 @@ from planehopf.ncsf import psi_bar_n, psi_n, r_to_s, s_to_r
 from planehopf.polynomials import MultiPoly, RationalFn
 
 from fixtures import E4_TABLES
-from oracles import (beta, chi_poly, eval_binomial, first_rows_by_filter,
-                     fraction_quasi_idempotent_check, group_product,
+from oracles import (beta, chi_poly, eulerian_by_interpolation, eval_binomial,
+                     first_rows_by_filter, fraction_quasi_idempotent_check,
+                     gamma_alpha, group_product,
                      group_quasi_idempotent_check,
                      is_primitive_by_coproduct, over_one_minus_q,
                      product_transform_over_1mq, r_product, s_n_1mq)
@@ -53,12 +54,20 @@ def test_chi_dual_route():
                 * Fraction((-1) ** n)
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+def test_eulerian_matches_interpolation(n):
+    # one integer row and the tree table against Gamma_F interpolated
+    # forest by forest
+    for k in range(1, n + 1):
+        assert idem.eulerian(n, k) == eulerian_by_interpolation(n, k)
+
+
 @pytest.mark.parametrize("n", range(7))
 def test_gamma_alpha_routes(n):
     # the interpolated point counts against Gamma_F in the M basis on
     # alpha ones
     for f in enumerate_forests(n):
-        assert ehrhart.gamma_alpha(f) \
+        assert gamma_alpha(f) \
             == eval_binomial(ncsf.gamma_qsym_m(f))
 
 
