@@ -38,8 +38,7 @@ from math import comb, inf
 from .compositions import (compositions_of, descent_set, from_descent_mask,
                            refinements, sign_word, weight)
 from .forests import (EMPTY_FOREST, CodeError, Forest, Tree, catalan_count,
-                      enumerate_forests, enumerate_trees, parse_code,
-                      tree_size)
+                      parse_code, shapes, tree_size)
 from .hopf import c_expand
 from .laurent import LaurentPoly
 from .lincomb import LinComb
@@ -99,14 +98,14 @@ def sigma_plus(n: int, a: LaurentPoly) -> LinComb:
     coefficients, read from the Tamari formula: the X_F coefficient is
     phi+(Y_F) = sum over G >= F of a_G z^(-r(G)), the sum of
     count * a^m z^(-r) over the root-count row W(F).  ``phi_plus`` is the
-    recursive oracle of the same values.  Each distinct row is summed once,
-    and the forests that share it share its ``LaurentPoly``."""
+    recursive oracle of the same values.  Each shape's row is summed once,
+    and the forests of that shape share its ``LaurentPoly``."""
     _refuse_double_pole(a)
-    table = _root_count_table(n)
-    rows = {id(row): (key, row) for key, row in table.values()}
+    table, shape = _root_count_table(n), shapes(n)
+    rows = {s: table[f] for f, s in shape.items()}
     weights = _multiset_weights(a, (key for key, _ in rows.values()))
-    sums = {i: _row_sum(row, weights) for i, (_, row) in rows.items()}
-    return LinComb({f: sums[id(row)] for f, (_, row) in table.items()})
+    sums = {s: _row_sum(row, weights) for s, (_, row) in rows.items()}
+    return LinComb({f: sums[s] for f, s in shape.items()})
 
 
 def series_c(n: int, a: LaurentPoly) -> LinComb:
@@ -145,36 +144,31 @@ def _root_count_table(n: int) -> dict[Forest, tuple[int, dict[int, int]]]:
     G1 . B+(G2) that split G >= H after s - 1 roots; s = 1 is B+(H) itself.
     The counts do not depend on a(z), so one table serves every series.
     The convolution is commutative, so W(F) depends only on the non-plane
-    shape of F, and the forests of one shape share one (key, row) pair: a
-    tree's is found by its children's row, a forest's by the multiset of its
-    trees' rows.  There are A000081(n + 1) rows: 115 for 429 forests at 7."""
+    shape of F (``forests.shapes``): the forests of one shape share one
+    (key, row) pair, built from the first of them.  There are
+    A000081(n + 1) rows: 115 for 429 forests at 7."""
     if not n:
         return {EMPTY_FOREST: (0, {0: 1})}
-    out, shapes = {}, {}
-    tree_rows = {t: id(_root_count_table(k)[(t,)][1])
-                 for k in range(1, n) for t in enumerate_trees(k)}
-    for f in enumerate_forests(n):
-        if len(f) == 1:
-            key, row = _root_count_table(n - 1)[f[0]]
-            shape = id(row)
-            if shape not in shapes:
-                acc: dict[int, int] = {}
+    out, rows = {}, {}
+    for f, shape in shapes(n).items():
+        if shape not in rows:
+            acc: dict[int, int] = {}
+            if len(f) == 1:
+                key, row = _root_count_table(n - 1)[f[0]]
                 for k, count in row.items():
                     for s in range(1, (k & _MASK) + 2):
                         g = _grafted(k, s)
                         acc[g] = acc.get(g, 0) + count
-                shapes[shape] = (_grafted(key, 1), acc)
-        else:
-            shape = tuple(sorted(tree_rows[t] for t in f))
-            if shape not in shapes:
-                size, acc = tree_size(f[0]), {}
+                rows[shape] = (_grafted(key, 1), acc)
+            else:
+                size = tree_size(f[0])
                 key1, row1 = _root_count_table(size)[f[:1]]
                 key2, row2 = _root_count_table(n - size)[f[1:]]
                 for k1, c1 in row1.items():
                     for k2, c2 in row2.items():
                         acc[k1 + k2] = acc.get(k1 + k2, 0) + c1 * c2
-                shapes[shape] = (key1 + key2, acc)
-        out[f] = shapes[shape]
+                rows[shape] = (key1 + key2, acc)
+        out[f] = rows[shape]
     return out
 
 

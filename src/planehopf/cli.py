@@ -29,10 +29,10 @@ EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_GUARD = 4
 
-# nsym embed reads Gamma_F of every forest of the degree, keyed by descent
-# masks: 0.06 s at degree 7, 0.13 s at 8 and 0.7 s and 49 MB at 9 in a fresh
-# process; the cap stays 7, since the contract tests and the cli_cold
-# benchmark check that degrees 8 and 9 are refused
+# nsym embed reads Gamma_F once per non-plane shape of the degree: in a fresh
+# process 0.14 s and 20 MB at 9, 0.65 s and 41 MB at 10, 3.0 s and 148 MB at
+# 11; the cap stays 7, since the contract tests and the cli_cold benchmark
+# check that degrees 8 and 9 are refused
 MAX_EMBED_DEGREE = 7
 # idem solomon and idem qsolomon in the ribbon basis list all 2^(n-1)
 # ribbons of the degree: qsolomon 2.0 s at 12 and 5.4 s at 13, solomon
@@ -44,7 +44,8 @@ MAX_RIBBON_DEGREE = 12
 # 9 in a fresh process (0.3 s and 38 MB at 10 and 1.0 s and 100 MB at 11 in
 # the library), and the cap stays 9, since the contract tests check that 10
 # is refused; idem eulerian dots one integer row with the point counts of
-# every forest, 0.1 s at 9 in a fresh process (0.2 s and 22 MB at 10)
+# every forest shape, 0.1 s at 9 in a fresh process (0.1-0.2 s and 21 MB at
+# 10 and 0.45 s and 33 MB at 11 in the library)
 MAX_TAMARI_SIZE = 9
 # ehrhart poly interpolates the point counts of |F| + 1 dilations; on 800
 # nodes, in a fresh process, the chain takes 0.4 s, the singletons 0.9 s and

@@ -22,7 +22,7 @@ from __future__ import annotations
 from itertools import accumulate, zip_longest
 from operator import mul
 
-from .forests import Forest, forest_size, reverse_polish_code
+from .forests import Forest, forest_size, polish_code
 from .polynomials import MultiPoly, interpolate
 
 
@@ -69,27 +69,23 @@ def candidate_count(f: Forest, n: int, cap: int) -> int:
 # ---------------------------------------------------------------------------
 # Order polynomial, Ehrhart polynomial and reciprocity
 
-def forest_counts(trees: list[list[int]], top: int) -> list[int]:
-    """Omega_F(0..top), its trees' lists Omega_T(0..top) multiplied."""
-    out = trees[0] if trees else [1] * (top + 1)
-    for t in trees[1:]:
-        out = list(map(mul, out, t))
-    return out
-
-
-def tree_counts(children: list[list[int]], top: int) -> list[int]:
-    """Omega_T(0..top) of T = B+(H), the prefix sums of Omega_H."""
-    return list(accumulate(forest_counts(children, top)))
-
-
 def _counts(f: Forest, top: int) -> list[int]:
-    """[Omega_F(m) for m in 0..top], the point counts of the dilations, node
-    by node off the reverse Polish code: a deep tree needs no recursion stack."""
-    stack = []
-    for arity in reverse_polish_code(f):
-        cut = len(stack) - arity
-        stack[cut:] = [tree_counts(stack[cut:], top)]
-    return forest_counts(stack, top)
+    """[Omega_F(m) for m in 0..top], the point counts of the dilations, off
+    the Polish code.  An open node keeps the product of its closed children's
+    counts; a tree's counts, the prefix sums of that product, multiply into
+    its parent's as it closes.  So the stack holds one list per level of
+    depth, and there is no recursion."""
+    ones = [1] * (top + 1)
+    # [product or None, children left] per open node; the forest never closes
+    stack = [[None, -1]]
+    for arity in polish_code(f):
+        stack.append([None, arity])
+        while not stack[-1][1]:
+            tree = list(accumulate(stack.pop()[0] or ones))
+            up = stack[-1]
+            up[0] = tree if up[0] is None else list(map(mul, up[0], tree))
+            up[1] -= 1
+    return stack[0][0] or ones
 
 
 def ehrhart_polynomial(f: Forest) -> MultiPoly:

@@ -12,8 +12,9 @@ of labels with the maximum at its root.  All poset-dependent operations
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 from typing import Sequence
 
 from .perms import shifted_shuffle
@@ -204,25 +205,25 @@ def max_linear_extension(f: Forest) -> tuple[int, ...]:
 # Non-plane (unordered) rooted trees
 
 def non_plane_class(t: Tree):
-    """Canonical unordered form: children canonicalized recursively and sorted."""
-    return tuple(sorted(non_plane_class(c) for c in t))
+    """Canonical unordered form: children canonicalized recursively and sorted.
+    On a forest it gives the forest's shape, itself a plane forest."""
+    return tuple(sorted(map(non_plane_class, t))) if t else t
+
+
+@lru_cache(maxsize=None)
+def shapes(n: int) -> dict[Forest, Forest]:
+    """F -> non_plane_class(F) for the forests of size n, in enumeration
+    order.  A tree's shape is its children's, off a smaller table, so only
+    the roots are sorted, and equal shapes are one object."""
+    tree = {t: shapes(k - 1)[t] for k in range(1, n + 1)
+            for t in enumerate_trees(k)}
+    seen: dict[Forest, Forest] = {}
+    return {f: seen.setdefault(s, s) for f in enumerate_forests(n)
+            for s in [tuple(sorted(tree[t] for t in f))]}
 
 
 def aut_order(tau) -> int:
     """|Aut| of a canonical non-plane tree: product over nodes of the
     factorials of multiplicities of identical child subtrees."""
-    order = 1
-    i = 0
-    kids = list(tau)
-    while i < len(kids):
-        j = i
-        while j < len(kids) and kids[j] == kids[i]:
-            j += 1
-        order *= factorial(j - i) * aut_order(kids[i]) ** (j - i)
-        i = j
-    return order
-
-
-def plane_representatives(tau, n: int) -> tuple[Tree, ...]:
-    """All plane trees with ``n`` nodes whose shape-forgetting is ``tau``."""
-    return tuple(t for t in enumerate_trees(n) if non_plane_class(t) == tau)
+    return prod(factorial(m) * aut_order(c) ** m
+                for c, m in Counter(tau).items())

@@ -26,7 +26,7 @@ from functools import lru_cache
 
 from . import tamari
 from .forests import (Forest, Tree, aut_order, enumerate_forests,
-                      plane_representatives, reverse_polish_code)
+                      enumerate_trees, reverse_polish_code, shapes)
 from .lincomb import LinComb, bilinear, peel
 
 
@@ -58,11 +58,25 @@ def y_coproduct(f: Forest) -> LinComb:
 
     A tree is the tuple of its children, so B+(H) is H: a tree T is either
     all lower, or its root stays upper over a cut of H.  A forest convolves
-    the merged cuts of its trees, one tree at a time."""
-    out = LinComb.monomial(((), ()))
-    for t in f:
-        tree = [(((t,), ()), 1)] + [((lo, (up,)), c)
-                                    for (lo, up), c in y_coproduct(t)]
+    the merged cuts of its trees, one tree at a time, each node read after
+    its children off the reverse Polish code, with no recursion stack."""
+    trees, cuts = [], []  # each tree not yet grafted, and its merged cuts
+    for arity in reverse_polish_code(f):
+        cut = len(trees) - arity
+        t = tuple(reversed(trees[cut:]))
+        below = _forest_cuts(cuts[cut:]) if arity else [(((), ()), 1)]
+        trees[cut:] = [t]
+        cuts[cut:] = [[(((t,), ()), 1)]
+                      + [((lo, (up,)), c) for (lo, up), c in below]]
+    # the unit before the first tree makes even a lone tree's cuts a LinComb
+    return _forest_cuts(cuts + [LinComb.monomial(((), ()))])
+
+
+def _forest_cuts(trees: list):
+    """The merged cuts of a forest from those of its trees, listed last tree
+    first.  A lone tree's cuts are distinct, so a chain merges none."""
+    out = trees[-1]
+    for tree in reversed(trees[:-1]):
         out = LinComb(((lo1 + lo2, up1 + up2), c1 * c2)
                       for (lo1, up1), c1 in out for (lo2, up2), c2 in tree)
     return out
@@ -136,7 +150,8 @@ def x_tau(tau, n: int) -> LinComb:
     """Chapoton-Livernet element: |Aut(tau)| times the sum of X_T over plane
     trees T whose underlying non-plane tree is tau."""
     coeff = aut_order(tau)
-    return LinComb(((t,), coeff) for t in plane_representatives(tau, n))
+    return LinComb(((t,), coeff) for t in enumerate_trees(n)
+                   if shapes(n - 1)[t] == tau)
 
 
 # ---------------------------------------------------------------------------

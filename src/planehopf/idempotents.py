@@ -6,7 +6,8 @@ dual Connes-Kreimer algebra, Psi_n lands on the chain tree and the mirror
 Psi-bar_n on the sum of all trees; the Eulerian pieces expand with the
 coefficient of X_F given by [alpha^k] of the order polynomial Gamma_F: one
 integer row per call, dotted with Gamma_F(1..n), the point counts of the
-order polytope's dilations, read off one table of the counts of the trees.
+order polytope's dilations, read off one table of the counts of the tree
+shapes, once per forest shape.
 phi_n(q) and the A/(1-q) transform have RationalFn coefficients in lowest
 terms, so their identities are checked with ``==``.
 
@@ -39,12 +40,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from itertools import accumulate
+from math import lcm, prod
 from operator import mul
 
 from .compositions import compositions_of, descent_set, maj, weight
-from .ehrhart import forest_counts, tree_counts
-from .forests import enumerate_forests, enumerate_trees
+from .forests import shapes
 from .lincomb import LinComb, bilinear
 from .ncsf import embed_r, psi_n, psi_bar_n, r_to_s, s_to_r
 from .polynomials import (MultiPoly, RationalFn, _common_denominator,
@@ -82,16 +83,17 @@ def eulerian(n: int, k: int) -> LinComb:
            for m in range(1, n + 1)]
     den = lcm(*(c.denominator for c in row))
     row = [int(c * den) for c in row]
-    counts = {}
-    for size in range(1, n + 1):
-        for t in enumerate_trees(size):
-            counts[t] = tree_counts([counts[c] for c in t], n - 1)
-    out = {}
-    for f in enumerate_forests(n):
-        c = sum(map(mul, row, forest_counts([counts[t] for t in f], n - 1)))
-        if c:
-            out[f] = Fraction(c, den)
-    return LinComb(out)
+    # Omega_T(0..n-1) once per tree shape, the prefix sums of the product of
+    # its children's lists, and one dot product per forest shape
+    counts, ones = {}, [1] * n
+    for t in dict.fromkeys(s for m in range(n) for s in shapes(m).values()):
+        children = zip(ones, *map(counts.get, t))
+        counts[t] = list(accumulate(map(prod, children)))
+    dots = {}
+    for s in dict.fromkeys(shapes(n).values()):
+        omega = map(prod, zip(*map(counts.get, s)))
+        dots[s] = Fraction(sum(map(mul, row, omega)), den)
+    return LinComb({f: dots[s] for f, s in shapes(n).items() if dots[s]})
 
 
 def solomon(n: int) -> LinComb:

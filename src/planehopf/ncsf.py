@@ -9,12 +9,13 @@ subset of D(I).
 The embedding of Sym spanned by the S_n = sum of all X_F (equivalently the
 Lambda_n = X on a singleton forest) sends R_I, S^I and Lambda^I to explicit
 X-expansions counted by labellings of forests.  Every count is read off
-Gamma_F = sum of F_{Des s} over the linear extensions s of F, one memoized
-map per forest keyed by descent masks (bit d - 1 for descent d).  The root
-of B+(H) adds 1 to the last part, which keeps the descent set, so a tree
-shares its children's map; Gamma_{T.G} is the QSym product Gamma_T Gamma_G,
-each F_I F_J counted by a DP over the shifted shuffles.  R_I reads one mask,
-S^I the submasks of D(I), Lambda^I the masks above the complement of D(I).
+Gamma_F = sum of F_{Des s} over the linear extensions s of F, a P-partition
+generating function (Stanley, EC1 3.15), so one memoized map per non-plane
+shape, keyed by descent masks (bit d - 1 for descent d).  The root of B+(H)
+adds 1 to the last part, which keeps the descent set, so a tree shares its
+children's map; Gamma_{T.G} is the QSym product Gamma_T Gamma_G, each F_I F_J
+counted by a DP over the shifted shuffles.  R_I reads one mask, S^I the
+submasks of D(I), Lambda^I the masks above the complement of D(I).
 
 Evaluations on the infinite alphabets {1, q, q^2, ...} and (q, t) return
 canonical RationalFns: each M_I is a sum of terms q^e t^j / prod (1 - q^k),
@@ -32,7 +33,7 @@ from types import MappingProxyType
 
 from .compositions import (coarsenings, descent_mask, from_descent_mask,
                            refinements, submasks, weight)
-from .forests import Forest, enumerate_forests, forest_size
+from .forests import Forest, forest_size, non_plane_class, shapes
 from .lincomb import LinComb
 from .polynomials import MultiPoly, RationalFn, q_series_sum
 
@@ -98,9 +99,9 @@ def _f_product(a: int, x: int, b: int, y: int) -> tuple:
 @lru_cache(maxsize=None)
 def _gamma(f: Forest) -> MappingProxyType:
     """Gamma_F as a read-only map, descent mask -> count of the linear
-    extensions of F with that descent set.  A tree is the tuple of its
-    children, and the root of B+(H) comes last, adding 1 to the last part
-    of each composition: the descent sets stay, so B+(H) shares H's map."""
+    extensions of F with that descent set, for F a shape, as are its parts.
+    A tree is the tuple of its children, and the root of B+(H) comes last,
+    adding 1 to each last part, which keeps the descents: B+(H) has H's map."""
     if not f:
         return MappingProxyType({0: 1})
     if len(f) == 1:
@@ -123,29 +124,33 @@ def _strict_masks(i: Composition) -> list:
 
 
 def _embed(n: int, masks: list) -> LinComb:
-    """Each X_F, |F| = n, with coefficient Gamma_F summed over ``masks``."""
-    return LinComb((f, sum(map(_gamma(f).get, masks, repeat(0))))
-                   for f in enumerate_forests(n))
+    """Each X_F, |F| = n, with Gamma_F summed over ``masks`` once per shape."""
+    sums = {s: sum(map(_gamma(s).get, masks, repeat(0)))
+            for s in dict.fromkeys(shapes(n).values())}
+    return LinComb((f, sums[s]) for f, s in shapes(n).items())
 
 
 def gamma_qsym_f(f: Forest) -> LinComb:
     """Gamma_F(X) in the F basis: the descent compositions of the linear
     extensions of F, read off the tree recursion."""
     n = forest_size(f)
-    return LinComb((from_descent_mask(m, n), c) for m, c in _gamma(f).items())
+    return LinComb((from_descent_mask(m, n), c)
+                   for m, c in _gamma(non_plane_class(f)).items())
 
 
 def nondecreasing_labellings(f: Forest, i: Composition) -> int:
     """Labellings u of the forest with evaluation I and u weakly increasing
     from the leaves toward the roots: the M_I coefficient of Gamma_F, i.e.
     its F_J coefficients summed over J coarser than I."""
-    return sum(map(_gamma(f).get, submasks(descent_mask(i)), repeat(0)))
+    return sum(map(_gamma(non_plane_class(f)).get, submasks(descent_mask(i)),
+                   repeat(0)))
 
 
 def strict_labellings(f: Forest, i: Composition) -> int:
     """Labellings with evaluation I, strictly increasing toward the roots:
     the F_J of Gamma_F summed over J finer than the complement of I."""
-    return sum(map(_gamma(f).get, _strict_masks(i), repeat(0)))
+    return sum(map(_gamma(non_plane_class(f)).get, _strict_masks(i),
+                   repeat(0)))
 
 
 def embed_r(i: Composition) -> LinComb:
@@ -168,7 +173,7 @@ def gamma_qsym_m(f: Forest) -> LinComb:
     pushed up to the compositions finer than J one descent at a time."""
     n = forest_size(f)
     sums = [0] * (1 << max(n - 1, 0))
-    for m, c in _gamma(f).items():
+    for m, c in _gamma(non_plane_class(f)).items():
         sums[m] = c
     for k in range(n - 1):
         step = 1 << k

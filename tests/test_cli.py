@@ -261,6 +261,15 @@ def test_hopf_coproduct_golden(capsys):
         "2100 (x) e": "1"}
 
 
+def test_hopf_coproduct_on_a_chain_deeper_than_the_recursion_limit(capsys):
+    # the cuts of a chain are its 1,001 splits, each lower part one chain
+    data = run_json(capsys, "hopf", "coproduct", "--forest", "1" * 999 + "0",
+                    "--basis", "Y", "--format", "json")
+    assert len(data["terms"]) == 1001
+    assert set(data["terms"].values()) == {"1"}
+    assert data["terms"]["1" * 999 + "0 (x) e"] == "1"
+
+
 def test_hopf_product_golden(capsys):
     data = run_json(capsys, "hopf", "product", "--left", "10",
                     "--right", "10", "--basis", "X", "--format", "json")

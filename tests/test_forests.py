@@ -8,8 +8,9 @@ from planehopf import fqsym
 from planehopf.forests import (CodeError, b_plus, catalan_count, chain_tree,
                                corolla, enumerate_forests, enumerate_trees,
                                forest_code, forest_size, linear_extensions,
-                               max_linear_extension, parse_code, parse_forest,
-                               parse_tree, polish_code, reverse_polish_code,
+                               max_linear_extension, non_plane_class,
+                               parse_code, parse_forest, parse_tree,
+                               polish_code, reverse_polish_code, shapes,
                                singletons, tree_size)
 from planehopf.lincomb import LinComb
 from planehopf.perms import contains_132, inverse, inversions
@@ -158,3 +159,16 @@ def test_catalan_count_matches_enumeration(n):
 def test_catalan_count_stops_at_cap():
     # the walk stops at the cap, so a huge n costs no huge number
     assert catalan_count(10 ** 9, 10 ** 6 + 1) == 10 ** 6 + 1
+
+
+@pytest.mark.parametrize("n, count", enumerate(
+    (1, 1, 2, 4, 9, 20, 48, 115, 286, 719)))
+def test_shapes_are_the_non_plane_classes(n, count):
+    # one value per non-plane forest of size n (OEIS A000081(n + 1)), each
+    # the forest's own class, keyed in enumeration order, equal shapes one
+    # object
+    table = shapes(n)
+    assert list(table) == list(enumerate_forests(n))
+    assert all(s == non_plane_class(f) for f, s in table.items())
+    assert len(set(table.values())) == count
+    assert len({id(s) for s in table.values()}) == count

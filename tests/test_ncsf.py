@@ -13,7 +13,8 @@ from planehopf.compositions import (coarsenings, compositions_of,
                                     descent_mask, descent_set,
                                     from_descent_mask, refinements)
 from planehopf.forests import (enumerate_forests, forest_code,
-                               linear_extensions, parse_forest)
+                               linear_extensions, non_plane_class,
+                               parse_forest)
 from planehopf.lincomb import LinComb
 from planehopf.perms import descents, shifted_shuffle
 from planehopf.polynomials import (MultiPoly, RationalFn, _cyclotomic,
@@ -28,6 +29,7 @@ def mono(b, c=1):
 
 
 from fixtures import R_TO_X_TABLE
+from test_birkhoff import _permuted
 from oracles import (descent_composition,
                      eval_geometric_inf_pairwise, eval_xqt_pairwise,
                      from_descent_set, m_product, minus_x_f, minus_x_m, pair,
@@ -96,6 +98,28 @@ def test_gamma_matches_linear_extensions(n):
     for f in enumerate_forests(n):
         want = Counter(map(descent_composition, linear_extensions(f)))
         assert ncsf.gamma_qsym_f(f) == LinComb(want), forest_code(f)
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_gamma_of_a_plane_forest_is_that_of_its_shape(n):
+    # the plane recursion, which the shape-keyed callers no longer take,
+    # against the map of the forest's non-plane class
+    for f in enumerate_forests(n):
+        assert ncsf._gamma(f) == ncsf._gamma(non_plane_class(f)), \
+            forest_code(f)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 7).flatmap(lambda n: st.sampled_from(
+    enumerate_forests(n))), st.data())
+def test_gamma_depends_only_on_the_shape(f, data):
+    # through the listed linear extensions, which read no shape key: the
+    # siblings under every node, and the roots, permuted
+    g = _permuted(f, data)
+    want = LinComb(Counter(map(descent_composition, linear_extensions(f))))
+    assert LinComb(Counter(map(descent_composition,
+                               linear_extensions(g)))) == want
+    assert ncsf.gamma_qsym_f(g) == want
 
 
 def _mask(sigma):
