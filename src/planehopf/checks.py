@@ -5,6 +5,7 @@ counterexample descriptions (empty means the suite passed)."""
 from __future__ import annotations
 
 from collections import Counter
+from itertools import product
 
 from . import birkhoff, fqsym, hopf, idempotents, tamari
 from .compositions import compositions_of, partitions_of
@@ -13,6 +14,13 @@ from .laurent import LaurentPoly
 from .lincomb import LinComb, bilinear
 from .ncsf import r_to_s
 from .polynomials import MultiPoly
+
+
+def _pairs(n: int):
+    """Nonempty (F, G) with |F| + |G| <= n, by |F|, then |G|, then F."""
+    for n1 in range(1, n):
+        for n2 in range(1, n + 1 - n1):
+            yield from product(enumerate_forests(n1), enumerate_forests(n2))
 
 
 def suite_hopf(n: int) -> list[str]:
@@ -36,27 +44,20 @@ def suite_hopf(n: int) -> list[str]:
     for h, delta in y_cop.items():
         for pair, c in delta.items():
             dual.setdefault(pair, {})[h] = c
-    for n1 in range(1, n):
-        for n2 in range(1, n + 1 - n1):
-            for f in enumerate_forests(n1):
-                for g in enumerate_forests(n2):
-                    prod = hopf.x_product(f, g)
-                    if prod.terms != dual.get((f, g), {}):
-                        bad += [f"duality fails at {forest_code(f)},"
-                                f"{forest_code(g)} vs {forest_code(h)}"
-                                for h in enumerate_forests(n1 + n2)
-                                if prod.coeff(h) != y_cop[h].coeff((f, g))]
+    for f, g in _pairs(n):
+        prod = hopf.x_product(f, g)
+        if prod.terms != dual.get((f, g), {}):
+            bad += [f"duality fails at {forest_code(f)},{forest_code(g)} vs "
+                    f"{forest_code(h)}" for h in
+                    enumerate_forests(forest_size(f) + forest_size(g))
+                    if prod.coeff(h) != y_cop[h].coeff((f, g))]
     # bialgebra on Y: Delta(Y_F Y_G) = Delta(Y_F) Delta(Y_G)
-    for n1 in range(1, n):
-        for n2 in range(1, n + 1 - n1):
-            for f in enumerate_forests(n1):
-                for g in enumerate_forests(n2):
-                    rhs = bilinear(
-                        lambda x, y: LinComb.monomial((x[0] + y[0], x[1] + y[1])),
-                        y_cop[f], y_cop[g])
-                    if y_cop[f + g] != rhs:
-                        bad.append(f"bialgebra fails at {forest_code(f)},"
-                                   f"{forest_code(g)}")
+    for f, g in _pairs(n):
+        rhs = bilinear(
+            lambda x, y: LinComb.monomial((x[0] + y[0], x[1] + y[1])),
+            y_cop[f], y_cop[g])
+        if y_cop[f + g] != rhs:
+            bad.append(f"bialgebra fails at {forest_code(f)},{forest_code(g)}")
     return bad
 
 
@@ -64,14 +65,9 @@ def suite_dendriform(n: int) -> list[str]:
     """Half-product splitting, the three dendriform axioms, and the
     recursions for the divided powers Lambda_n and S_n."""
     bad = []
-    for n1 in range(1, n):
-        for n2 in range(1, n + 1 - n1):
-            for f in enumerate_forests(n1):
-                for g in enumerate_forests(n2):
-                    if (hopf.x_prec(f, g) + hopf.x_succ(f, g)
-                            != hopf.x_product(f, g)):
-                        bad.append(f"split fails at {forest_code(f)},"
-                                   f"{forest_code(g)}")
+    for f, g in _pairs(n):
+        if hopf.x_prec(f, g) + hopf.x_succ(f, g) != hopf.x_product(f, g):
+            bad.append(f"split fails at {forest_code(f)},{forest_code(g)}")
     bullet = ((),)
 
     # axioms on triples of single trees with total size <= n
@@ -196,13 +192,10 @@ def suite_quotient(n: int) -> list[str]:
     transpose.  Past ``fqsym.MAX_QUOTIENT_DEGREE`` the quotient product
     raises ``DegreeGuard``."""
     bad = []
-    for n1 in range(1, n):
-        for n2 in range(1, n + 1 - n1):
-            for f in enumerate_forests(n1):
-                for g in enumerate_forests(n2):
-                    if fqsym.quotient_product(f, g) != hopf.x_product(f, g):
-                        bad.append(f"quotient product differs at "
-                                   f"{forest_code(f)},{forest_code(g)}")
+    for f, g in _pairs(n):
+        if fqsym.quotient_product(f, g) != hopf.x_product(f, g):
+            bad.append(f"quotient product differs at "
+                       f"{forest_code(f)},{forest_code(g)}")
     return bad
 
 

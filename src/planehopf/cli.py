@@ -5,8 +5,8 @@ Output is text or JSON (``--format``); JSON is deterministic (sorted keys
 and term lists) and coefficients are always exact strings, never floats.
 
 Exit codes: 0 ok, 1 a check failed (``verify`` and ``idem verify``), 2 usage
-error, 3 domain error (bad codes or parameters), 4 cost-guard rejection,
-input nested past the recursion limit included.
+error, 3 domain error (bad codes or parameters), 4 cost-guard rejection or a
+recursion past Python's limit (no command recurses over a forest's depth).
 """
 
 from __future__ import annotations
@@ -56,11 +56,12 @@ MAX_EHRHART_SIZE = 800
 # by 5 take 0.96 s and 65 MB in a fresh process, 5 by 5 take 5.9 s and
 # 314 MB in the library
 MAX_PRODUCT_SIZE = 9
-# ehrhart points tries every point of {0..n}^|F|, and ehrhart qcount shares
-# its guard; birkhoff words lists every word of the model, birkhoff d-lambda
-# in the C and ribbon bases every arrangement of the padded partition, forest
-# list every forest, hopf coproduct in the Y basis every cut, and nsym psi,
-# nsym psibar and idem dynkin in the ribbon basis every part of the n hooks
+# ehrhart points lists, and ehrhart qcount counts, at most the (n+1)^|F| points
+# of {0..n}^|F|; birkhoff words lists every word of the model, birkhoff
+# d-lambda in the C and ribbon bases every arrangement of the padded partition,
+# forest list every forest, hopf coproduct in the Y basis every cut, and nsym
+# psi, nsym psibar and idem dynkin in the ribbon basis every part of the n
+# hooks
 MAX_LATTICE_CANDIDATES = 10 ** 6
 # verify at the cap and one above, each in a fresh CLI process on 2 vCPUs:
 # factorization 0.3 s, 1.2 s (8.7 s at 7; kept at 5: the contract tests expect

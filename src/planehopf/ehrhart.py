@@ -7,10 +7,12 @@ counted by Gamma_F (:func:`planehopf.ncsf.gamma_qsym_m`), and the interior
 points are the strict ones, counted by chi_F.  The order polynomial
 Gamma_F(alpha) is the Ehrhart polynomial at alpha - 1.
 
-``lattice_points`` lists the points tree by tree, each root value bounding
-its children's, ``q_count`` counts them by coordinate sum the same way, and
-``_counts`` counts those of the dilations 0..m at once, node by node.  The
-Ehrhart polynomial has degree |F| (Stanley, EC1 3.15), so
+Each count folds the forest children first, with no recursion
+(:func:`planehopf.forests.fold`).  ``lattice_points`` and ``q_count`` are
+one walk: a node maps each value w to the product of its children's prefix
+sums at w (w - 1 for interior points), lists of points or series by
+coordinate sum.  ``_counts`` counts the points of the dilations 0..m at
+once.  The Ehrhart polynomial has degree |F| (Stanley, EC1 3.15), so
 ``ehrhart_polynomial`` interpolates |F| + 1 counts.  The tests check the
 points against the scan of every candidate point, the q-counts against
 Gamma_F and chi_F on geometric alphabets, and the polynomials against
@@ -19,15 +21,45 @@ Gamma_F in the M basis and by reciprocity through Bernoulli polynomials.
 
 from __future__ import annotations
 
-from itertools import accumulate, zip_longest
-from operator import mul
+from functools import reduce
+from itertools import accumulate
+from operator import iadd, mul
 
-from .forests import Forest, forest_size, polish_code
+from .forests import Forest, fold, forest_size
 from .polynomials import MultiPoly, interpolate
 
 
 # ---------------------------------------------------------------------------
-# Point enumeration
+# Bounded labellings
+
+def _labellings(f: Forest, hi: int, gap: int, one: list, grow, product):
+    """The labellings of F by values in [gap, hi] that rise by at least
+    ``gap`` from each node to its parent; ``product`` combines independent
+    parts, and ``one`` is the empty labelling.
+
+    A node maps each value w in [gap, hi] to the product of its children's
+    prefix sums at w - gap, the labellings of its children's forest under a
+    root labelled w.  A prefix sum starts as an empty list, and ``grow(sums,
+    u, values)`` adds in place the labellings with root value u + i, the
+    children's being ``values[i]``.  The forest is one more node, asked
+    only at hi + gap."""
+
+    def node(children, asked):
+        if not children:  # the empty product at every value
+            return [one] * len(asked)
+        out, sums, u = [], [[] for _ in children], gap
+        for w in asked:
+            # the prefix sums take in the root values u..w - gap
+            for s, child in zip(sums, children):
+                grow(s, u, child[u - gap:w - 2 * gap + 1])
+            u = w - gap + 1
+            out.append(reduce(product, sums, one))
+        return out
+
+    # the fold gathers each node's children, and the node multiplies them
+    return fold(f, lambda roots: node(roots, [hi + gap])[0], [],
+                lambda children: [node(children, range(gap, hi + 1))], iadd)
+
 
 def lattice_points(f: Forest, n: int, interior: bool = False) -> list[tuple[int, ...]]:
     """Integral points of n times the order polytope of the forest poset:
@@ -35,23 +67,12 @@ def lattice_points(f: Forest, n: int, interior: bool = False) -> list[tuple[int,
     inequalities strictly.  Sorted, as the scan of {0..n}^|F| lists them."""
     if n < 0:
         raise ValueError("dilation factor must be nonnegative")
-    lo, hi = (1, n - 1) if interior else (0, n)
-    return sorted(_points(f, lo, hi, int(interior)))
-
-
-def _points(f: Forest, lo: int, hi: int, gap: int) -> list[tuple[int, ...]]:
-    """Points of a forest with values in [lo, hi]: each tree takes a root
-    value v, and its children's forest values in [lo, v - gap]."""
-    parts = []
-    for t in f:
-        parts.append([p + (v,) for v in range(lo, hi + 1)
-                      for p in _points(t, lo, v - gap, gap)])
-    # join neighbours pairwise: a point of a wide forest is copied log |F|
-    # times, not once per tree
-    while len(parts) > 1:
-        parts = [[x + y for x in a for y in b] for a, b in
-                 zip_longest(parts[::2], parts[1::2], fillvalue=[()])]
-    return parts[0] if parts else [()]
+    gap = int(interior)
+    return sorted(_labellings(
+        f, n - gap, gap, [()],
+        lambda pts, u, values: pts.extend(
+            [p + (v,) for v, below in enumerate(values, u) for p in below]),
+        lambda a, b: [x + y for x in a for y in b]))
 
 
 def candidate_count(f: Forest, n: int, cap: int) -> int:
@@ -70,22 +91,11 @@ def candidate_count(f: Forest, n: int, cap: int) -> int:
 # Order polynomial, Ehrhart polynomial and reciprocity
 
 def _counts(f: Forest, top: int) -> list[int]:
-    """[Omega_F(m) for m in 0..top], the point counts of the dilations, off
-    the Polish code.  An open node keeps the product of its closed children's
-    counts; a tree's counts, the prefix sums of that product, multiply into
-    its parent's as it closes.  So the stack holds one list per level of
-    depth, and there is no recursion."""
-    ones = [1] * (top + 1)
-    # [product or None, children left] per open node; the forest never closes
-    stack = [[None, -1]]
-    for arity in polish_code(f):
-        stack.append([None, arity])
-        while not stack[-1][1]:
-            tree = list(accumulate(stack.pop()[0] or ones))
-            up = stack[-1]
-            up[0] = tree if up[0] is None else list(map(mul, up[0], tree))
-            up[1] -= 1
-    return stack[0][0] or ones
+    """[Omega_F(m) for m in 0..top], the point counts of the dilations: a
+    tree's counts are the prefix sums of the product of its children's, and
+    a lone child's pass up with no product."""
+    return fold(f, list, [1] * (top + 1), lambda below: list(accumulate(below)),
+                lambda a, b: list(map(mul, a, b)))
 
 
 def ehrhart_polynomial(f: Forest) -> MultiPoly:
@@ -111,37 +121,29 @@ def reciprocity_check(f: Forest, n: int) -> bool:
 def q_count(f: Forest, n: int, interior: bool = False) -> dict[int, int]:
     """q-count of the points of the n-th dilation by sum of coordinates,
     as a dict exponent -> coefficient.  Interior points are weighted by
-    q^(-sum), and the global sign (-1)^|F| is carried."""
+    q^(-sum), and the global sign (-1)^|F| is carried.  The counts are
+    lists indexed by the sum."""
     if n < 0:
         raise ValueError("dilation factor must be nonnegative")
-    if not interior:
-        return _sums(f, n, 0, {})
-    sign = (-1) ** forest_size(f)
-    return {-s: sign * c for s, c in _sums(f, n - 1, 1, {}).items()}
+    gap = int(interior)
+    series = _labellings(f, n - gap, gap, [1], _grow, _convolve)
+    sign, weight = ((-1) ** forest_size(f), -1) if interior else (1, 1)
+    return {weight * s: sign * c for s, c in enumerate(series) if c}
 
 
-def _sums(f: Forest, hi: int, gap: int, memo: dict) -> dict[int, int]:
-    """{sum: count} over ``_points(f, gap, hi, gap)``: a tree sums its root
-    value v over its children's counts up to v - gap, and a forest
-    convolves its trees.  ``memo`` holds one call's results."""
-    if not f:
-        return {0: 1}
-    if (f, hi) not in memo:
-        out = {0: 1}
-        for t in f:
-            tree = {}
-            for v in range(gap, hi + 1):
-                for s, c in _sums(t, v - gap, gap, memo).items():
-                    tree[s + v] = tree.get(s + v, 0) + c
-            out = _convolve(out, tree)
-        memo[f, hi] = out
-    return memo[f, hi]
+def _grow(sums: list[int], u: int, values: list) -> None:
+    """Add q^v times the series ``values[v - u]`` into ``sums`` in place."""
+    for v, below in enumerate(values, u):
+        sums.extend([0] * (v + len(below) - len(sums)))
+        for s, c in enumerate(below, v):
+            sums[s] += c
 
 
-def _convolve(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    """The product of two {sum: count} series."""
-    out = {}
-    for s1, c1 in a.items():
-        for s2, c2 in b.items():
-            out[s1 + s2] = out.get(s1 + s2, 0) + c1 * c2
+def _convolve(a: list[int], b: list[int]) -> list[int]:
+    """The product of two series."""
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for s, c in enumerate(a):
+        if c:
+            for t, d in enumerate(b, s):
+                out[t] += c * d
     return out

@@ -108,6 +108,29 @@ def parse_tree(text: str) -> Tree:
     return f[0]
 
 
+# ---------------------------------------------------------------------------
+# Children-first fold
+
+def fold(f: Forest, top, start, close, join):
+    """Fold the forest children first, off its Polish code, with no recursion:
+    an open node's accumulator is its first child's value as it is, each
+    further child's joined in by ``join(acc, value)``.  A node closes to
+    ``close(acc)``, a leaf to ``close(start)``, and the forest, one more
+    node, gives ``top(acc)`` (``top(start)`` when empty).  So the stack holds
+    one accumulator per level of depth."""
+    stack = [[None, -1]]  # [accumulator, children left]; the forest never closes
+    for arity in polish_code(f):
+        stack.append([None, arity])
+        while not stack[-1][1]:
+            acc = stack.pop()[0]
+            value = close(start if acc is None else acc)
+            up = stack[-1]
+            up[0] = value if up[0] is None else join(up[0], value)
+            up[1] -= 1
+    acc = stack[0][0]
+    return top(start if acc is None else acc)
+
+
 def chain_tree(n: int) -> Tree:
     t: Tree = LEAF
     for _ in range(n - 1):
@@ -168,8 +191,8 @@ def catalan_count(n: int, cap: int) -> int:
 
 # ---------------------------------------------------------------------------
 # Linear extensions: in T.G, T takes the labels 1..|T| and G follows, shifted;
-# in B+(H) the root comes last.  Each routine loops over the trees and recurses
-# into their children only, so its depth is the tree depth.
+# in B+(H) the root comes last.  ``linear_extensions`` recurses into the
+# children only, so its depth is the tree depth; ``max_linear_extension`` folds.
 
 def linear_extensions(f: Forest) -> tuple[tuple[int, ...], ...]:
     """All permutation words listing nodes so ancestors come after descendants:
@@ -193,12 +216,8 @@ def max_linear_extension(f: Forest) -> tuple[int, ...]:
     before that of T for T.G, and that of H before the root for B+(H).
     Its inverse is the 132-avoiding permutation that stands for X_F in the
     FQSym quotient, which :mod:`planehopf.fqsym` tabulates per degree."""
-    word: tuple[int, ...] = ()
-    for t in f:
-        tree = max_linear_extension(t)
-        tree += (len(tree) + 1,)
-        word = tuple(v + len(word) for v in tree) + word
-    return word
+    return fold(f, tuple, (), lambda word: word + (len(word) + 1,),
+                lambda word, tree: tuple(v + len(word) for v in tree) + word)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from functools import lru_cache
 
 from . import tamari
 from .forests import (Forest, Tree, aut_order, enumerate_forests,
-                      enumerate_trees, reverse_polish_code, shapes)
+                      enumerate_trees, fold, shapes)
 from .lincomb import LinComb, bilinear, peel
 
 
@@ -34,52 +34,33 @@ from .lincomb import LinComb, bilinear, peel
 # Admissible cuts
 
 def cut_count(f: Forest, cap: int) -> int:
-    """The number of cuts of F, or ``cap`` if it is at least ``cap``.
-
-    The count follows the recursion of ``y_coproduct`` before equal pairs
-    merge: a tree has 1 + the count of its children's forest, and a forest
-    the product over its trees.  So it bounds the merged work from above.
-    The nodes are read off the reverse Polish code, each after its
-    children, so neither the cuts nor a recursion stack are built."""
-    counts = []
-    for arity in reverse_polish_code(f):
-        children = 1
-        for _ in range(arity):
-            children = min(children * counts.pop(), cap)
-        counts.append(min(1 + children, cap))
-    total = 1
-    for c in counts:
-        total = min(total * c, cap)
-    return total
+    """The number of cuts of F, or ``cap`` if it is at least ``cap``: a tree
+    has 1 + the count of its children's forest, a forest the product over
+    its trees.  So it counts the cuts of ``y_coproduct`` before equal pairs
+    merge, and bounds that work from above."""
+    return fold(f, int, 1, lambda below: min(1 + below, cap),
+                lambda a, b: min(a * b, cap))
 
 
 def y_coproduct(f: Forest) -> LinComb:
     """Coproduct of Y_F as a combination of (F1, F2) pairs.
 
     A tree is the tuple of its children, so B+(H) is H: a tree T is either
-    all lower, or its root stays upper over a cut of H.  A forest convolves
-    the merged cuts of its trees, one tree at a time, each node read after
-    its children off the reverse Polish code, with no recursion stack."""
-    trees, cuts = [], []  # each tree not yet grafted, and its merged cuts
-    for arity in reverse_polish_code(f):
-        cut = len(trees) - arity
-        t = tuple(reversed(trees[cut:]))
-        below = _forest_cuts(cuts[cut:]) if arity else [(((), ()), 1)]
-        trees[cut:] = [t]
-        cuts[cut:] = [[(((t,), ()), 1)]
-                      + [((lo, (up,)), c) for (lo, up), c in below]]
-    # the unit before the first tree makes even a lone tree's cuts a LinComb
-    return _forest_cuts(cuts + [LinComb.monomial(((), ()))])
+    all lower, or its root stays upper over a cut of H.  The fold carries
+    each forest with its cuts, a forest convolving the merged cuts of its
+    trees; a lone tree's cuts are distinct and pass up unmerged."""
+    def close(below):
+        h, cuts = below
+        return (h,), [(((h,), ()), 1)] + [((lo, (up,)), c)
+                                          for (lo, up), c in cuts]
 
+    def join(a, b):
+        return a[0] + b[0], LinComb(
+            ((lo1 + lo2, up1 + up2), c1 * c2)
+            for (lo1, up1), c1 in a[1] for (lo2, up2), c2 in b[1])
 
-def _forest_cuts(trees: list):
-    """The merged cuts of a forest from those of its trees, listed last tree
-    first.  A lone tree's cuts are distinct, so a chain merges none."""
-    out = trees[-1]
-    for tree in reversed(trees[:-1]):
-        out = LinComb(((lo1 + lo2, up1 + up2), c1 * c2)
-                      for (lo1, up1), c1 in out for (lo2, up2), c2 in tree)
-    return out
+    return fold(f, lambda forest: LinComb(forest[1]), ((), [(((), ()), 1)]),
+                close, join)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import pytest
 from planehopf import birkhoff, idempotents
 from planehopf.cli import main
 from planehopf.compositions import compositions_of
+from planehopf.forests import chain_tree, max_linear_extension
 
 
 def run(capsys, *argv):
@@ -250,6 +251,26 @@ def test_tamari_leq_on_a_chain_deeper_than_the_recursion_limit(capsys):
     data = run_json(capsys, "tamari", "leq", "--lower", "1" * (n - 1) + "0",
                     "--upper", "0" * n, "--format", "json")
     assert data["result"] is True
+
+
+def test_ehrhart_points_on_a_chain_deeper_than_the_recursion_limit(capsys):
+    n = sys.getrecursionlimit() + 500
+    data = run_json(capsys, "ehrhart", "points", "--forest", "1" * (n - 1) + "0",
+                    "--n", "0", "--format", "json")
+    assert data["count"] == 1
+    assert data["points"] == [",".join("0" * n)]
+
+
+def test_ehrhart_qcount_on_a_chain_deeper_than_the_recursion_limit(capsys):
+    n = sys.getrecursionlimit() + 500
+    data = run_json(capsys, "ehrhart", "qcount", "--forest", "1" * (n - 1) + "0",
+                    "--n", "0", "--format", "json")
+    assert data["q_terms"] == {"0": "1"}
+
+
+def test_max_linear_extension_of_a_1000_node_chain():
+    # the root is last, after the chain below it
+    assert max_linear_extension((chain_tree(1000),)) == tuple(range(1, 1001))
 
 
 def test_hopf_coproduct_golden(capsys):

@@ -1,14 +1,17 @@
 """Order polytopes of forest posets: points, packed-word expansions,
 order and Ehrhart polynomials, reciprocity, and q-counts."""
 
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from planehopf import ehrhart as eh
-from planehopf.forests import (chain_tree, enumerate_forests, parse_forest,
-                               singletons)
+from planehopf.forests import (chain_tree, enumerate_forests, forest_size,
+                               parse_forest, singletons)
 from planehopf.ncsf import eval_geometric, gamma_qsym_m
 from planehopf.polynomials import MultiPoly
 
@@ -16,6 +19,7 @@ from oracles import (chi_qsym_m, gamma_alpha, gamma_by_reciprocity,
                      gamma_wqsym, q_count_points, q_count_qsym,
                      scan_lattice_points, signed_gamma_by_transform,
                      wqsym_to_qsym)
+from test_hopf import plane_forests
 
 CHERRY = parse_forest("200")
 x = MultiPoly.var("x")
@@ -109,6 +113,20 @@ def test_interior_q_count_fixture():
     iq = eh.q_count(CHERRY, 3, interior=True)
     assert iq == {-4: Fraction(-1)}
     assert iq == q_count_points(CHERRY, 3, interior=True)
+
+
+@settings(deadline=None, max_examples=150)
+@given(plane_forests(9), st.integers(0, 2), st.booleans())
+@example(singletons(1), 0, True)
+@example((chain_tree(4),), 2, True)
+def test_labelling_walk_matches_scan(f, n, interior):
+    # past the exhaustive tests: a node whose children have no labelling
+    # below a value has none at that value
+    points = scan_lattice_points(f, n, interior)
+    assert eh.lattice_points(f, n, interior) == points
+    sign, weight = ((-1) ** forest_size(f), -1) if interior else (1, 1)
+    sums = Counter(weight * sum(p) for p in points)
+    assert eh.q_count(f, n, interior) == {s: sign * c for s, c in sums.items()}
 
 
 def test_q_routes_agree():
