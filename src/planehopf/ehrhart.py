@@ -88,7 +88,7 @@ def candidate_count(f: Forest, n: int, cap: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Order polynomial, Ehrhart polynomial and reciprocity
+# Order polynomial and Ehrhart polynomial
 
 def _counts(f: Forest, top: int) -> list[int]:
     """[Omega_F(m) for m in 0..top], the point counts of the dilations: a
@@ -102,17 +102,6 @@ def ehrhart_polynomial(f: Forest) -> MultiPoly:
     """E(x) with E(n) = number of integral points of the n-th dilation."""
     return MultiPoly({(("x", e),) if e else (): c for e, c in
                       enumerate(interpolate(_counts(f, forest_size(f))))})
-
-
-def interior_count_poly(f: Forest, n: int):
-    """(-1)^|F| E(-n), the reciprocity prediction for interior points."""
-    e = ehrhart_polynomial(f)
-    val = e.substitute({"x": -n}).as_constant()
-    return (-1) ** forest_size(f) * val
-
-def reciprocity_check(f: Forest, n: int) -> bool:
-    """Interior points of the n-th dilation against (-1)^|F| E(-n)."""
-    return interior_count_poly(f, n) == len(lattice_points(f, n, interior=True))
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,7 @@ of labels with the maximum at its root.  All poset-dependent operations
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache
-from math import factorial, prod
 from typing import Sequence
 
 from .perms import shifted_shuffle
@@ -53,11 +51,6 @@ def polish_code(f: Forest) -> tuple[int, ...]:
         if t:
             stack += t[::-1]
     return tuple(out)
-
-
-def reverse_polish_code(f: Forest) -> tuple[int, ...]:
-    """Reverse Polish code: equals the Polish code read backwards."""
-    return tuple(reversed(polish_code(f)))
 
 
 def code_to_text(code: Sequence[int]) -> str:
@@ -239,10 +232,3 @@ def shapes(n: int) -> dict[Forest, Forest]:
     seen: dict[Forest, Forest] = {}
     return {f: seen.setdefault(s, s) for f in enumerate_forests(n)
             for s in [tuple(sorted(tree[t] for t in f))]}
-
-
-def aut_order(tau) -> int:
-    """|Aut| of a canonical non-plane tree: product over nodes of the
-    factorials of multiplicities of identical child subtrees."""
-    return prod(factorial(m) * aut_order(c) ** m
-                for c, m in Counter(tau).items())

@@ -25,8 +25,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import tamari
-from .forests import (Forest, Tree, aut_order, enumerate_forests,
-                      enumerate_trees, fold, shapes)
+from .forests import Forest, Tree, enumerate_forests, fold
 from .lincomb import LinComb, bilinear, peel
 
 
@@ -120,19 +119,6 @@ def brace(forest: Forest, t: Tree) -> LinComb:
     their planar order.  These are the single-tree terms of X_F X_T: the
     slots inside T are the slots of its children's forest."""
     return LinComb(((h,), 1) for h, _ in _graft(tuple(forest), t))
-
-
-def prelie_graft(t1: Tree, t2: Tree) -> LinComb:
-    """Right preLie product X_T1 |> X_T2: graft T1 on a node of T2."""
-    return brace((t1,), t2)
-
-
-def x_tau(tau, n: int) -> LinComb:
-    """Chapoton-Livernet element: |Aut(tau)| times the sum of X_T over plane
-    trees T whose underlying non-plane tree is tau."""
-    coeff = aut_order(tau)
-    return LinComb(((t,), coeff) for t in enumerate_trees(n)
-                   if shapes(n - 1)[t] == tau)
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,12 @@ class LinComb:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        self.terms = out = {}
-        if terms:
-            for b, c in (terms.items() if isinstance(terms, dict) else terms):
+        self.terms = out = dict(terms) if isinstance(terms, dict) else {}
+        if out:  # a dict's labels are distinct: a copy reuses their hashes
+            for b in [b for b, c in out.items() if not c]:
+                del out[b]
+        elif terms:
+            for b, c in terms:
                 if not c:
                     continue
                 if b in out:

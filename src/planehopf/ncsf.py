@@ -14,8 +14,12 @@ generating function (Stanley, EC1 3.15), so one memoized map per non-plane
 shape, keyed by descent masks (bit d - 1 for descent d).  The root of B+(H)
 adds 1 to the last part, which keeps the descent set, so a tree shares its
 children's map; Gamma_{T.G} is the QSym product Gamma_T Gamma_G, each F_I F_J
-counted by a DP over the shifted shuffles.  R_I reads one mask, S^I the
-submasks of D(I), Lambda^I the masks above the complement of D(I).
+counted by a DP over the shifted shuffles.  A shape's two rows over the masks,
+each built on first use, hold its subset sums (the M basis: nondecreasing
+labellings) and its superset sums at the complement (strict labellings).  A
+table per degree holds the forests and the index of each one's shape, so
+R_I reads one entry of each shape's Gamma, S^I one of its first row and
+Lambda^I one of its second; Gamma_F in the M basis is its shape's first row.
 
 Evaluations on the infinite alphabets {1, q, q^2, ...} and (q, t) return
 canonical RationalFns: each M_I is a sum of terms q^e t^j / prod (1 - q^k),
@@ -25,14 +29,14 @@ them over one cyclotomic denominator and reduces the sum once.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from functools import lru_cache
-from itertools import accumulate, combinations, repeat
-from operator import add
+from itertools import accumulate, combinations
 from types import MappingProxyType
 
-from .compositions import (coarsenings, descent_mask, from_descent_mask,
-                           refinements, submasks, weight)
+from .compositions import (coarsenings, compositions_of, descent_mask,
+                           from_descent_mask, refinements, weight)
 from .forests import Forest, forest_size, non_plane_class, shapes
 from .lincomb import LinComb
 from .polynomials import MultiPoly, RationalFn, q_series_sum
@@ -117,17 +121,69 @@ def _gamma(f: Forest) -> MappingProxyType:
     return MappingProxyType(out)
 
 
-def _strict_masks(i: Composition) -> list:
-    """The descent masks of the compositions finer than the complement of I."""
-    x = descent_mask(i)
-    return list(submasks(x, (1 << max(weight(i) - 1, 0)) - 1 & ~x))
+def _subset_sums(counts, n: int, strict: bool = False):
+    """x -> sum of counts[m] over the submasks m of x (if ``strict``, over
+    the m that contain x's complement), for the masks x of degree n: n - 1
+    shift-and-adds on one int packing the row in fields as wide as the
+    total, which bounds every partial sum (the fast zeta transform).  An
+    array, or a list where no array type holds the total or the host is
+    big-endian."""
+    from array import array  # a shared library, loaded on first use
+    total, fields = sum(counts.values()), 1 << max(n - 1, 0)
+    code = next((t for t in "BHIQ" if sys.byteorder == "little"
+                 and not total >> 8 * array(t).itemsize), "")
+    size = array(code).itemsize if code else total.bit_length() + 7 >> 3
+    width, flip = 8 * size, (fields - 1) * strict
+    row = array(code, bytes(size * fields)) if code else [0] * fields
+    for m, c in counts.items():
+        row[m ^ flip] = c
+    row = int.from_bytes(row if code else b"".join(
+        c.to_bytes(size, "little") for c in row), "little")
+    lows = _degree(n)[1].setdefault(size, [])
+    for k in range(n - 1):
+        step = span = width << k
+        if len(lows) == k:  # the fields of the masks without bit k
+            lows.append((1 << step) - 1)
+            while (span := 2 * span) < width * fields:
+                lows[k] |= lows[k] << span
+        row += (row & lows[k]) << step
+    data = row.to_bytes(size * fields, "little")
+    return array(code, data) if code else [int.from_bytes(data[j:j + size], "little")
+                                           for j in range(0, len(data), size)]
 
 
-def _embed(n: int, masks: list) -> LinComb:
-    """Each X_F, |F| = n, with Gamma_F summed over ``masks`` once per shape."""
-    sums = {s: sum(map(_gamma(s).get, masks, repeat(0)))
-            for s in dict.fromkeys(shapes(n).values())}
-    return LinComb((f, sums[s]) for f, s in shapes(n).items())
+@lru_cache(maxsize=None)
+def _row(f: Forest, strict: bool) -> tuple:
+    """(|F|, the row of F's labelling counts by D(I), nondecreasing or
+    strict); a plane forest shares the row of its shape."""
+    s, n = non_plane_class(f), forest_size(f)
+    return _row(s, strict) if s != f else (n, _subset_sums(_gamma(f), n, strict))
+
+
+@lru_cache(maxsize=None)
+def _degree(n: int) -> tuple:
+    """Degree n's tables, filled on first use: the compositions by mask, the
+    row transform's masks by field size, and the embedding table (forests in
+    enumeration order, their shape indices, shapes, a column per count)."""
+    return [], {}, []
+
+
+def _embed(i: Composition, strict) -> LinComb:
+    """Each X_F, |F| = |I|, with its shape's Gamma (``strict`` None) or row
+    at D(I), read once per shape."""
+    n, x = weight(i), descent_mask(i)
+    table = _degree(n)[2]
+    if not table:
+        index: dict = {}
+        ids = [index.setdefault(s, len(index)) for s in shapes(n).values()]
+        table += tuple(shapes(n)), ids, index, {}
+    forests, ids, index, columns = table
+    if strict not in columns:
+        columns[strict] = [_gamma(s) if strict is None else
+                           _subset_sums(_gamma(s), n, strict) for s in index]
+    col = columns[strict]
+    counts = [g.get(x, 0) for g in col] if strict is None else [r[x] for r in col]
+    return LinComb(dict(zip(forests, map(counts.__getitem__, ids))))
 
 
 def gamma_qsym_f(f: Forest) -> LinComb:
@@ -141,45 +197,40 @@ def gamma_qsym_f(f: Forest) -> LinComb:
 def nondecreasing_labellings(f: Forest, i: Composition) -> int:
     """Labellings u of the forest with evaluation I and u weakly increasing
     from the leaves toward the roots: the M_I coefficient of Gamma_F, i.e.
-    its F_J coefficients summed over J coarser than I."""
-    return sum(map(_gamma(non_plane_class(f)).get, submasks(descent_mask(i)),
-                   repeat(0)))
+    its F_J coefficients summed over J coarser than I (0 unless |I| = |F|)."""
+    n, row = _row(f, False)
+    return row[descent_mask(i)] if weight(i) == n else 0
 
 
 def strict_labellings(f: Forest, i: Composition) -> int:
     """Labellings with evaluation I, strictly increasing toward the roots:
     the F_J of Gamma_F summed over J finer than the complement of I."""
-    return sum(map(_gamma(non_plane_class(f)).get, _strict_masks(i),
-                   repeat(0)))
+    n, row = _row(f, True)
+    return row[descent_mask(i)] if weight(i) == n else 0
 
 
 def embed_r(i: Composition) -> LinComb:
     """R_I in the X basis: linear extensions of ribbon shape I."""
-    return _embed(weight(i), [descent_mask(i)])
+    return _embed(i, None)
 
 
 def embed_s(i: Composition) -> LinComb:
     """S^I in the X basis: nondecreasing labellings of evaluation I."""
-    return _embed(weight(i), list(submasks(descent_mask(i))))
+    return _embed(i, False)
 
 
 def embed_lambda(i: Composition) -> LinComb:
     """Lambda^I in the X basis: strict labellings of evaluation I."""
-    return _embed(weight(i), _strict_masks(i))
+    return _embed(i, True)
 
 
 def gamma_qsym_m(f: Forest) -> LinComb:
-    """Gamma_F(X) in the M basis: nondecreasing labelling counts, each F_J
-    pushed up to the compositions finer than J one descent at a time."""
-    n = forest_size(f)
-    sums = [0] * (1 << max(n - 1, 0))
-    for m, c in _gamma(non_plane_class(f)).items():
-        sums[m] = c
-    for k in range(n - 1):
-        step = 1 << k
-        for lo in range(step, len(sums), 2 * step):
-            sums[lo:lo + step] = map(add, sums[lo:lo + step], sums[lo - step:lo])
-    return LinComb((from_descent_mask(m, n), c) for m, c in enumerate(sums))
+    """Gamma_F(X) in the M basis: its nondecreasing labelling counts."""
+    n, row = _row(f, False)
+    comps = _degree(n)[0]
+    if not comps:
+        comps += compositions_of(n)
+    return LinComb(dict(zip(comps, row)))
 
 
 # ---------------------------------------------------------------------------

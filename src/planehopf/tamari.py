@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .forests import EMPTY_FOREST, Forest, Tree, polish_code
+from .forests import EMPTY_FOREST, Forest
 
 
 @lru_cache(maxsize=None)
@@ -59,21 +59,6 @@ def downset(f: Forest) -> frozenset[Forest]:
     return frozenset((h,) + g for k in range(1, len(f) + 1)
                      for h in downset(f[:k - 1] + f[k - 1])
                      for g in downset(f[k:]))
-
-
-def upset_words(t: Tree) -> tuple[str, ...]:
-    """The letter-append process for the up-set of a tree T = B+(F): for
-    each G >= F write the reverse Polish code of G and append i for
-    i = 0..r(G).  The resulting words enumerate the up-set of T faithfully
-    at the level of code-letter multisets and root counts (the last letter
-    is the arity of the tree closing the forest); as literal forest codes
-    they can permute the letters of the true codes."""
-    out = []
-    for g in upset(tuple(t)):
-        stem = "".join(str(c) for c in reversed(polish_code(g)))
-        for i in range(len(g) + 1):
-            out.append(stem + str(i))
-    return tuple(sorted(out))
 
 
 def covers(f: Forest) -> frozenset[Forest]:

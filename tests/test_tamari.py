@@ -11,7 +11,7 @@ from planehopf.forests import (corolla, enumerate_forests, enumerate_trees,
                                forest_code, parse_forest, polish_code,
                                singletons)
 
-from oracles import rotation_covers
+from oracles import rotation_covers, upset_words
 
 
 def codes(forests):
@@ -30,7 +30,7 @@ def test_upset_chain3_size():
 def test_upset_words_1200():
     # the letter-append process on the tree with reverse Polish code 0021
     t = parse_forest("1200")[0]
-    assert sorted(tamari.upset_words(t)) == [
+    assert sorted(upset_words(t)) == [
         "0000", "0001", "0002", "0003", "0020",
         "0021", "0100", "0101", "0102"]
 
@@ -40,7 +40,7 @@ def test_upset_words_match_upset_commutatively():
     # root count) of each element of the up-set, for all trees n <= 6
     for n in range(1, 7):
         for t in enumerate_trees(n):
-            words = sorted(tuple(sorted(w)) for w in tamari.upset_words(t))
+            words = sorted(tuple(sorted(w)) for w in upset_words(t))
             ups = sorted(tuple(sorted(str(c) for c in polish_code(g)))
                          for g in tamari.upset((t,)))
             assert words == ups
