@@ -38,7 +38,7 @@ from math import comb, inf
 from .compositions import (compositions_of, descent_set, from_descent_mask,
                            refinements, sign_word, weight)
 from .forests import (EMPTY_FOREST, CodeError, Forest, Tree, catalan_count,
-                      parse_code, shapes, tree_size)
+                      non_plane_class, parse_code, shapes, tree_size)
 from .hopf import c_expand
 from .laurent import LaurentPoly
 from .lincomb import LinComb
@@ -89,7 +89,7 @@ def phi_plus_closed(t: Tree, a: LaurentPoly) -> LaurentPoly:
     """phi+(Y_T) by the Tamari formula: sum over F >= T of a_F z^(-r(F)),
     read off the root-count row of T."""
     _refuse_double_pole(a)
-    row = _root_count_table(tree_size(t))[(t,)][1]
+    row = _root_count_table(tree_size(t))[non_plane_class((t,))][1]
     return _row_sum(row, _multiset_weights(a, row))
 
 
@@ -101,19 +101,18 @@ def sigma_plus(n: int, a: LaurentPoly) -> LinComb:
     recursive oracle of the same values.  Each shape's row is summed once,
     and the forests of that shape share its ``LaurentPoly``."""
     _refuse_double_pole(a)
-    table, shape = _root_count_table(n), shapes(n)
-    rows = {s: table[f] for f, s in shape.items()}
-    weights = _multiset_weights(a, (key for key, _ in rows.values()))
-    sums = {s: _row_sum(row, weights) for s, (_, row) in rows.items()}
-    return LinComb({f: sums[s] for f, s in shape.items()})
+    table = _root_count_table(n)
+    weights = _multiset_weights(a, (key for key, _ in table.values()))
+    return LinComb(shapes(n).spread(
+        [_row_sum(row, weights) for _, row in table.values()]))
 
 
 def series_c(n: int, a: LaurentPoly) -> LinComb:
     """Degree-n part of C = sigma_a^+ at z = 1, in the C basis."""
     table = _root_count_table(n)
     weights = _multiset_weights(a, (key for key, _ in table.values()))
-    return LinComb({g: weights[key >> _DIGIT]
-                    for g, (key, _) in table.items()})
+    return LinComb(shapes(n).spread(
+        [weights[key >> _DIGIT] for key, _ in table.values()]))
 
 
 def series_d(n: int, a: LaurentPoly) -> LinComb:
@@ -136,39 +135,36 @@ _MASK = (1 << _DIGIT) - 1
 
 @lru_cache(maxsize=None)
 def _root_count_table(n: int) -> dict[Forest, tuple[int, dict[int, int]]]:
-    """F -> (key of F, W(F)) for every forest F of size n, where W(F) maps
-    a key to the number of G >= F in the Tamari order with that root count
-    and arity multiset.  It follows the recursion of the Tamari up-sets:
-    W(T.G) is the convolution of W(T) and W(G), and each (r, m) of W(H)
-    gives (s, m + {r - s + 1}) in W(B+(H)) for s = 1..r+1, the forests
-    G1 . B+(G2) that split G >= H after s - 1 roots; s = 1 is B+(H) itself.
-    The counts do not depend on a(z), so one table serves every series.
-    The convolution is commutative, so W(F) depends only on the non-plane
-    shape of F (``forests.shapes``): the forests of one shape share one
-    (key, row) pair, built from the first of them.  There are
-    A000081(n + 1) rows: 115 for 429 forests at 7."""
+    """S -> (key, W) for each non-plane shape S of size n, in the order of
+    ``shapes(n).shapes``: the key of a forest F of shape S, and W(F), which
+    counts the G >= F in the Tamari order by root count and arity multiset.
+    It follows the recursion of the Tamari up-sets: W(T.G) is the convolution
+    of W(T) and W(G), and each (r, m) of W(H) gives (s, m + {r - s + 1}) in
+    W(B+(H)) for s = 1..r+1, the forests G1 . B+(G2) that split G >= H
+    after s - 1 roots; s = 1 is B+(H) itself.  The counts do not depend on
+    a(z), so one table serves every series, and the forests of one shape
+    share one (key, row) pair, as the convolution is commutative: a tree
+    reads its children's shape S[0], any other shape S[:1] and S[1:]."""
     if not n:
         return {EMPTY_FOREST: (0, {0: 1})}
-    out, rows = {}, {}
-    for f, shape in shapes(n).items():
-        if shape not in rows:
-            acc: dict[int, int] = {}
-            if len(f) == 1:
-                key, row = _root_count_table(n - 1)[f[0]]
-                for k, count in row.items():
-                    for s in range(1, (k & _MASK) + 2):
-                        g = _grafted(k, s)
-                        acc[g] = acc.get(g, 0) + count
-                rows[shape] = (_grafted(key, 1), acc)
-            else:
-                size = tree_size(f[0])
-                key1, row1 = _root_count_table(size)[f[:1]]
-                key2, row2 = _root_count_table(n - size)[f[1:]]
-                for k1, c1 in row1.items():
-                    for k2, c2 in row2.items():
-                        acc[k1 + k2] = acc.get(k1 + k2, 0) + c1 * c2
-                rows[shape] = (key1 + key2, acc)
-        out[f] = rows[shape]
+    out = {}
+    for shape in shapes(n).shapes:
+        acc: dict[int, int] = {}
+        if len(shape) == 1:
+            key, row = _root_count_table(n - 1)[shape[0]]
+            for k, count in row.items():
+                for s in range(1, (k & _MASK) + 2):
+                    g = _grafted(k, s)
+                    acc[g] = acc.get(g, 0) + count
+            out[shape] = (_grafted(key, 1), acc)
+        else:
+            size = tree_size(shape[0])
+            key1, row1 = _root_count_table(size)[shape[:1]]
+            key2, row2 = _root_count_table(n - size)[shape[1:]]
+            for k1, c1 in row1.items():
+                for k2, c2 in row2.items():
+                    acc[k1 + k2] = acc.get(k1 + k2, 0) + c1 * c2
+            out[shape] = (key1 + key2, acc)
     return out
 
 
@@ -191,10 +187,7 @@ def _multiset_weights(a: LaurentPoly, keys) -> dict[int, MultiPoly]:
     """key >> _DIGIT -> a^m = prod of a_k^(m_k), with a_k the z^(k-1)
     coefficient of a, once per distinct arity multiset m of ``keys``."""
     out = {}
-    for key in keys:
-        m = key >> _DIGIT
-        if m in out:
-            continue
+    for m in {key >> _DIGIT for key in keys}:
         w, k, rest = MultiPoly.const(1), 0, m
         while rest:
             if rest & _MASK:

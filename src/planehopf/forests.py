@@ -222,13 +222,26 @@ def non_plane_class(t: Tree):
     return tuple(sorted(map(non_plane_class, t))) if t else t
 
 
+class Shapes:
+    """The forests of one size in enumeration order, the index in ``shapes``
+    of each one's shape, and the distinct shapes in first-seen order."""
+    __slots__ = ("forests", "ids", "shapes")  # no NamedTuple: faster import
+
+    def __init__(self, forests: tuple, ids: list, shapes: tuple):
+        self.forests, self.ids, self.shapes = forests, ids, shapes
+
+    def spread(self, values) -> dict:
+        """F -> the value of F's shape, ``values`` listed like ``shapes``."""
+        return dict(zip(self.forests, map(values.__getitem__, self.ids)))
+
+
 @lru_cache(maxsize=None)
-def shapes(n: int) -> dict[Forest, Forest]:
-    """F -> non_plane_class(F) for the forests of size n, in enumeration
-    order.  A tree's shape is its children's, off a smaller table, so only
-    the roots are sorted, and equal shapes are one object."""
-    tree = {t: shapes(k - 1)[t] for k in range(1, n + 1)
-            for t in enumerate_trees(k)}
-    seen: dict[Forest, Forest] = {}
-    return {f: seen.setdefault(s, s) for f in enumerate_forests(n)
-            for s in [tuple(sorted(tree[t] for t in f))]}
+def shapes(n: int) -> Shapes:
+    """The forests of size n by shape.  A tree's shape is its children's,
+    off a smaller index: only roots are sorted; equal shapes are one object."""
+    tree, index, forests = {}, {}, enumerate_forests(n)
+    for smaller in map(shapes, range(n)):
+        tree.update(smaller.spread(smaller.shapes))
+    ids = [index.setdefault(tuple(sorted(map(tree.__getitem__, f))),
+                            len(index)) for f in forests]
+    return Shapes(forests, ids, tuple(index))

@@ -86,14 +86,13 @@ def eulerian(n: int, k: int) -> LinComb:
     # Omega_T(0..n-1) once per tree shape, the prefix sums of the product of
     # its children's lists, and one dot product per forest shape
     counts, ones = {}, [1] * n
-    for t in dict.fromkeys(s for m in range(n) for s in shapes(m).values()):
-        children = zip(ones, *map(counts.get, t))
-        counts[t] = list(accumulate(map(prod, children)))
-    dots = {}
-    for s in dict.fromkeys(shapes(n).values()):
-        omega = map(prod, zip(*map(counts.get, s)))
-        dots[s] = Fraction(sum(map(mul, row, omega)), den)
-    return LinComb({f: dots[s] for f, s in shapes(n).items() if dots[s]})
+    for m in range(n):
+        for t in shapes(m).shapes:
+            children = zip(ones, *map(counts.get, t))
+            counts[t] = list(accumulate(map(prod, children)))
+    return LinComb(shapes(n).spread([
+        Fraction(sum(map(mul, row, map(prod, zip(*map(counts.get, s))))), den)
+        for s in shapes(n).shapes]))
 
 
 def solomon(n: int) -> LinComb:

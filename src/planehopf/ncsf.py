@@ -14,12 +14,12 @@ generating function (Stanley, EC1 3.15), so one memoized map per non-plane
 shape, keyed by descent masks (bit d - 1 for descent d).  The root of B+(H)
 adds 1 to the last part, which keeps the descent set, so a tree shares its
 children's map; Gamma_{T.G} is the QSym product Gamma_T Gamma_G, each F_I F_J
-counted by a DP over the shifted shuffles.  A shape's two rows over the masks,
-each built on first use, hold its subset sums (the M basis: nondecreasing
-labellings) and its superset sums at the complement (strict labellings).  A
-table per degree holds the forests and the index of each one's shape, so
-R_I reads one entry of each shape's Gamma, S^I one of its first row and
-Lambda^I one of its second; Gamma_F in the M basis is its shape's first row.
+counted by a DP over the shifted shuffles.  A shape's rows over the masks,
+each built on first use, hold its Gamma, its subset sums (the M basis:
+nondecreasing labellings) and its superset sums at the complement (strict
+labellings).  Each forest's shape is read off ``forests.shapes``, and a table
+per degree holds one row per shape for each count: R_I, S^I and Lambda^I
+read one entry of each; Gamma_F in the M basis is its shape's subset sums.
 
 Evaluations on the infinite alphabets {1, q, q^2, ...} and (q, t) return
 canonical RationalFns: each M_I is a sum of terms q^e t^j / prod (1 - q^k),
@@ -121,22 +121,24 @@ def _gamma(f: Forest) -> MappingProxyType:
     return MappingProxyType(out)
 
 
-def _subset_sums(counts, n: int, strict: bool = False):
+def _subset_sums(counts, n: int, strict: bool | None = False):
     """x -> sum of counts[m] over the submasks m of x (if ``strict``, over
-    the m that contain x's complement), for the masks x of degree n: n - 1
-    shift-and-adds on one int packing the row in fields as wide as the
-    total, which bounds every partial sum (the fast zeta transform).  An
-    array, or a list where no array type holds the total or the host is
-    big-endian."""
+    the m that contain x's complement; if None, x -> counts[x]), for the
+    masks x of degree n: n - 1 shift-and-adds on one int packing the row in
+    fields as wide as the total, which bounds every partial sum (the fast
+    zeta transform).  An array, or a list where no array type holds the
+    total or the host is big-endian."""
     from array import array  # a shared library, loaded on first use
     total, fields = sum(counts.values()), 1 << max(n - 1, 0)
     code = next((t for t in "BHIQ" if sys.byteorder == "little"
                  and not total >> 8 * array(t).itemsize), "")
     size = array(code).itemsize if code else total.bit_length() + 7 >> 3
-    width, flip = 8 * size, (fields - 1) * strict
+    width, flip = 8 * size, fields - 1 if strict else 0
     row = array(code, bytes(size * fields)) if code else [0] * fields
     for m, c in counts.items():
         row[m ^ flip] = c
+    if strict is None:
+        return row
     row = int.from_bytes(row if code else b"".join(
         c.to_bytes(size, "little") for c in row), "little")
     lows = _degree(n)[1].setdefault(size, [])
@@ -163,27 +165,19 @@ def _row(f: Forest, strict: bool) -> tuple:
 @lru_cache(maxsize=None)
 def _degree(n: int) -> tuple:
     """Degree n's tables, filled on first use: the compositions by mask, the
-    row transform's masks by field size, and the embedding table (forests in
-    enumeration order, their shape indices, shapes, a column per count)."""
-    return [], {}, []
+    transform's masks by field size, and per count the rows of shapes(n)."""
+    return [], {}, {}
 
 
 def _embed(i: Composition, strict) -> LinComb:
-    """Each X_F, |F| = |I|, with its shape's Gamma (``strict`` None) or row
+    """Each X_F, |F| = |I|, with its shape's row (``strict`` None: Gamma)
     at D(I), read once per shape."""
     n, x = weight(i), descent_mask(i)
-    table = _degree(n)[2]
-    if not table:
-        index: dict = {}
-        ids = [index.setdefault(s, len(index)) for s in shapes(n).values()]
-        table += tuple(shapes(n)), ids, index, {}
-    forests, ids, index, columns = table
+    index, columns = shapes(n), _degree(n)[2]
     if strict not in columns:
-        columns[strict] = [_gamma(s) if strict is None else
-                           _subset_sums(_gamma(s), n, strict) for s in index]
-    col = columns[strict]
-    counts = [g.get(x, 0) for g in col] if strict is None else [r[x] for r in col]
-    return LinComb(dict(zip(forests, map(counts.__getitem__, ids))))
+        columns[strict] = [_subset_sums(_gamma(s), n, strict)
+                           for s in index.shapes]
+    return LinComb(index.spread([r[x] for r in columns[strict]]))
 
 
 def gamma_qsym_f(f: Forest) -> LinComb:

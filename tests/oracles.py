@@ -103,7 +103,7 @@ from planehopf.compositions import (coarsenings, compositions_of, descent_mask,
 from planehopf.ehrhart import _counts, ehrhart_polynomial, lattice_points
 from planehopf.forests import (Forest, Tree, enumerate_forests,
                                enumerate_trees, forest_size, non_plane_class,
-                               polish_code, shapes)
+                               polish_code)
 from planehopf.hopf import brace
 from planehopf.laurent import LaurentPoly
 from planehopf.idempotents import internal_product
@@ -575,7 +575,7 @@ def x_tau(tau, n: int) -> LinComb:
     trees T whose underlying non-plane tree is tau."""
     coeff = aut_order(tau)
     return LinComb(((t,), coeff) for t in enumerate_trees(n)
-                   if shapes(n - 1)[t] == tau)
+                   if non_plane_class(t) == tau)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,8 @@ from planehopf.checks import suite_factorization, suite_words
 from planehopf.compositions import (compositions_of, descent_set,
                                     partitions_of, refinements)
 from planehopf.forests import (enumerate_forests, enumerate_trees,
-                               parse_forest, polish_code)
+                               non_plane_class, parse_forest, polish_code,
+                               shapes)
 from planehopf.laurent import LaurentPoly
 from planehopf.lincomb import LinComb
 from planehopf.polynomials import MultiPoly
@@ -89,9 +90,12 @@ def _key(g):
 
 @pytest.mark.parametrize("n", range(0, 9))
 def test_root_count_rows_count_the_upsets(n):
-    # each row counts the up-set of its forest by root count and arity
-    # multiset, and the key beside it is the forest's own
-    for f, (key, row) in bk._root_count_table(n).items():
+    # the table lists the shapes in the order of the shape index, and every
+    # plane forest's row, reached through its shape, counts its up-set by
+    # root count and arity multiset; the key beside it is the forest's own
+    table, index = bk._root_count_table(n), shapes(n)
+    assert list(table) == list(index.shapes)
+    for f, (key, row) in index.spread(list(table.values())).items():
         up = tamari.upset(f)
         assert sum(row.values()) == len(up)
         assert row == Counter(map(_key, up))
@@ -125,15 +129,18 @@ def test_upset_counts_depend_only_on_the_shape(f, data):
 
 
 @pytest.mark.parametrize("n, rows", enumerate(
-    (1, 1, 2, 4, 9, 20, 48, 115, 286)))
+    (1, 1, 2, 4, 9, 20, 48, 115, 286, 719, 1842)))
 def test_root_count_rows_are_one_per_shape(n, rows):
-    # one row object per non-plane shape (OEIS A000081), and two forests
-    # share it exactly when their shapes are equal
+    # one entry and one row object per non-plane shape (OEIS A000081), each
+    # keyed by its canonical shape, by this module's sort and by the
+    # library's; through the shape index, two forests share a row exactly
+    # when their shapes are equal
     table = bk._root_count_table(n)
-    ids = {id(row) for _, row in table.values()}
-    assert len(ids) == rows
+    assert len(table) == rows
+    assert len({id(row) for _, row in table.values()}) == rows
+    assert all(non_plane_class(s) == s == _shape(s) for s in table)
     by_shape = {}
-    for f, (_, row) in table.items():
+    for f, (_, row) in shapes(n).spread(list(table.values())).items():
         by_shape.setdefault(_shape(f), set()).add(id(row))
     assert all(len(s) == 1 for s in by_shape.values())
     assert len(by_shape) == rows
@@ -151,7 +158,8 @@ def test_sigma_plus_sums_each_row_once(monkeypatch):
         calls.clear()
         bk.sigma_plus(n, bk.a_series(n))
         table = bk._root_count_table(n)
-        assert sorted(calls) == sorted({id(row) for _, row in table.values()})
+        assert sorted(calls) == sorted(id(table[s][1])
+                                       for s in shapes(n).shapes)
 
 
 def test_sigma_plus_refuses_double_pole():

@@ -1,5 +1,7 @@
 """Plane forests, codes, and the poset structure of the canonical labelling."""
 
+from collections import Counter
+from functools import lru_cache
 from math import comb, factorial, prod
 
 import pytest
@@ -164,11 +166,40 @@ def test_catalan_count_stops_at_cap():
 @pytest.mark.parametrize("n, count", enumerate(
     (1, 1, 2, 4, 9, 20, 48, 115, 286, 719)))
 def test_shapes_are_the_non_plane_classes(n, count):
-    # one value per non-plane forest of size n (OEIS A000081(n + 1)), each
-    # the forest's own class, keyed in enumeration order, equal shapes one
-    # object
-    table = shapes(n)
+    # one shape per non-plane forest of size n (OEIS A000081(n + 1)), in
+    # first-seen order; each forest, in enumeration order, indexes its own
+    # class, and spreading the shapes back gives equal shapes one object
+    index = shapes(n)
+    assert index.forests == enumerate_forests(n)
+    assert len(index.ids) == len(index.forests)
+    assert all(index.shapes[k] == non_plane_class(f)
+               for f, k in zip(index.forests, index.ids))
+    assert list(dict.fromkeys(index.ids)) == list(range(count))
+    assert len(set(index.shapes)) == len(index.shapes) == count
+    table = index.spread(index.shapes)
     assert list(table) == list(enumerate_forests(n))
     assert all(s == non_plane_class(f) for f, s in table.items())
     assert len(set(table.values())) == count
     assert len({id(s) for s in table.values()}) == count
+
+
+@lru_cache(maxsize=None)
+def _plane_count(shape):
+    """The number of plane forests of a non-plane shape, from its trees
+    alone: the distinct orders of its trees (the multinomial of their
+    multiplicities) times each tree's count, which is its children's."""
+    count = factorial(len(shape))
+    for mult in Counter(shape).values():
+        count //= factorial(mult)
+    return count * prod(map(_plane_count, shape))
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_shape_index_counts_the_plane_forests_of_each_shape(n):
+    # each shape holds as many forests as the formula counts, and the
+    # counts add up to the Catalan number C_n
+    index = shapes(n)
+    held = Counter(index.ids)
+    counts = [_plane_count(s) for s in index.shapes]
+    assert [held[k] for k in range(len(index.shapes))] == counts
+    assert sum(counts) == comb(2 * n, n) // (n + 1)
