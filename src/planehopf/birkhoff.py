@@ -10,13 +10,14 @@ factorization closes over the Tamari order:
 
 with a_F the product of the code letters of F and r(F) its number of roots.
 The sum depends on each F only through r(F) and its arity multiset, so one
-table per degree, independent of a, counts the up-set of every forest by
-those two; it is filled by the recursion of the up-sets without listing
-them, and it holds one row per non-plane shape (OEIS A000081).
-``sigma_plus`` reads every X_F coefficient of sigma_a^+ off that table,
-with no Laurent products, one power product per multiset and one sum per
-row; the ``phi_plus`` recursion is kept as its oracle.  Setting z = 1 gives
-the grouplike series C = sum of a_G C_G; the residue at z = 0 gives the
+memo per shape, independent of a, counts the up-set of a forest by those
+two; it is filled by the recursion of the up-sets without listing them,
+one row per non-plane shape (OEIS A000081), from the rows of its parts.
+``phi_plus_closed`` reads one tree's row; ``sigma_plus`` reads every X_F
+coefficient of sigma_a^+ off the rows of the degree's shapes, with no
+Laurent products, one power product per multiset and one sum per row;
+the ``phi_plus`` recursion is kept as its oracle.  Setting z = 1 gives the
+grouplike series C = sum of a_G C_G; the residue at z = 0 gives the
 primitive series D = sum over trees of a_T C_T, whose homogeneous pieces
 split into the quasi-idempotents D_lambda.
 
@@ -37,8 +38,8 @@ from math import comb, inf
 
 from .compositions import (compositions_of, descent_set, from_descent_mask,
                            refinements, sign_word, weight)
-from .forests import (EMPTY_FOREST, CodeError, Forest, Tree, catalan_count,
-                      non_plane_class, parse_code, shapes, tree_size)
+from .forests import (CodeError, Forest, Tree, catalan_count,
+                      non_plane_class, parse_code, shapes)
 from .hopf import c_expand
 from .laurent import LaurentPoly
 from .lincomb import LinComb
@@ -89,7 +90,7 @@ def phi_plus_closed(t: Tree, a: LaurentPoly) -> LaurentPoly:
     """phi+(Y_T) by the Tamari formula: sum over F >= T of a_F z^(-r(F)),
     read off the root-count row of T."""
     _refuse_double_pole(a)
-    row = _root_count_table(tree_size(t))[non_plane_class((t,))][1]
+    row = _root_row(non_plane_class((t,)))[1]
     return _row_sum(row, _multiset_weights(a, row))
 
 
@@ -101,18 +102,19 @@ def sigma_plus(n: int, a: LaurentPoly) -> LinComb:
     recursive oracle of the same values.  Each shape's row is summed once,
     and the forests of that shape share its ``LaurentPoly``."""
     _refuse_double_pole(a)
-    table = _root_count_table(n)
-    weights = _multiset_weights(a, (key for key, _ in table.values()))
-    return LinComb(shapes(n).spread(
-        [_row_sum(row, weights) for _, row in table.values()]))
+    index = shapes(n)
+    rows = [_root_row(s) for s in index.shapes]
+    weights = _multiset_weights(a, (key for key, _ in rows))
+    return LinComb(index.spread([_row_sum(row, weights) for _, row in rows]))
 
 
 def series_c(n: int, a: LaurentPoly) -> LinComb:
     """Degree-n part of C = sigma_a^+ at z = 1, in the C basis."""
-    table = _root_count_table(n)
-    weights = _multiset_weights(a, (key for key, _ in table.values()))
-    return LinComb(shapes(n).spread(
-        [weights[key >> _DIGIT] for key, _ in table.values()]))
+    _refuse_double_pole(a)
+    index = shapes(n)
+    keys = [_root_row(s)[0] for s in index.shapes]
+    weights = _multiset_weights(a, keys)
+    return LinComb(index.spread([weights[key >> _DIGIT] for key in keys]))
 
 
 def series_d(n: int, a: LaurentPoly) -> LinComb:
@@ -121,7 +123,7 @@ def series_d(n: int, a: LaurentPoly) -> LinComb:
 
 
 # ---------------------------------------------------------------------------
-# The root-count table
+# The root-count rows
 #
 # A forest G enters the Tamari formula only through its root count r(G) and
 # its arity multiset m(G), m_k the number of nodes with k children, since
@@ -134,38 +136,33 @@ _MASK = (1 << _DIGIT) - 1
 
 
 @lru_cache(maxsize=None)
-def _root_count_table(n: int) -> dict[Forest, tuple[int, dict[int, int]]]:
-    """S -> (key, W) for each non-plane shape S of size n, in the order of
-    ``shapes(n).shapes``: the key of a forest F of shape S, and W(F), which
-    counts the G >= F in the Tamari order by root count and arity multiset.
-    It follows the recursion of the Tamari up-sets: W(T.G) is the convolution
-    of W(T) and W(G), and each (r, m) of W(H) gives (s, m + {r - s + 1}) in
-    W(B+(H)) for s = 1..r+1, the forests G1 . B+(G2) that split G >= H
-    after s - 1 roots; s = 1 is B+(H) itself.  The counts do not depend on
-    a(z), so one table serves every series, and the forests of one shape
-    share one (key, row) pair, as the convolution is commutative: a tree
-    reads its children's shape S[0], any other shape S[:1] and S[1:]."""
-    if not n:
-        return {EMPTY_FOREST: (0, {0: 1})}
-    out = {}
-    for shape in shapes(n).shapes:
-        acc: dict[int, int] = {}
-        if len(shape) == 1:
-            key, row = _root_count_table(n - 1)[shape[0]]
-            for k, count in row.items():
-                for s in range(1, (k & _MASK) + 2):
-                    g = _grafted(k, s)
-                    acc[g] = acc.get(g, 0) + count
-            out[shape] = (_grafted(key, 1), acc)
-        else:
-            size = tree_size(shape[0])
-            key1, row1 = _root_count_table(size)[shape[:1]]
-            key2, row2 = _root_count_table(n - size)[shape[1:]]
-            for k1, c1 in row1.items():
-                for k2, c2 in row2.items():
-                    acc[k1 + k2] = acc.get(k1 + k2, 0) + c1 * c2
-            out[shape] = (key1 + key2, acc)
-    return out
+def _root_row(shape: Forest) -> tuple[int, dict[int, int]]:
+    """(key, W) for a non-plane shape S: the key of a forest F of shape S,
+    and W(F), which counts the G >= F in the Tamari order by root count and
+    arity multiset.  It follows the recursion of the Tamari up-sets: W(T.G)
+    is the convolution of W(T) and W(G), and each (r, m) of W(H) gives
+    (s, m + {r - s + 1}) in W(B+(H)) for s = 1..r+1, the forests
+    G1 . B+(G2) that split G >= H after s - 1 roots; s = 1 is B+(H) itself.
+    The counts do not depend on a(z), so one row serves every series, and
+    the forests of one shape share one (key, row) pair, as the convolution
+    is commutative: a tree reads its children's shape S[0], any other shape
+    S[:1] and S[1:]."""
+    if not shape:
+        return 0, {0: 1}
+    acc: dict[int, int] = {}
+    if len(shape) == 1:
+        key, row = _root_row(shape[0])
+        for k, count in row.items():
+            for s in range(1, (k & _MASK) + 2):
+                g = _grafted(k, s)
+                acc[g] = acc.get(g, 0) + count
+        return _grafted(key, 1), acc
+    key1, row1 = _root_row(shape[:1])
+    key2, row2 = _root_row(shape[1:])
+    for k1, c1 in row1.items():
+        for k2, c2 in row2.items():
+            acc[k1 + k2] = acc.get(k1 + k2, 0) + c1 * c2
+    return key1 + key2, acc
 
 
 def _grafted(key: int, s: int) -> int:

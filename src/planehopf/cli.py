@@ -39,13 +39,13 @@ MAX_EMBED_DEGREE = 7
 # 0.9 s at 12, 3.1 s at 13 and 8.4 s at 14, each in a fresh process
 MAX_RIBBON_DEGREE = 12
 # the largest up-set (a chain's) takes 0.02 s at 10 nodes and 0.35 s at 12,
-# the largest down-set 0.02 s at 10; birkhoff sigma-plus reads one root-count
-# table of the degree, with one row per non-plane shape, 0.22 s and 31 MB at
-# 9 in a fresh process (0.3 s and 38 MB at 10 and 1.0 s and 100 MB at 11 in
-# the library), and the cap stays 9, since the contract tests check that 10
-# is refused; idem eulerian dots one integer row with the point counts of
-# every forest shape, 0.1 s at 9 in a fresh process (0.1-0.2 s and 21 MB at
-# 10 and 0.45 s and 33 MB at 11 in the library)
+# the largest down-set 0.02 s at 10; birkhoff sigma-plus reads the root-count
+# row of each non-plane shape of the degree, one memo per shape, 0.22 s and
+# 31 MB at 9 in a fresh process (0.3 s and 38 MB at 10 and 1.0 s and 100 MB
+# at 11 in the library), and the cap stays 9, since the contract tests check
+# that 10 is refused; idem eulerian dots one integer row with the point
+# counts of every forest shape, 0.1 s at 9 in a fresh process (0.1-0.2 s and
+# 21 MB at 10 and 0.45 s and 33 MB at 11 in the library)
 MAX_TAMARI_SIZE = 9
 # ehrhart poly interpolates the point counts of |F| + 1 dilations; on 800
 # nodes, in a fresh process, the chain takes 0.4 s, the singletons 0.9 s and

@@ -17,9 +17,9 @@ children's map; Gamma_{T.G} is the QSym product Gamma_T Gamma_G, each F_I F_J
 counted by a DP over the shifted shuffles.  A shape's rows over the masks,
 each built on first use, hold its Gamma, its subset sums (the M basis:
 nondecreasing labellings) and its superset sums at the complement (strict
-labellings).  Each forest's shape is read off ``forests.shapes``, and a table
-per degree holds one row per shape for each count: R_I, S^I and Lambda^I
-read one entry of each; Gamma_F in the M basis is its shape's subset sums.
+labellings), one memo per shape and count.  R_I, S^I and Lambda^I read one
+entry of each shape's row, and ``forests.shapes`` spreads them over the
+forests; Gamma_F in the M basis and the labelling counts read the same row.
 
 Evaluations on the infinite alphabets {1, q, q^2, ...} and (q, t) return
 canonical RationalFns: each M_I is a sum of terms q^e t^j / prod (1 - q^k),
@@ -155,9 +155,10 @@ def _subset_sums(counts, n: int, strict: bool | None = False):
 
 
 @lru_cache(maxsize=None)
-def _row(f: Forest, strict: bool) -> tuple:
-    """(|F|, the row of F's labelling counts by D(I), nondecreasing or
-    strict); a plane forest shares the row of its shape."""
+def _row(f: Forest, strict: bool | None) -> tuple:
+    """(|F|, the row of F's counts by D(I): Gamma if ``strict`` is None,
+    else its nondecreasing or strict labellings); a plane forest shares the
+    row of its shape, so ``_subset_sums`` runs once per shape and kind."""
     s, n = non_plane_class(f), forest_size(f)
     return _row(s, strict) if s != f else (n, _subset_sums(_gamma(f), n, strict))
 
@@ -165,7 +166,8 @@ def _row(f: Forest, strict: bool) -> tuple:
 @lru_cache(maxsize=None)
 def _degree(n: int) -> tuple:
     """Degree n's tables, filled on first use: the compositions by mask, the
-    transform's masks by field size, and per count the rows of shapes(n)."""
+    transform's masks by field size, and per count the ``_row`` arrays of
+    shapes(n), in its order."""
     return [], {}, {}
 
 
@@ -175,8 +177,7 @@ def _embed(i: Composition, strict) -> LinComb:
     n, x = weight(i), descent_mask(i)
     index, columns = shapes(n), _degree(n)[2]
     if strict not in columns:
-        columns[strict] = [_subset_sums(_gamma(s), n, strict)
-                           for s in index.shapes]
+        columns[strict] = [_row(s, strict)[1] for s in index.shapes]
     return LinComb(index.spread([r[x] for r in columns[strict]]))
 
 

@@ -11,13 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planehopf import birkhoff as bk
-from planehopf import hopf, ncsf, tamari
+from planehopf import forests, hopf, ncsf, tamari
 from planehopf.checks import suite_factorization, suite_words
 from planehopf.compositions import (compositions_of, descent_set,
                                     partitions_of, refinements)
-from planehopf.forests import (enumerate_forests, enumerate_trees,
-                               non_plane_class, parse_forest, polish_code,
-                               shapes)
+from planehopf.forests import (chain_tree, corolla, enumerate_forests,
+                               enumerate_trees, non_plane_class, parse_forest,
+                               polish_code, shapes, tree_size)
 from planehopf.laurent import LaurentPoly
 from planehopf.lincomb import LinComb
 from planehopf.polynomials import MultiPoly
@@ -90,12 +90,11 @@ def _key(g):
 
 @pytest.mark.parametrize("n", range(0, 9))
 def test_root_count_rows_count_the_upsets(n):
-    # the table lists the shapes in the order of the shape index, and every
-    # plane forest's row, reached through its shape, counts its up-set by
-    # root count and arity multiset; the key beside it is the forest's own
-    table, index = bk._root_count_table(n), shapes(n)
-    assert list(table) == list(index.shapes)
-    for f, (key, row) in index.spread(list(table.values())).items():
+    # every plane forest's row, reached through its shape, counts its up-set
+    # by root count and arity multiset; the key beside it is the forest's own
+    index = shapes(n)
+    for f, (key, row) in index.spread(
+            [bk._root_row(s) for s in index.shapes]).items():
         up = tamari.upset(f)
         assert sum(row.values()) == len(up)
         assert row == Counter(map(_key, up))
@@ -131,17 +130,20 @@ def test_upset_counts_depend_only_on_the_shape(f, data):
 @pytest.mark.parametrize("n, rows", enumerate(
     (1, 1, 2, 4, 9, 20, 48, 115, 286, 719, 1842)))
 def test_root_count_rows_are_one_per_shape(n, rows):
-    # one entry and one row object per non-plane shape (OEIS A000081), each
-    # keyed by its canonical shape, by this module's sort and by the
-    # library's; through the shape index, two forests share a row exactly
-    # when their shapes are equal
-    table = bk._root_count_table(n)
+    # one row object per non-plane shape (OEIS A000081), each keyed by its
+    # canonical shape, by this module's sort and by the library's; through
+    # the shape index, or the memo at an equal but distinct key, two forests
+    # share a row exactly when their shapes are equal
+    index = shapes(n)
+    table = [bk._root_row(s) for s in index.shapes]
     assert len(table) == rows
-    assert len({id(row) for _, row in table.values()}) == rows
-    assert all(non_plane_class(s) == s == _shape(s) for s in table)
+    assert len({id(row) for _, row in table}) == rows
+    assert all(non_plane_class(s) == s == _shape(s) for s in index.shapes)
     by_shape = {}
-    for f, (_, row) in shapes(n).spread(list(table.values())).items():
-        by_shape.setdefault(_shape(f), set()).add(id(row))
+    for f, (_, row) in index.spread(table).items():
+        shape = _shape(f)
+        assert bk._root_row(shape)[1] is row
+        by_shape.setdefault(shape, set()).add(id(row))
     assert all(len(s) == 1 for s in by_shape.values())
     assert len(by_shape) == rows
 
@@ -157,15 +159,16 @@ def test_sigma_plus_sums_each_row_once(monkeypatch):
     for n in range(0, 8):
         calls.clear()
         bk.sigma_plus(n, bk.a_series(n))
-        table = bk._root_count_table(n)
-        assert sorted(calls) == sorted(id(table[s][1])
+        assert sorted(calls) == sorted(id(bk._root_row(s)[1])
                                        for s in shapes(n).shapes)
 
 
 def test_sigma_plus_refuses_double_pole():
+    # every Tamari-formula route refuses a z^-2 term rather than drop it
     a = bk.a_series(3) + LaurentPoly.term(-2, MultiPoly.var("c"))
-    with pytest.raises(ValueError):
-        bk.sigma_plus(3, a)
+    for call in (bk.sigma_plus, bk.series_c, bk.series_d):
+        with pytest.raises(ValueError):
+            call(3, a)
     with pytest.raises(ValueError):
         bk.phi_plus_closed(parse_forest("100")[0], a)
 
@@ -230,7 +233,7 @@ def test_birkhoff_reads_no_upset(monkeypatch):
         raise AssertionError(f"tamari.upset reached for {f}")
 
     monkeypatch.setattr(tamari, "upset", refuse)
-    bk._root_count_table.cache_clear()
+    bk._root_row.cache_clear()
     for n in range(0, 7):
         a = bk.a_series(n)
         assert len(bk.sigma_plus(n, a)) == len(enumerate_forests(n))
@@ -238,6 +241,24 @@ def test_birkhoff_reads_no_upset(monkeypatch):
             bk.phi_plus_closed(t, a)
         bk.series_c(n, a)
         bk.series_d(n, a)
+
+
+def test_phi_plus_closed_builds_no_degree_table(monkeypatch):
+    # one tree's phi+ reads the rows of its shape and its parts: neither the
+    # shape index of its degree nor a listing of its plane forests
+    trees = [t for n in range(1, 8) for t in enumerate_trees(n)]
+    trees += [chain_tree(14), corolla(14)]
+
+    def refuse(n):
+        raise AssertionError(f"a degree-{n} table was built")
+
+    monkeypatch.setattr(bk, "shapes", refuse)
+    monkeypatch.setattr(forests, "enumerate_forests", refuse)
+    bk._root_row.cache_clear()
+    for t in trees:
+        for series in (bk.a_series, bk.a_series_ab):
+            a = series(tree_size(t))
+            assert bk.phi_plus_closed(t, a) == bk.phi_plus((t,), a)
 
 
 def test_factorization_suite():

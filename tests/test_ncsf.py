@@ -15,7 +15,7 @@ from planehopf.compositions import (coarsenings, compositions_of,
                                     from_descent_mask, refinements)
 from planehopf.forests import (chain_tree, enumerate_forests, forest_code,
                                linear_extensions, non_plane_class,
-                               parse_forest)
+                               parse_forest, shapes)
 from planehopf.lincomb import LinComb
 from planehopf.perms import descents, shifted_shuffle
 from planehopf.polynomials import (MultiPoly, RationalFn, _cyclotomic,
@@ -90,6 +90,34 @@ def test_one_enumeration_per_forest(monkeypatch):
     birkhoff.d_lambda_ribbon((2, 1))
     small = sum(len(enumerate_forests(n)) for n in range(5))
     assert ncsf._gamma.cache_info().misses <= small == 23
+
+
+def test_one_row_per_shape_and_count(monkeypatch):
+    # R_I, S^I and Lambda^I read each shape's row off the memo that
+    # gamma_qsym_m and the labelling counts read: the same array, built by
+    # one transform per shape and count
+    subset_sums, built = ncsf._subset_sums, Counter()
+
+    def counted(counts, n, strict=False):
+        built[id(counts), n, strict] += 1
+        return subset_sums(counts, n, strict)
+
+    monkeypatch.setattr(ncsf, "_subset_sums", counted)
+    ncsf._row.cache_clear()
+    ncsf._degree.cache_clear()
+    for n in range(8):
+        i = (n,) if n else ()
+        for kind, embed in ((None, ncsf.embed_r), (False, ncsf.embed_s),
+                            (True, ncsf.embed_lambda)):
+            embed(i)
+            assert all(r is ncsf._row(s, kind)[1] for r, s in
+                       zip(ncsf._degree(n)[2][kind], shapes(n).shapes))
+        for f in enumerate_forests(n):
+            ncsf.gamma_qsym_m(f)
+            ncsf.nondecreasing_labellings(f, i)
+            ncsf.strict_labellings(f, i)
+    assert len(built) == 3 * sum(len(shapes(n).shapes) for n in range(8))
+    assert set(built.values()) == {1}
 
 
 @pytest.mark.parametrize("n", range(9))
