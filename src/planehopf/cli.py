@@ -30,7 +30,7 @@ EXIT_DOMAIN = 3
 EXIT_GUARD = 4
 
 # nsym embed reads Gamma_F once per non-plane shape of the degree: in a fresh
-# process 0.14 s and 20 MB at 9, 0.65 s and 41 MB at 10, 3.0 s and 148 MB at
+# process 0.17 s and 18 MB at 9, 0.5 s and 25 MB at 10, 2.2-3.4 s and 62 MB at
 # 11; the cap stays 7, since the contract tests and the cli_cold benchmark
 # check that degrees 8 and 9 are refused
 MAX_EMBED_DEGREE = 7

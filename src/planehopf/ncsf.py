@@ -10,16 +10,16 @@ The embedding of Sym spanned by the S_n = sum of all X_F (equivalently the
 Lambda_n = X on a singleton forest) sends R_I, S^I and Lambda^I to explicit
 X-expansions counted by labellings of forests.  Every count is read off
 Gamma_F = sum of F_{Des s} over the linear extensions s of F, a P-partition
-generating function (Stanley, EC1 3.15), so one memoized map per non-plane
-shape, keyed by descent masks (bit d - 1 for descent d).  The root of B+(H)
-adds 1 to the last part, which keeps the descent set, so a tree shares its
-children's map; Gamma_{T.G} is the QSym product Gamma_T Gamma_G, each F_I F_J
-counted by a DP over the shifted shuffles.  A shape's rows over the masks,
-each built on first use, hold its Gamma, its subset sums (the M basis:
-nondecreasing labellings) and its superset sums at the complement (strict
-labellings), one memo per shape and count.  R_I, S^I and Lambda^I read one
-entry of each shape's row, and ``forests.shapes`` spreads them over the
-forests; Gamma_F in the M basis and the labelling counts read the same row.
+generating function (Stanley, EC1 3.15): one memoized dense row per non-plane
+shape over the descent masks (bit d - 1 for descent d), its fields as wide as
+its total.  The root of B+(H) adds 1 to the last part, keeping the descent
+set, so a tree shares its children's row; Gamma_{T.G} is the QSym product
+Gamma_T Gamma_G, each F_I F_J counted by a DP over the shifted shuffles.
+Gamma is the R row; its subset sums (the M basis: nondecreasing labellings)
+and superset sums at the complement (strict labellings) are rows built on
+first use, one memo per shape and count.  R_I, S^I and Lambda^I read one entry
+of each shape's row, ``forests.shapes`` spreads them over the forests, and
+Gamma_F in the M basis and the labelling counts read the same rows.
 
 Evaluations on the infinite alphabets {1, q, q^2, ...} and (q, t) return
 canonical RationalFns: each M_I is a sum of terms q^e t^j / prod (1 - q^k),
@@ -33,7 +33,7 @@ import sys
 from collections import Counter
 from functools import lru_cache
 from itertools import accumulate, combinations
-from types import MappingProxyType
+from math import comb
 
 from .compositions import (coarsenings, compositions_of, descent_mask,
                            from_descent_mask, refinements, weight)
@@ -100,53 +100,60 @@ def _f_product(a: int, x: int, b: int, y: int) -> tuple:
     return tuple(sum(map(Counter, level.values()), Counter()).items())
 
 
-@lru_cache(maxsize=None)
-def _gamma(f: Forest) -> MappingProxyType:
-    """Gamma_F as a read-only map, descent mask -> count of the linear
-    extensions of F with that descent set, for F a shape, as are its parts.
-    A tree is the tuple of its children, and the root of B+(H) comes last,
-    adding 1 to each last part, which keeps the descents: B+(H) has H's map."""
-    if not f:
-        return MappingProxyType({0: 1})
-    if len(f) == 1:
-        return _gamma(f[0])
-    out = {}
-    a, b = forest_size(f[:1]), forest_size(f[1:])
-    rest = _gamma(f[1:]).items()
-    for x, c in _gamma(f[:1]).items():
-        for y, d in rest:
-            cd = c * d
-            for z, e in _f_product(a, x, b, y):
-                out[z] = out.get(z, 0) + cd * e
-    return MappingProxyType(out)
-
-
-def _subset_sums(counts, n: int, strict: bool | None = False):
-    """x -> sum of counts[m] over the submasks m of x (if ``strict``, over
-    the m that contain x's complement; if None, x -> counts[x]), for the
-    masks x of degree n: n - 1 shift-and-adds on one int packing the row in
-    fields as wide as the total, which bounds every partial sum (the fast
-    zeta transform).  An array, or a list where no array type holds the
-    total or the host is big-endian."""
+def _zeros(total: int, fields: int):
+    """``fields`` zeros in the narrowest array type that holds ``total``, or
+    a list where none does or the host is big-endian."""
     from array import array  # a shared library, loaded on first use
-    total, fields = sum(counts.values()), 1 << max(n - 1, 0)
     code = next((t for t in "BHIQ" if sys.byteorder == "little"
                  and not total >> 8 * array(t).itemsize), "")
-    size = array(code).itemsize if code else total.bit_length() + 7 >> 3
-    width, flip = 8 * size, fields - 1 if strict else 0
-    row = array(code, bytes(size * fields)) if code else [0] * fields
-    for m, c in counts.items():
-        row[m ^ flip] = c
-    if strict is None:
-        return row
+    return array(code, bytes(array(code).itemsize * fields)) if code else [0] * fields
+
+
+@lru_cache(maxsize=None)
+def _gamma(f: Forest):
+    """Gamma_F as one dense row, descent mask -> count of the linear
+    extensions of F with that descent set, for F a shape, as are its parts.
+    A tree is the tuple of its children, and the root of B+(H) comes last,
+    adding 1 to each last part, which keeps the descents: B+(H) has H's row,
+    shorter than 2^(|F| - 1); a mask past its end counts 0."""
+    if len(f) == 1:
+        return _gamma(f[0])
+    if not f:
+        out = _zeros(1, 1)
+        out[0] = 1
+        return out
+    a, b = forest_size(f[:1]), forest_size(f[1:])
+    left, right = _gamma(f[:1]), _gamma(f[1:])
+    out = _zeros(sum(left) * sum(right) * comb(a + b, a), 1 << a + b - 1)
+    rest = [(y, d) for y, d in enumerate(right) if d]
+    for x, c in enumerate(left):
+        for y, d in rest if c else ():
+            cd = c * d
+            for z, e in _f_product(a, x, b, y):
+                out[z] += cd * e
+    return out
+
+
+def _subset_sums(gamma, n: int, strict: bool = False):
+    """x -> sum of gamma[m] over the submasks m of x (if ``strict``, over the
+    m that contain x's complement), for x of degree n: n - 1 shift-and-adds
+    on one int packing the row in Gamma's fields, which hold its total and so
+    every partial sum (the fast zeta transform); an array or a list, as Gamma."""
+    from array import array  # a shared library, loaded on first use
+    total, fields = sum(gamma), 1 << max(n - 1, 0)
+    row = gamma + _zeros(total, fields - len(gamma))  # a copy, reversed for Lambda
+    if strict:
+        row.reverse()
+    code = row.typecode if isinstance(row, array) else ""
+    size = row.itemsize if code else total.bit_length() + 7 >> 3
     row = int.from_bytes(row if code else b"".join(
         c.to_bytes(size, "little") for c in row), "little")
     lows = _degree(n)[1].setdefault(size, [])
     for k in range(n - 1):
-        step = span = width << k
+        step = span = 8 * size << k
         if len(lows) == k:  # the fields of the masks without bit k
             lows.append((1 << step) - 1)
-            while (span := 2 * span) < width * fields:
+            while (span := 2 * span) < 8 * size * fields:
                 lows[k] |= lows[k] << span
         row += (row & lows[k]) << step
     data = row.to_bytes(size * fields, "little")
@@ -156,11 +163,12 @@ def _subset_sums(counts, n: int, strict: bool | None = False):
 
 @lru_cache(maxsize=None)
 def _row(f: Forest, strict: bool | None) -> tuple:
-    """(|F|, the row of F's counts by D(I): Gamma if ``strict`` is None,
-    else its nondecreasing or strict labellings); a plane forest shares the
-    row of its shape, so ``_subset_sums`` runs once per shape and kind."""
+    """(|F|, the row of F's counts by D(I): Gamma itself if ``strict`` is
+    None, else its nondecreasing or strict labellings); a plane forest shares
+    the row of its shape, so ``_subset_sums`` runs once per shape and kind."""
     s, n = non_plane_class(f), forest_size(f)
-    return _row(s, strict) if s != f else (n, _subset_sums(_gamma(f), n, strict))
+    return _row(s, strict) if s != f else (n, _gamma(f) if strict is None
+                                           else _subset_sums(_gamma(f), n, strict))
 
 
 @lru_cache(maxsize=None)
@@ -172,13 +180,13 @@ def _degree(n: int) -> tuple:
 
 
 def _embed(i: Composition, strict) -> LinComb:
-    """Each X_F, |F| = |I|, with its shape's row (``strict`` None: Gamma)
-    at D(I), read once per shape."""
+    """Each X_F, |F| = |I|, with its shape's row (``strict`` None: Gamma,
+    0 past its end) at D(I), read once per shape."""
     n, x = weight(i), descent_mask(i)
     index, columns = shapes(n), _degree(n)[2]
     if strict not in columns:
         columns[strict] = [_row(s, strict)[1] for s in index.shapes]
-    return LinComb(index.spread([r[x] for r in columns[strict]]))
+    return LinComb(index.spread([r[x] if x < len(r) else 0 for r in columns[strict]]))
 
 
 def gamma_qsym_f(f: Forest) -> LinComb:
@@ -186,7 +194,7 @@ def gamma_qsym_f(f: Forest) -> LinComb:
     extensions of F, read off the tree recursion."""
     n = forest_size(f)
     return LinComb((from_descent_mask(m, n), c)
-                   for m, c in _gamma(non_plane_class(f)).items())
+                   for m, c in enumerate(_gamma(non_plane_class(f))) if c)
 
 
 def nondecreasing_labellings(f: Forest, i: Composition) -> int:

@@ -277,7 +277,8 @@ def labelling_count(f: Forest, i: tuple[int, ...], strict: bool = False) -> int:
     submasks of D(I), or over the masks that contain its complement."""
     x, full = descent_mask(i), (1 << max(weight(i) - 1, 0)) - 1
     masks = submasks(x, full & ~x) if strict else submasks(x)
-    return sum(_gamma(non_plane_class(f)).get(m, 0) for m in masks)
+    row = _gamma(non_plane_class(f))
+    return sum(row[m] for m in masks if m < len(row))
 
 
 def subset_sums(row: list[int], strict: bool = False) -> list[int]:

@@ -4,7 +4,7 @@ the Catalan Lie idempotents D_lambda, and the word model."""
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, product
-from math import comb
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
@@ -99,6 +99,24 @@ def test_root_count_rows_count_the_upsets(n):
         assert sum(row.values()) == len(up)
         assert row == Counter(map(_key, up))
         assert key == _key(f)
+
+
+@pytest.mark.parametrize("n", range(0, 11))
+def test_root_count_rows_count_the_tamari_intervals(n):
+    # the up-sets of all C_n plane forests hold Chapoton's count of Tamari
+    # intervals, 2 (4n + 1)! / ((n + 1)! (3n + 2)!), each forest's through its
+    # shape's row; every key has n nodes, with n - r children in all
+    index = shapes(n)
+    planes = Counter(index.ids)
+    rows = [bk._root_row(s)[1] for s in index.shapes]
+    assert sum(planes[k] * sum(row.values()) for k, row in enumerate(rows)) \
+        == 2 * factorial(4 * n + 1) // (factorial(n + 1) * factorial(3 * n + 2))
+    for row in rows:
+        for key in row:
+            m = [key >> bk._DIGIT * (k + 1) & bk._MASK for k in range(n + 1)]
+            assert key >> bk._DIGIT * (n + 2) == 0
+            assert sum(m) == n
+            assert sum(k * mk for k, mk in enumerate(m)) == n - (key & bk._MASK)
 
 
 def _shape(f):

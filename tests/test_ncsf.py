@@ -95,7 +95,8 @@ def test_one_enumeration_per_forest(monkeypatch):
 def test_one_row_per_shape_and_count(monkeypatch):
     # R_I, S^I and Lambda^I read each shape's row off the memo that
     # gamma_qsym_m and the labelling counts read: the same array, built by
-    # one transform per shape and count
+    # one transform per shape for S and for Lambda; the R row is Gamma
+    # itself, never a second copy
     subset_sums, built = ncsf._subset_sums, Counter()
 
     def counted(counts, n, strict=False):
@@ -116,7 +117,9 @@ def test_one_row_per_shape_and_count(monkeypatch):
             ncsf.gamma_qsym_m(f)
             ncsf.nondecreasing_labellings(f, i)
             ncsf.strict_labellings(f, i)
-    assert len(built) == 3 * sum(len(shapes(n).shapes) for n in range(8))
+        assert all(ncsf._row(s, None)[1] is ncsf._gamma(s)
+                   for s in shapes(n).shapes)
+    assert len(built) == 2 * sum(len(shapes(n).shapes) for n in range(8))
     assert set(built.values()) == {1}
 
 
@@ -196,8 +199,9 @@ def test_embeddings_match_the_sparse_route(i):
     # sparse sum over its shape's Gamma
     forests_n = enumerate_forests(sum(i))
     gamma = {f: ncsf._gamma(non_plane_class(f)) for f in forests_n}
+    x = descent_mask(i)
     assert ncsf.embed_r(i) == LinComb(
-        {f: gamma[f].get(descent_mask(i), 0) for f in forests_n})
+        {f: gamma[f][x] if x < len(gamma[f]) else 0 for f in forests_n})
     assert ncsf.embed_s(i) == LinComb(
         {f: labelling_count(f, i) for f in forests_n})
     assert ncsf.embed_lambda(i) == LinComb(
@@ -212,10 +216,17 @@ def test_packed_transform_matches_the_naive_sums(case):
     # the shift-and-add transform on one packed int, with fields sized by
     # the total, against the sums over each mask's subsets and supersets
     n, row = case
-    counts = {m: c for m, c in enumerate(row) if c}
     for strict in (False, True):
-        assert list(ncsf._subset_sums(counts, n, strict)) == \
+        assert list(ncsf._subset_sums(_typed(row), n, strict)) == \
             subset_sums(row, strict)
+
+
+def _typed(row):
+    """``row`` in Gamma's form: fields as wide as its total."""
+    out = ncsf._zeros(sum(row), len(row))
+    for m, c in enumerate(row):
+        out[m] = c
+    return out
 
 
 def test_packed_rows_stay_exact_past_64_bits():
@@ -224,7 +235,7 @@ def test_packed_rows_stay_exact_past_64_bits():
     for row, kind in (([1] * 7 + [2 ** 64 - 8], array),
                       ([2 ** 64 + k for k in range(8)], list),
                       ([2 ** 90 - k for k in range(8)], list)):
-        got = ncsf._subset_sums(dict(enumerate(row)), 4)
+        got = ncsf._subset_sums(_typed(row), 4)
         assert type(got) is kind and list(got) == subset_sums(row)
         assert got[7] == sum(row) >= 2 ** 64 - 1
     # fields follow the total, not the node count: the 21-node chain has
@@ -234,6 +245,24 @@ def test_packed_rows_stay_exact_past_64_bits():
     assert (n, weak.itemsize, len(weak), set(weak)) == (21, 1, 1 << 20, {1})
     assert ncsf.strict_labellings(chain, (1,) * 21) == 1
     assert ncsf.strict_labellings(chain, (2,) + (1,) * 19) == 0
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_gamma_rows_hold_the_extensions(n):
+    # each shape's row sums to its number of listed linear extensions, has
+    # at most one field per mask, and a tree's row is its children's object
+    for s in shapes(n).shapes:
+        row = ncsf._gamma(s)
+        assert sum(row) == len(linear_extensions(s)), forest_code(s)
+        assert len(row) <= 2 ** max(n - 1, 0)
+        assert ncsf._gamma((s,)) is row
+
+
+def test_gamma_row_type_follows_the_total():
+    # the narrowest array type holds the total; past 64 bits, a list
+    wide = ncsf._zeros(2 ** 64 - 1, 4)
+    assert (type(wide), wide.typecode, list(wide)) == (array, "Q", [0] * 4)
+    assert ncsf._zeros(2 ** 64, 4) == [0] * 4
 
 
 def test_descent_masks_match_descent_sets():
