@@ -12,14 +12,18 @@ with a_F the product of the code letters of F and r(F) its number of roots.
 The sum depends on each F only through r(F) and its arity multiset, so one
 memo per shape, independent of a, counts the up-set of a forest by those
 two; it is filled by the recursion of the up-sets without listing them,
-one row per non-plane shape (OEIS A000081), from the rows of its parts.
+one row per non-plane shape (OEIS A000081), from the rows of its parts,
+grouped by root count into canonical, hashable sub-rows.
 ``phi_plus_closed`` reads one tree's row; ``sigma_plus`` reads every X_F
 coefficient of sigma_a^+ off the rows of the degree's shapes, with no
-Laurent products, one power product per multiset and one sum per row;
-the ``phi_plus`` recursion is kept as its oracle.  Setting z = 1 gives the
-grouplike series C = sum of a_G C_G; the residue at z = 0 gives the
-primitive series D = sum over trees of a_T C_T, whose homogeneous pieces
-split into the quasi-idempotents D_lambda.
+Laurent products: each distinct sub-row becomes one MultiPoly per call,
+shared by the rows that hold it, and each a^m is a^(m - {k}) a_k, one
+product of packed monomials when the letters are monomials.  The
+``phi_plus`` recursion is kept as its oracle.  Setting z = 1 gives the
+grouplike series C = sum of a_G C_G, a^m for the arity multiset m read
+off each shape; the residue at z = 0 gives the primitive series D = sum
+over trees of a_T C_T, whose homogeneous pieces split into the
+quasi-idempotents D_lambda.
 
 The ribbon expansion of sigma_a^+ (the tests keep the S and Lambda ones)
 comes from one walk over the iterated Rota-Baxter brackets P^I_eps and,
@@ -90,8 +94,9 @@ def phi_plus_closed(t: Tree, a: LaurentPoly) -> LaurentPoly:
     """phi+(Y_T) by the Tamari formula: sum over F >= T of a_F z^(-r(F)),
     read off the root-count row of T."""
     _refuse_double_pole(a)
-    row = _root_row(non_plane_class((t,)))[1]
-    return _row_sum(row, _multiset_weights(a, row))
+    weights = _Weights(a)
+    return LaurentPoly._wrap({-r: _sub_row_sum(sub, weights)
+                              for r, sub in _root_row(non_plane_class((t,)))})
 
 
 def sigma_plus(n: int, a: LaurentPoly) -> LinComb:
@@ -99,22 +104,27 @@ def sigma_plus(n: int, a: LaurentPoly) -> LinComb:
     coefficients, read from the Tamari formula: the X_F coefficient is
     phi+(Y_F) = sum over G >= F of a_G z^(-r(G)), the sum of
     count * a^m z^(-r) over the root-count row W(F).  ``phi_plus`` is the
-    recursive oracle of the same values.  Each shape's row is summed once,
-    and the forests of that shape share its ``LaurentPoly``."""
+    recursive oracle of the same values.  Each distinct sub-row is summed
+    once, and the shapes and forests that hold it share its ``MultiPoly``."""
     _refuse_double_pole(a)
     index = shapes(n)
     rows = [_root_row(s) for s in index.shapes]
-    weights = _multiset_weights(a, (key for key, _ in rows))
-    return LinComb(index.spread([_row_sum(row, weights) for _, row in rows]))
+    weights, sums = _Weights(a), {}
+    for row in rows:
+        for _, sub in row:
+            if sub not in sums:
+                sums[sub] = _sub_row_sum(sub, weights)
+    return LinComb(index.spread([
+        LaurentPoly._wrap({-r: sums[sub] for r, sub in row}) for row in rows]))
 
 
 def series_c(n: int, a: LaurentPoly) -> LinComb:
-    """Degree-n part of C = sigma_a^+ at z = 1, in the C basis."""
+    """Degree-n part of C = sigma_a^+ at z = 1, in the C basis: a^m for
+    the arity multiset m of each shape, read off the shape."""
     _refuse_double_pole(a)
-    index = shapes(n)
-    keys = [_root_row(s)[0] for s in index.shapes]
-    weights = _multiset_weights(a, keys)
-    return LinComb(index.spread([weights[key >> _DIGIT] for key in keys]))
+    index, weights, trees = shapes(n), _Weights(a), {}
+    return LinComb(index.spread([weights[_arities(s, trees)]
+                                 for s in index.shapes]))
 
 
 def series_d(n: int, a: LaurentPoly) -> LinComb:
@@ -127,49 +137,59 @@ def series_d(n: int, a: LaurentPoly) -> LinComb:
 #
 # A forest G enters the Tamari formula only through its root count r(G) and
 # its arity multiset m(G), m_k the number of nodes with k children, since
-# a_G = prod of a_k^(m_k).  The pair is one integer key: r in the low digit
-# and m_k in digit k + 1, each digit _DIGIT bits wide.  No digit exceeds the
-# degree, so the key of a concatenation is the sum of the keys.
+# a_G = prod of a_k^(m_k).  The multiset is one integer, m_k in digit k, each
+# digit _DIGIT bits wide.  No digit exceeds the degree, so the multiset of a
+# concatenation is the sum of the multisets.
+
 
 _DIGIT = 16
-_MASK = (1 << _DIGIT) - 1
 
 
 @lru_cache(maxsize=None)
-def _root_row(shape: Forest) -> tuple[int, dict[int, int]]:
-    """(key, W) for a non-plane shape S: the key of a forest F of shape S,
-    and W(F), which counts the G >= F in the Tamari order by root count and
-    arity multiset.  It follows the recursion of the Tamari up-sets: W(T.G)
-    is the convolution of W(T) and W(G), and each (r, m) of W(H) gives
-    (s, m + {r - s + 1}) in W(B+(H)) for s = 1..r+1, the forests
-    G1 . B+(G2) that split G >= H after s - 1 roots; s = 1 is B+(H) itself.
-    The counts do not depend on a(z), so one row serves every series, and
-    the forests of one shape share one (key, row) pair, as the convolution
-    is commutative: a tree reads its children's shape S[0], any other shape
-    S[:1] and S[1:]."""
+def _root_row(shape: Forest) -> tuple:
+    """W(F) for a forest F of the non-plane shape S: the G >= F in the
+    Tamari order counted by root count and arity multiset, grouped by root
+    count, as ((r, sub-row), ...) with r increasing and each sub-row the
+    pair (multisets, counts) of one r, multisets increasing: canonical, so
+    equal sub-rows are equal tuples, and hashable.  It follows the recursion of the
+    Tamari up-sets: W(T.G) is the convolution of W(T) and W(G), and each
+    (r, m) of W(H) gives (s, m + {r - s + 1}) in W(B+(H)) for s = 1..r+1,
+    the forests G1 . B+(G2) that split G >= H after s - 1 roots; s = 1 is
+    B+(H) itself.  The counts do not depend on a(z), so one row serves
+    every series, and the forests of one shape share one row, as the
+    convolution is commutative: a tree reads its children's shape S[0], any
+    other shape S[:1] and S[1:]."""
     if not shape:
-        return 0, {0: 1}
-    acc: dict[int, int] = {}
+        return ((0, ((0,), (1,))),)
+    acc: dict[int, dict[int, int]] = {}
     if len(shape) == 1:
-        key, row = _root_row(shape[0])
-        for k, count in row.items():
-            for s in range(1, (k & _MASK) + 2):
-                g = _grafted(k, s)
-                acc[g] = acc.get(g, 0) + count
-        return _grafted(key, 1), acc
-    key1, row1 = _root_row(shape[:1])
-    key2, row2 = _root_row(shape[1:])
-    for k1, c1 in row1.items():
-        for k2, c2 in row2.items():
-            acc[k1 + k2] = acc.get(k1 + k2, 0) + c1 * c2
-    return key1 + key2, acc
+        for r, sub in _root_row(shape[0]):
+            for s in range(1, r + 2):
+                # one more node, with r - s + 1 children
+                to, node = acc.setdefault(s, {}), 1 << _DIGIT * (r - s + 1)
+                for m, count in zip(*sub):
+                    to[m + node] = to.get(m + node, 0) + count
+    else:
+        for r1, sub1 in _root_row(shape[:1]):
+            for r2, sub2 in _root_row(shape[1:]):
+                to = acc.setdefault(r1 + r2, {})
+                for m1, c1 in zip(*sub1):
+                    for m2, c2 in zip(*sub2):
+                        to[m1 + m2] = to.get(m1 + m2, 0) + c1 * c2
+    return tuple((r, tuple(zip(*sorted(acc[r].items())))) for r in sorted(acc))
 
 
-def _grafted(key: int, s: int) -> int:
-    """The key of G1 . B+(G2), for G of key ``key`` split after s - 1 roots:
-    s roots, and one more node with r(G) - s + 1 children."""
-    r = key & _MASK
-    return key - r + s + (1 << (_DIGIT * (r - s + 2)))
+def _arities(f: Forest, trees: dict) -> int:
+    """The arity multiset of a forest, m_k in digit k.  ``trees`` memoizes
+    each tree's by id for one call: the shapes of a degree share their
+    trees, each one object of a smaller degree's index."""
+    m = 0
+    for t in f:
+        a = trees.get(id(t))
+        if a is None:
+            a = trees[id(t)] = (1 << _DIGIT * len(t)) + _arities(t, trees)
+        m += a
+    return m
 
 
 def _refuse_double_pole(a: LaurentPoly) -> None:
@@ -180,30 +200,36 @@ def _refuse_double_pole(a: LaurentPoly) -> None:
                          f"below -1, got z^{min(a.coeffs)}")
 
 
-def _multiset_weights(a: LaurentPoly, keys) -> dict[int, MultiPoly]:
-    """key >> _DIGIT -> a^m = prod of a_k^(m_k), with a_k the z^(k-1)
-    coefficient of a, once per distinct arity multiset m of ``keys``."""
-    out = {}
-    for m in {key >> _DIGIT for key in keys}:
-        w, k, rest = MultiPoly.const(1), 0, m
-        while rest:
-            if rest & _MASK:
-                w = w * a.coefficient(k - 1) ** (rest & _MASK)
-            rest >>= _DIGIT
-            k += 1
-        out[m] = w
-    return out
+class _Weights(dict):
+    """a^m = prod of a_k^(m_k) by arity multiset m, a_k the z^(k-1)
+    coefficient of a(z), for one call.  A missing a^m is a^(m - {k}) a_k,
+    k the largest arity in m: the walk takes nodes off m down to a known
+    multiset, then multiplies back up, one letter and one memo entry a
+    step, each a sum of packed monomials when the a_k are monomials."""
+
+    def __init__(self, a: LaurentPoly):
+        super().__init__({0: MultiPoly.const(1)})
+        self.a = a
+
+    def __missing__(self, m: int) -> MultiPoly:
+        steps = []
+        while m not in self:
+            k = (m.bit_length() - 1) // _DIGIT
+            steps.append((m, k))
+            m -= 1 << _DIGIT * k
+        w = self[m]
+        for m, k in reversed(steps):
+            w = self[m] = w * self.a.coefficient(k - 1)
+        return w
 
 
-def _row_sum(row: dict[int, int], weights: dict) -> LaurentPoly:
-    """Sum of count * a^m z^(-r) over a root-count row, each z-power added
-    up in one dict."""
-    groups: dict[int, dict] = {}
-    for key, count in row.items():
-        acc = groups.setdefault(-(key & _MASK), {})
-        for mono, c in weights[key >> _DIGIT].coeffs.items():
+def _sub_row_sum(sub: tuple, weights: _Weights) -> MultiPoly:
+    """The sum of count * a^m over a sub-row, added up in one dict."""
+    acc: dict[int, int] = {}
+    for m, count in zip(*sub):
+        for mono, c in weights[m].coeffs.items():
             acc[mono] = acc.get(mono, 0) + count * c
-    return LaurentPoly({e: MultiPoly(acc) for e, acc in groups.items()})
+    return MultiPoly._packed(acc)
 
 
 # ---------------------------------------------------------------------------

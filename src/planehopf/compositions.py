@@ -34,7 +34,7 @@ def from_descent_mask(mask: int, n: int) -> tuple[int, ...]:
 
 
 def maj(parts: tuple[int, ...]) -> int:
-    return sum(descent_set(parts))
+    return sum(accumulate(parts[:-1]))
 
 
 def submasks(x: int, base: int = 0):

@@ -100,8 +100,8 @@ def _counts(f: Forest, top: int) -> list[int]:
 
 def ehrhart_polynomial(f: Forest) -> MultiPoly:
     """E(x) with E(n) = number of integral points of the n-th dilation."""
-    return MultiPoly({(("x", e),) if e else (): c for e, c in
-                      enumerate(interpolate(_counts(f, forest_size(f))))})
+    return MultiPoly.univariate(
+        "x", enumerate(interpolate(_counts(f, forest_size(f)))))
 
 
 # ---------------------------------------------------------------------------

@@ -44,12 +44,12 @@ from itertools import accumulate
 from math import lcm, prod
 from operator import mul
 
-from .compositions import compositions_of, descent_set, maj, weight
+from .compositions import compositions_of, maj, weight
 from .forests import shapes
 from .lincomb import LinComb, bilinear
 from .ncsf import embed_r, psi_n, psi_bar_n, r_to_s, s_to_r
 from .polynomials import (MultiPoly, RationalFn, _common_denominator,
-                          _lowest_terms, interpolate)
+                          _lowest_terms, _power, interpolate)
 
 # ---------------------------------------------------------------------------
 # Dynkin
@@ -118,14 +118,17 @@ def q_solomon(n: int) -> LinComb:
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got n={n}")
+    # the sign and the denominator depend on l alone
+    by_length = {l: (Fraction((-1) ** (l - 1), n), {
+        ("q", d): m for d in range(2, n)
+        if (m := (n - 1) // d - (l - 1) // d - (n - l) // d)})
+        for l in range(1, n + 1)}
     out = {}
     for i in compositions_of(n):
         l = len(i)
-        e = maj(i) - l * (l - 1) // 2
-        num = MultiPoly({(("q", e),) if e else (): Fraction((-1) ** (l - 1), n)})
-        out[i] = RationalFn._make(num, {
-            ("q", d): m for d in range(2, n)
-            if (m := (n - 1) // d - (l - 1) // d - (n - l) // d)})
+        c, den = by_length[l]
+        num = MultiPoly._packed({_power("q", maj(i) - l * (l - 1) // 2): c})
+        out[i] = RationalFn._make(num, den)
     return LinComb(out)
 
 
@@ -154,14 +157,13 @@ def _over_1mq_of_weight(n: int, terms: list):
         rows.append((tuple(j for part in i for j in range(part)),
                      [(j, x * c) for j, x in cofactor]))
     for k in compositions_of(n):
-        descents = descent_set(k)
+        descents = list(accumulate(k[:-1]))
         num: dict = {}
         for offsets, cofactor in rows:
-            e = sum(offsets[d] for d in descents)
+            e = sum(map(offsets.__getitem__, descents))
             for j, x in cofactor:
                 num[e + j] = num.get(e + j, 0) + x
-        poly, den_k = _lowest_terms(
-            MultiPoly({(("q", e),) if e else (): x for e, x in num.items()}), den)
+        poly, den_k = _lowest_terms(MultiPoly.univariate("q", num.items()), den)
         if poly:
             yield k, RationalFn._make(poly * Fraction(1, scale) if scale > 1
                                       else poly, den_k)

@@ -105,14 +105,15 @@ class LaurentPoly:
 
     def residue(self) -> MultiPoly:
         """Coefficient of z^-1."""
-        return self.coeffs.get(-1, MultiPoly.zero())
+        return self.coefficient(-1)
 
     def eval_z1(self) -> MultiPoly:
         """Sum of all coefficients (evaluation at z = 1)."""
         return MultiPoly.sum(self.coeffs.values())
 
     def coefficient(self, e: int) -> MultiPoly:
-        return self.coeffs.get(e, MultiPoly.zero())
+        c = self.coeffs.get(e)
+        return MultiPoly.zero() if c is None else c
 
     def substitute(self, values: dict) -> "LaurentPoly":
         return self._wrap({e: c.substitute(values) for e, c in self.coeffs.items()})

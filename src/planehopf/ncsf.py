@@ -34,12 +34,13 @@ from collections import Counter
 from functools import lru_cache
 from itertools import accumulate, combinations
 from math import comb
+from operator import mul
 
 from .compositions import (coarsenings, compositions_of, descent_mask,
                            from_descent_mask, refinements, weight)
 from .forests import Forest, forest_size, non_plane_class, shapes
 from .lincomb import LinComb
-from .polynomials import MultiPoly, RationalFn, q_series_sum
+from .polynomials import MultiPoly, RationalFn, _power, q_series_sum
 
 Composition = tuple
 
@@ -261,18 +262,24 @@ def hook_part_count(n: int, cap: int) -> int:
 # Alphabet evaluations in QSym (M basis in, polynomials out)
 
 def eval_geometric(a: LinComb, m: int) -> "MultiPoly":
-    """Evaluate on the alphabet {1, q, ..., q^(m-1)}."""
-    return MultiPoly.sum(
-        MultiPoly.sum(MultiPoly.var("q", sum(part * j for part, j in zip(i, js)))
-                      for js in combinations(range(m), len(i)))
-        * MultiPoly.coerce(c) for i, c in a.terms.items())
+    """Evaluate on the alphabet {1, q, ..., q^(m-1)}, m >= 0: each M_I is
+    the sum of q^(i_1 j_1 + ... + i_l j_l) over j_1 < ... < j_l < m, and
+    the exponents are counted in one dict."""
+    if m < 0:
+        raise ValueError(f"alphabet length must be nonnegative, got m={m}")
+    counts: dict[int, int] = {}
+    for i, c in a.terms.items():
+        for js in combinations(range(m), len(i)):
+            e = sum(map(mul, i, js))
+            counts[e] = counts.get(e, 0) + c
+    return MultiPoly.univariate("q", counts.items())
 
 
 def eval_geometric_inf(a: LinComb) -> RationalFn:
     """Evaluate on the infinite alphabet {1, q, q^2, ...}:
     M_I -> q^(sum (k-1) i_k) / prod_k (1 - q^(i_k + ... + i_l))."""
     terms = ((c, _geometric(i)) for i, c in a.terms.items())
-    return q_series_sum((c, e, (), ks) for c, (e, ks) in terms)
+    return q_series_sum((c, e, 0, ks) for c, (e, ks) in terms)
 
 
 def eval_xqt(a: LinComb) -> RationalFn:
@@ -287,7 +294,7 @@ def eval_xqt(a: LinComb) -> RationalFn:
             for cut in range(len(i) + 1):
                 e, ks = _geometric(i[:cut])
                 odd = i[cut:]
-                t = (("t", weight(odd)),) if odd else ()
+                t = _power("t", weight(odd))
                 for blocks in coarsenings(odd):
                     sums = tuple(accumulate(blocks))
                     yield (c * (-1) ** len(odd), e + sum(sums), t, ks + sums)

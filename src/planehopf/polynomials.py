@@ -1,36 +1,94 @@
 """Sparse exact multivariate polynomials and canonical rational functions.
 
-Monomials are sorted tuples of (variable name, positive exponent); coefficients
-are ``int``, or ``Fraction`` where a division made one.  A rational function's
-denominator is a product of cyclotomic polynomials Phi_d in one variable, as
-every (1 - q^k) of the q-series is, and its numerator is kept coprime to each
-of them (lowest terms), so equal values are equal structurally.  A sum of
-q-series terms c q^e m / prod (1 - q^k) is put over one common cyclotomic
-denominator and reduced once, not after each addition (``q_series_sum``).
-``interpolate`` takes integer values at 0..d to the polynomial through them
-in Newton's form, in integers until one final division.
+A monomial is one int.  Each variable name owns one digit of ``_WIDTH``
+bits, handed out in order of first use by an append-only table, and the
+digit holds the variable's exponent; the constant monomial is 0.  A product
+of monomials is then a sum and a power a multiple.  The top bit of each
+digit is a guard: exponents stay below 2^(_WIDTH - 1), so the sum of two
+never carries into the next variable, and a result that sets a guard bit
+raises ``OverflowError``.  Monomials are tuples of (name, exponent) pairs
+only at the edges: the constructor, the reader ``terms``, the graded-lex
+order of ``text`` and ``to_json``, and pickling, which goes by name, so
+that a process with another digit order reads the same polynomial.
+Coefficients are ``int``, or ``Fraction`` where a division made one.
+
+A rational function's denominator is a product of cyclotomic polynomials
+Phi_d in one variable, as every (1 - q^k) of the q-series is, and its
+numerator is kept coprime to each of them (lowest terms), so equal values
+are equal structurally.  A sum of q-series terms c q^e m / prod (1 - q^k)
+is put over one common cyclotomic denominator and reduced once, not after
+each addition (``q_series_sum``).  ``interpolate`` takes integer values at
+0..d to the polynomial through them in Newton's form, in integers until
+one final division.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import accumulate
+from operator import or_
 
-Monomial = tuple  # sorted tuple of (var, exp) pairs, exps > 0
+Monomial = tuple  # the edge form: sorted tuple of (var, exp) pairs, exps > 0
 
-ONE_MONO: Monomial = ()
+_WIDTH = 16
+_LIMIT = 1 << _WIDTH - 1  # the guard bit: every exponent stays below it
+_DIGIT = (1 << _WIDTH) - 1
+_SHIFTS: dict[str, int] = {}  # variable name -> bit offset of its digit
+_NAMES: list[str] = []  # digit -> variable name
+_GUARDS = 0  # the guard bits of the digits handed out
 
 
-def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    d = dict(m1)
-    for v, e in m2:
-        d[v] = d.get(v, 0) + e
-    return tuple(sorted(d.items()))
+def _shift(name: str) -> int:
+    """The bit offset of the variable's digit, handed out on first use."""
+    s = _SHIFTS.get(name)
+    if s is None:
+        global _GUARDS
+        s = _SHIFTS[name] = _WIDTH * len(_NAMES)
+        _NAMES.append(name)
+        _GUARDS |= _LIMIT << s
+    return s
+
+
+def _exponent(e: int) -> int:
+    """e, if a digit holds it."""
+    if e < 0:
+        raise ValueError(f"negative exponent {e}")
+    if e >= _LIMIT:
+        raise OverflowError(f"exponent {e} reaches the guard bit of a "
+                            f"{_WIDTH}-bit digit")
+    return e
+
+
+def _power(name: str, e: int) -> int:
+    """The packed monomial name^e."""
+    return _exponent(e) << _shift(name)
+
+
+def _guarded(keys) -> None:
+    """Refuse monomials with an exponent at a guard bit.  Two exponents
+    below it add up with no carry, so such a sum is exact until here."""
+    if reduce(or_, keys, 0) & _GUARDS:
+        raise OverflowError(f"an exponent reaches the guard bit of a "
+                            f"{_WIDTH}-bit digit")
+
+
+def _pack(m: Monomial) -> int:
+    """The int of a tuple monomial."""
+    key = sum(_power(v, e) for v, e in m)
+    _guarded((key,))  # a name listed twice
+    return key
+
+
+def _unpack(key: int) -> Monomial:
+    """The tuple of a packed monomial, sorted by name."""
+    out, k = [], 0
+    while key:
+        if key & _DIGIT:
+            out.append((_NAMES[k], key & _DIGIT))
+        key >>= _WIDTH
+        k += 1
+    return tuple(sorted(out))
 
 
 def _mono_key(m: Monomial):
@@ -39,42 +97,54 @@ def _mono_key(m: Monomial):
 
 
 class MultiPoly:
-    """Sparse multivariate polynomial, coefficients ``int`` or ``Fraction``."""
+    """Sparse multivariate polynomial, coefficients ``int`` or ``Fraction``:
+    ``coeffs`` maps packed monomials to nonzero coefficients."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=None):
-        self.coeffs: dict[Monomial, Fraction] = {}
-        if coeffs:
-            for m, c in coeffs.items():
-                if c:
-                    self.coeffs[m] = c
+        """The polynomial of {tuple monomial: coefficient}."""
+        out: dict[int, Fraction] = {}
+        for m, c in (coeffs or {}).items():
+            key = _pack(m)
+            out[key] = out[key] + c if key in out else c
+        self.coeffs = {m: c for m, c in out.items() if c}
 
     # -- constructors ------------------------------------------------------
     @classmethod
+    def _packed(cls, coeffs: dict) -> "MultiPoly":
+        """The polynomial of {packed monomial: coefficient}, zeros dropped."""
+        res = cls.__new__(cls)
+        res.coeffs = {m: c for m, c in coeffs.items() if c}
+        return res
+
+    @classmethod
     def zero(cls) -> "MultiPoly":
-        return cls()
+        return cls._packed({})
 
     @classmethod
     def const(cls, c) -> "MultiPoly":
-        return cls({ONE_MONO: c})
+        return cls._packed({0: c})
 
     @classmethod
     def var(cls, name: str, exp: int = 1) -> "MultiPoly":
-        if exp == 0:
-            return cls.const(1)
-        return cls({((name, exp),): 1})
+        return cls._packed({_power(name, exp): 1})
+
+    @classmethod
+    def univariate(cls, name: str, pairs) -> "MultiPoly":
+        """The sum of c name^e over the (e, c) pairs, e distinct."""
+        s, res = _shift(name), cls.__new__(cls)
+        res.coeffs = {_exponent(e) << s: c for e, c in pairs if c}
+        return res
 
     @classmethod
     def sum(cls, polys) -> "MultiPoly":
         """Sum of polynomials or scalars, added up in one dict."""
-        out: dict[Monomial, Fraction] = {}
+        out: dict[int, Fraction] = {}
         for p in polys:
             for m, c in cls.coerce(p).coeffs.items():
                 out[m] = out[m] + c if m in out else c
-        res = cls.__new__(cls)
-        res.coeffs = {m: c for m, c in out.items() if c}
-        return res
+        return cls._packed(out)
 
     @classmethod
     def coerce(cls, x) -> "MultiPoly":
@@ -98,9 +168,13 @@ class MultiPoly:
     def __hash__(self):
         if not self.coeffs:
             return hash(0)
-        if len(self.coeffs) == 1 and () in self.coeffs:
-            return hash(self.coeffs[()])  # equal constants hash equal
+        if len(self.coeffs) == 1 and 0 in self.coeffs:
+            return hash(self.coeffs[0])  # equal constants hash equal
         return hash(frozenset(self.coeffs.items()))
+
+    def __reduce__(self):
+        # by variable name: another process may number the digits otherwise
+        return MultiPoly, (dict(self.terms()),)
 
     def __add__(self, other):
         if isinstance(other, RationalFn):
@@ -136,15 +210,16 @@ class MultiPoly:
         if isinstance(other, RationalFn):
             return NotImplemented
         other = MultiPoly.coerce(other)
-        out: dict[Monomial, Fraction] = {}
+        out: dict[int, Fraction] = {}
         for m1, c1 in self.coeffs.items():
             for m2, c2 in other.coeffs.items():
-                m = _mono_mul(m1, m2)
+                m = m1 + m2
                 s = out.get(m, 0) + c1 * c2
                 if s:
                     out[m] = s
                 else:
                     out.pop(m, None)
+        _guarded(out)
         res = MultiPoly.__new__(MultiPoly)
         res.coeffs = out
         return res
@@ -156,7 +231,11 @@ class MultiPoly:
             raise ValueError("negative power of a polynomial")
         if n and len(self.coeffs) == 1:
             (m, c), = self.coeffs.items()
-            return MultiPoly({tuple((v, e * n) for v, e in m): c ** n})
+            rest = m
+            while rest:  # every exponent times n stays below the guard bit
+                _exponent((rest & _DIGIT) * n)
+                rest >>= _WIDTH
+            return MultiPoly._packed({m * n: c ** n})
         out = MultiPoly.const(1)
         base = self
         while n:
@@ -167,48 +246,57 @@ class MultiPoly:
         return out
 
     # -- queries -----------------------------------------------------------
+    def terms(self) -> list:
+        """The (tuple monomial, coefficient) pairs."""
+        return [(_unpack(m), c) for m, c in self.coeffs.items()]
+
     def variables(self) -> set[str]:
-        return {v for m in self.coeffs for v, _ in m}
+        return {v for v, _ in _unpack(reduce(or_, self.coeffs, 0))}
 
     def degree(self, var: str | None = None) -> int:
         if not self.coeffs:
             return 0
         if var is None:
-            return max(sum(e for _, e in m) for m in self.coeffs)
-        return max((dict(m).get(var, 0) for m in self.coeffs), default=0)
+            return max(sum(e for _, e in m) for m, _ in self.terms())
+        s = _shift(var)
+        return max(m >> s & _DIGIT for m in self.coeffs)
 
     def constant_term(self) -> int | Fraction:
-        return self.coeffs.get(ONE_MONO, 0)
+        return self.coeffs.get(0, 0)
 
     def as_constant(self) -> int | Fraction:
-        if self.variables():
+        if any(self.coeffs):  # a monomial other than 1
             raise ValueError(f"not a constant: {self}")
         return self.constant_term()
 
     def coefficient(self, var: str, exp: int) -> "MultiPoly":
         """Coefficient of var**exp, a polynomial in the remaining variables."""
-        out = {}
-        for m, c in self.coeffs.items():
-            d = dict(m)
-            if d.get(var, 0) == exp:
-                d.pop(var, None)
-                out[tuple(sorted(d.items()))] = c
-        return MultiPoly(out)
+        s = _shift(var)
+        return MultiPoly._packed({m - (exp << s): c for m, c in self.coeffs.items()
+                                  if m >> s & _DIGIT == exp})
 
     def substitute(self, values: dict) -> "MultiPoly":
-        """Substitute variables by polynomials or scalars."""
-
-        def term(m, c):
-            for v, e in m:
-                c = c * (MultiPoly.coerce(values[v]) ** e if v in values
-                         else MultiPoly.var(v, e))
-            return c
-
-        return MultiPoly.sum(term(m, c) for m, c in self.coeffs.items())
+        """Substitute variables by polynomials or scalars.  The monomials
+        are grouped by their exponents of the substituted variables, and
+        each group is multiplied by its power product once."""
+        subs = [(_shift(v), MultiPoly.coerce(p)) for v, p in values.items()]
+        groups: dict[tuple, dict] = {}
+        for m, c in self.coeffs.items():
+            exps = tuple(m >> s & _DIGIT for s, _ in subs)
+            rest = m - sum(e << s for e, (s, _) in zip(exps, subs))
+            groups.setdefault(exps, {})[rest] = c
+        out = []
+        for exps, rest in groups.items():
+            term = MultiPoly._packed(rest)
+            for e, (_, p) in zip(exps, subs):
+                if e:
+                    term = term * p ** e
+            out.append(term)
+        return MultiPoly.sum(out)
 
     # -- serialization -----------------------------------------------------
     def sorted_terms(self):
-        return sorted(self.coeffs.items(), key=lambda kv: _mono_key(kv[0]))
+        return sorted(self.terms(), key=lambda kv: _mono_key(kv[0]))
 
     def text(self) -> str:
         if not self.coeffs:
@@ -296,9 +384,10 @@ def _cyclotomic_factors(den: MultiPoly) -> tuple[int | Fraction, dict]:
     if not variables:
         return den.constant_term(), {}
     (var,) = variables
-    p = [0] * (den.degree() + 1)
+    s = _shift(var)
+    p = [0] * (den.degree(var) + 1)
     for m, c in den.coeffs.items():
-        p[m[0][1] if m else 0] = c
+        p[m >> s] = c
     factors = {}
     d = 1
     # Phi_d has degree phi(d) >= sqrt(d / 2): only d <= 2 deg^2 can divide
@@ -317,8 +406,7 @@ def _cyclotomic_product(den: dict) -> MultiPoly:
     """prod Phi_d(var)^m over the map {(var, d): m}."""
     out = MultiPoly.const(1)
     for (var, d), m in sorted(den.items()):
-        phi = MultiPoly({((var, e),) if e else ONE_MONO: c
-                         for e, c in enumerate(_cyclotomic(d))})
+        phi = MultiPoly.univariate(var, enumerate(_cyclotomic(d)))
         out = out * phi ** m
     return out
 
@@ -327,17 +415,27 @@ def _common_denominator(shapes) -> tuple[dict, list]:
     """The least common multiple D of the prod_{k in ks} (1 - q^k) over
     the tuples ks in ``shapes``, as {("q", d): multiplicity of Phi_d}, and
     for each shape the nonzero (exponent, coefficient) pairs of
-    D / prod_{k in ks} (1 - q^k)."""
+    D / prod_{k in ks} (1 - q^k).  Phi_d occurs in prod (1 - q^k) once per
+    k that d divides.  The quotients divide by the largest k first, and
+    the shapes share them, one per distinct prefix of the k taken."""
+    divisors: dict[int, list] = {}
     top: dict = {}
     for ks in shapes:
         if min(ks, default=1) < 0:
             raise ValueError(f"negative k in 1 - q^k: {ks}")
         if 0 in ks:
             raise ZeroDivisionError("a factor 1 - q^0 in the denominator")
-        for d in range(1, max(ks, default=0) + 1):
-            top[d] = max(top.get(d, 0), sum(k % d == 0 for k in ks))
+        count: dict = {}
+        for k in ks:
+            if k not in divisors:
+                divisors[k] = [d for d in range(1, k + 1) if k % d == 0]
+            for d in divisors[k]:
+                count[d] = count.get(d, 0) + 1
+        for d, m in count.items():
+            if m > top.get(d, 0):
+                top[d] = m
     den = [1]
-    for d, m in top.items():
+    for d, m in sorted(top.items()):
         phi = _cyclotomic(d)
         for _ in range(m):
             prod = [0] * (len(den) + len(phi) - 1)
@@ -345,17 +443,24 @@ def _common_denominator(shapes) -> tuple[dict, list]:
                 for j, y in enumerate(phi):
                     prod[i + j] += x * y
             den = prod
+    quotients: dict = {(): den}
     cofactors = []
     for ks in shapes:
-        p = list(den)
-        for k in ks:
+        taken, p = (), den
+        for k in sorted(ks, reverse=True):
+            taken += (k,)
+            if taken in quotients:
+                p = quotients[taken]
+                continue
             # p = (1 - q^k) r: r is p summed along each class mod k, and
             # deg r = deg p - k
+            p = list(p)
             for j in range(k):
                 p[j::k] = accumulate(p[j::k])
             del p[len(p) - k:]
+            quotients[taken] = p
         cofactors.append([(j, x) for j, x in enumerate(p) if x])
-    return {("q", d): m for d, m in top.items() if m}, cofactors
+    return {("q", d): m for d, m in sorted(top.items())}, cofactors
 
 
 def _lowest_terms(num: MultiPoly, den: dict) -> tuple[MultiPoly, dict]:
@@ -364,16 +469,15 @@ def _lowest_terms(num: MultiPoly, den: dict) -> tuple[MultiPoly, dict]:
     split into one dense polynomial in var per monomial of the others."""
     if not num:
         return num, {}
+    if len(num.coeffs) == 1:  # Phi_d(0) = +-1: no Phi_d divides a monomial
+        return num, dict(den)
     den = dict(den)
     for var in {v for v, _ in den}:
-        parts: dict[Monomial, list] = {}
+        s = _shift(var)
+        parts: dict[int, list] = {}
         for m, c in num.coeffs.items():
-            e = 0
-            for k, (v, ve) in enumerate(m):
-                if v == var:
-                    e, m = ve, m[:k] + m[k + 1:]
-                    break
-            p = parts.setdefault(m, [])
+            e = m >> s & _DIGIT
+            p = parts.setdefault(m - (e << s), [])
             p.extend([0] * (e + 1 - len(p)))
             p[e] = c
         divided = False
@@ -387,9 +491,8 @@ def _lowest_terms(num: MultiPoly, den: dict) -> tuple[MultiPoly, dict]:
             if not den[key]:
                 del den[key]
         if divided:
-            num = MultiPoly({_mono_mul(m, ((var, e),)) if e else m: c
-                             for m, p in parts.items()
-                             for e, c in enumerate(p) if c})
+            num = MultiPoly._packed({m + (e << s): c for m, p in parts.items()
+                                     for e, c in enumerate(p)})
     return num, den
 
 
@@ -500,25 +603,27 @@ class RationalFn:
 
 def q_series_sum(terms) -> RationalFn:
     """The sum of c q^e m / prod_{k in ks} (1 - q^k) over the terms
-    (c, e, m, ks), m a monomial free of q.  Terms with equal e, m and
+    (c, e, m, ks), m a packed monomial free of q.  Terms with equal e, m and
     multiset ks are added first; every term then goes over one common
-    cyclotomic denominator, the numerators are added up in one dict per
-    monomial m, and the sum is reduced to lowest terms once."""
+    cyclotomic denominator, the numerators are added up in one dict by
+    packed monomial, and the sum is reduced to lowest terms once."""
     grouped: dict = {}
     for c, e, m, ks in terms:
         key = e, m, tuple(sorted(ks))
         grouped[key] = grouped.get(key, 0) + c
     shapes = list(dict.fromkeys(ks for _, _, ks in grouped))
     den, cofactors = _common_denominator(shapes)
+    if grouped:  # q^(e + j), j at most the degree of the denominator
+        _exponent(min(e for e, _, _ in grouped))
+        _exponent(max(e for e, _, _ in grouped)
+                  + max(cofactor[-1][0] for cofactor in cofactors))
     cofactors = dict(zip(shapes, cofactors))
-    num: dict = {}
+    s, num = _shift("q"), {}
     for (e, m, ks), c in grouped.items():
-        row = num.setdefault(m, {})
         for j, x in cofactors[ks]:
-            row[e + j] = row.get(e + j, 0) + c * x
-    return RationalFn._make(*_lowest_terms(MultiPoly(
-        {_mono_mul(m, (("q", e),)) if e else m: x
-         for m, row in num.items() for e, x in row.items()}), den))
+            key = m + (e + j << s)
+            num[key] = num.get(key, 0) + c * x
+    return RationalFn._make(*_lowest_terms(MultiPoly._packed(num), den))
 
 
 # ---------------------------------------------------------------------------

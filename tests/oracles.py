@@ -73,6 +73,11 @@ submasks of D(I), or over the masks that contain its complement, and the
 subset and superset sums of a row entry by entry.  The library reads each
 count as one entry of a row that a packed shift-and-add transform fills.
 
+Polynomials on tuple monomials, sorted (name, exponent) pairs, with a
+product that merges two of them through a dict: the representation the
+library packs into one int per monomial, so that a product of monomials
+is one addition.  The tests compare every operation of the two.
+
 Also kept here: Gaussian elimination over Fraction, S_n((1-q)A) and Psi_n
 as the limit of S_n((1-q)A)/(1-q) at q = 1, the lattice-path encoding of
 words, and routes that no library code calls: every permutation of a
@@ -254,6 +259,83 @@ def fraction_quasi_idempotent_check(a, n: int) -> tuple[bool, int | Fraction]:
     pivot = next(iter(s.terms))
     c = Fraction(square.coeff(pivot), s.terms[pivot])
     return square == s.scale(c), c
+
+
+# ---------------------------------------------------------------------------
+# Polynomials on tuple monomials
+
+def _tuple_product(m1: tuple, m2: tuple) -> tuple:
+    d = dict(m1)
+    for v, e in m2:
+        d[v] = d.get(v, 0) + e
+    return tuple(sorted(d.items()))
+
+
+class TuplePoly:
+    """A polynomial as {sorted tuple of (name, exponent) pairs: coefficient},
+    zero coefficients dropped."""
+
+    def __init__(self, coeffs):
+        self.coeffs = {m: c for m, c in coeffs.items() if c}
+
+    def __add__(self, other):
+        out = dict(self.coeffs)
+        for m, c in other.coeffs.items():
+            out[m] = out.get(m, 0) + c
+        return TuplePoly(out)
+
+    def __neg__(self):
+        return TuplePoly({m: -c for m, c in self.coeffs.items()})
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        out: dict = {}
+        for m1, c1 in self.coeffs.items():
+            for m2, c2 in other.coeffs.items():
+                m = _tuple_product(m1, m2)
+                out[m] = out.get(m, 0) + c1 * c2
+        return TuplePoly(out)
+
+    def __pow__(self, n: int):
+        out = TuplePoly({(): 1})
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def variables(self) -> set:
+        return {v for m in self.coeffs for v, _ in m}
+
+    def degree(self, var=None) -> int:
+        if var is None:
+            return max((sum(e for _, e in m) for m in self.coeffs), default=0)
+        return max((dict(m).get(var, 0) for m in self.coeffs), default=0)
+
+    def coefficient(self, var: str, exp: int) -> "TuplePoly":
+        return TuplePoly({tuple((v, e) for v, e in m if v != var): c
+                          for m, c in self.coeffs.items()
+                          if dict(m).get(var, 0) == exp})
+
+    def substitute(self, values: dict) -> "TuplePoly":
+        """Each monomial's factors one at a time: values[v] ** e, or v^e."""
+        out = TuplePoly({})
+        for m, c in self.coeffs.items():
+            term = TuplePoly({(): c})
+            for v, e in m:
+                term = term * (values[v] ** e if v in values
+                               else TuplePoly({((v, e),): 1}))
+            out = out + term
+        return out
+
+    def text(self) -> str:
+        """Graded-lex order: total degree, then the tuple."""
+        if not self.coeffs:
+            return "0"
+        return " + ".join(
+            "*".join([str(c)] + [f"{v}^{e}" if e > 1 else v for v, e in m])
+            for m, c in sorted(self.coeffs.items(),
+                               key=lambda mc: (sum(e for _, e in mc[0]), mc[0])))
 
 
 # ---------------------------------------------------------------------------
@@ -453,16 +535,17 @@ def q_count_qsym(f: Forest, n: int, interior: bool = False) -> dict[int, int]:
     """The q-count of ``ehrhart.q_count`` from QSym.  Boundary: Gamma_F on
     the alphabet {1, q, ..., q^n}, one letter per coordinate value 0..n.
     Interior: chi_F on {1, q, ..., q^(n-2)}, each exponent shifted by |F|
-    (coordinate values 1..n-1) and negated, with the sign (-1)^|F|."""
+    (coordinate values 1..n-1) and negated, with the sign (-1)^|F|; at
+    n = 0 there is no value, so the alphabet is empty."""
     if not interior:
         return q_exponents(eval_geometric(gamma_qsym_m(f), n + 1))
     size = forest_size(f)
     return {-(size + e): (-1) ** size * c for e, c in
-            q_exponents(eval_geometric(chi_qsym_m(f), n - 1)).items()}
+            q_exponents(eval_geometric(chi_qsym_m(f), max(n - 1, 0))).items()}
 
 
 def q_exponents(p: MultiPoly) -> dict[int, int]:
-    return {dict(m).get("q", 0): c for m, c in p.coeffs.items()}
+    return {dict(m).get("q", 0): c for m, c in p.terms()}
 
 
 # ---------------------------------------------------------------------------
@@ -826,7 +909,7 @@ def discrete_integral(p: MultiPoly) -> MultiPoly:
         b = bernoulli_polynomial(e + 1)
         return (c * Fraction(1, e + 1)) * (b - MultiPoly.const(b.constant_term()))
 
-    return MultiPoly.sum(term(dict(m).get("t", 0), c) for m, c in p.coeffs.items())
+    return MultiPoly.sum(term(dict(m).get("t", 0), c) for m, c in p.terms())
 
 
 @lru_cache(maxsize=None)

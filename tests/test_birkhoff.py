@@ -83,9 +83,22 @@ def test_sigma_plus_matches_upset_oracle(n, series):
     assert bk.sigma_plus(n, a) == tamari_sigma_plus(n, a)
 
 
+_MASK = (1 << bk._DIGIT) - 1
+
+
 def _key(g):
-    """The root-count key of one forest, from its Polish code."""
+    """The root-count key of one forest, from its Polish code: r in the low
+    digit and m_k in digit k + 1."""
     return len(g) + sum(1 << (bk._DIGIT * (c + 1)) for c in polish_code(g))
+
+
+def _flat(shape):
+    """(key, row) for a shape: the key of its forests, root count and arity
+    multiset read off the shape, and its root-count row flattened to
+    {key: count}, each key packed as ``_key`` packs a forest's."""
+    return len(shape) + (bk._arities(shape, {}) << bk._DIGIT), {
+        r + (m << bk._DIGIT): count
+        for r, sub in bk._root_row(shape) for m, count in zip(*sub)}
 
 
 @pytest.mark.parametrize("n", range(0, 9))
@@ -94,7 +107,7 @@ def test_root_count_rows_count_the_upsets(n):
     # by root count and arity multiset; the key beside it is the forest's own
     index = shapes(n)
     for f, (key, row) in index.spread(
-            [bk._root_row(s) for s in index.shapes]).items():
+            [_flat(s) for s in index.shapes]).items():
         up = tamari.upset(f)
         assert sum(row.values()) == len(up)
         assert row == Counter(map(_key, up))
@@ -108,15 +121,15 @@ def test_root_count_rows_count_the_tamari_intervals(n):
     # shape's row; every key has n nodes, with n - r children in all
     index = shapes(n)
     planes = Counter(index.ids)
-    rows = [bk._root_row(s)[1] for s in index.shapes]
+    rows = [_flat(s)[1] for s in index.shapes]
     assert sum(planes[k] * sum(row.values()) for k, row in enumerate(rows)) \
         == 2 * factorial(4 * n + 1) // (factorial(n + 1) * factorial(3 * n + 2))
     for row in rows:
         for key in row:
-            m = [key >> bk._DIGIT * (k + 1) & bk._MASK for k in range(n + 1)]
+            m = [key >> bk._DIGIT * (k + 1) & _MASK for k in range(n + 1)]
             assert key >> bk._DIGIT * (n + 2) == 0
             assert sum(m) == n
-            assert sum(k * mk for k, mk in enumerate(m)) == n - (key & bk._MASK)
+            assert sum(k * mk for k, mk in enumerate(m)) == n - (key & _MASK)
 
 
 def _shape(f):
@@ -155,30 +168,37 @@ def test_root_count_rows_are_one_per_shape(n, rows):
     index = shapes(n)
     table = [bk._root_row(s) for s in index.shapes]
     assert len(table) == rows
-    assert len({id(row) for _, row in table}) == rows
+    assert len({id(row) for row in table}) == rows
     assert all(non_plane_class(s) == s == _shape(s) for s in index.shapes)
     by_shape = {}
-    for f, (_, row) in index.spread(table).items():
+    for f, row in index.spread(table).items():
         shape = _shape(f)
-        assert bk._root_row(shape)[1] is row
+        assert bk._root_row(shape) is row
         by_shape.setdefault(shape, set()).add(id(row))
     assert all(len(s) == 1 for s in by_shape.values())
     assert len(by_shape) == rows
 
 
 def test_sigma_plus_sums_each_row_once(monkeypatch):
-    row_sum, calls = bk._row_sum, []
+    # each distinct sub-row of the degree's rows (one root count of one
+    # shape's row) is summed once, and the forests whose rows hold it share
+    # its MultiPoly: at n = 7, 226 sub-rows hold the 1,888 row entries
+    sub_row_sum, calls = bk._sub_row_sum, []
 
-    def counted(row, weights):
-        calls.append(id(row))
-        return row_sum(row, weights)
+    def counted(sub, weights):
+        calls.append(sub)
+        return sub_row_sum(sub, weights)
 
-    monkeypatch.setattr(bk, "_row_sum", counted)
+    monkeypatch.setattr(bk, "_sub_row_sum", counted)
     for n in range(0, 8):
         calls.clear()
-        bk.sigma_plus(n, bk.a_series(n))
-        assert sorted(calls) == sorted(id(bk._root_row(s)[1])
-                                       for s in shapes(n).shapes)
+        sigma = bk.sigma_plus(n, bk.a_series(n))
+        subs = {sub for s in shapes(n).shapes for _, sub in bk._root_row(s)}
+        assert sorted(calls) == sorted(subs)
+        shared = {id(c) for value in sigma.terms.values()
+                  for c in value.coeffs.values()}
+        assert len(shared) == len(subs)
+    assert len(shared) == 226
 
 
 def test_sigma_plus_refuses_double_pole():
@@ -259,6 +279,23 @@ def test_birkhoff_reads_no_upset(monkeypatch):
             bk.phi_plus_closed(t, a)
         bk.series_c(n, a)
         bk.series_d(n, a)
+
+
+@pytest.mark.parametrize("series", [bk.a_series, bk.a_series_ab],
+                         ids=["generic", "ab"])
+def test_series_c_and_d_build_no_root_count_row(monkeypatch, series):
+    # the C and D series read each shape's root count and arity multiset
+    # off the shape itself, and no row
+    def refuse(shape):
+        raise AssertionError(f"a root-count row was built for {shape}")
+
+    monkeypatch.setattr(bk, "_root_row", refuse)
+    for n in range(0, 9):
+        a = series(n)
+        assert bk.series_c(n, a) == LinComb(
+            {g: a_weight(a, g) for g in enumerate_forests(n)})
+        assert bk.series_d(n, a) == LinComb(
+            {(t,): a_weight(a, (t,)) for t in enumerate_trees(n)})
 
 
 def test_phi_plus_closed_builds_no_degree_table(monkeypatch):

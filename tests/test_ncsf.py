@@ -368,6 +368,16 @@ def test_eval_xqt_functional_equation(i):
     assert lhs == rhs
 
 
+def test_eval_geometric_refuses_a_negative_alphabet_length():
+    # as ehrhart.q_count refuses a negative dilation: no silent 0, nor 1 on
+    # the unit
+    for a in (LinComb.monomial(()), ncsf.gamma_qsym_m(parse_forest("10"))):
+        with pytest.raises(ValueError):
+            ncsf.eval_geometric(a, -1)
+        assert ncsf.eval_geometric(a, 0) == (1 if a == LinComb.monomial(())
+                                             else 0)
+
+
 def _same_structure(got, want):
     return got.num.coeffs == want.num.coeffs and got.den == want.den
 
@@ -376,7 +386,7 @@ def _in_lowest_terms(r):
     """Whether no Phi_d of the denominator divides the numerator, read in q
     with one dense polynomial per power of t."""
     slices: dict = {}
-    for m, c in r.num.coeffs.items():
+    for m, c in r.num.terms():
         d = dict(m)
         p = slices.setdefault(d.get("t", 0), [])
         p.extend([0] * (d.get("q", 0) + 1 - len(p)))
