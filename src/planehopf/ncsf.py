@@ -262,9 +262,10 @@ def hook_part_count(n: int, cap: int) -> int:
 # Alphabet evaluations in QSym (M basis in, polynomials out)
 
 def eval_geometric(a: LinComb, m: int) -> "MultiPoly":
-    """Evaluate on the alphabet {1, q, ..., q^(m-1)}, m >= 0: each M_I is
-    the sum of q^(i_1 j_1 + ... + i_l j_l) over j_1 < ... < j_l < m, and
-    the exponents are counted in one dict."""
+    """Evaluate on the alphabet {1, q, ..., q^(m-1)}, m >= 0, with number
+    coefficients, as the infinite alphabets take them: each M_I is the sum
+    of q^(i_1 j_1 + ... + i_l j_l) over j_1 < ... < j_l < m, and the
+    exponents are counted in one dict."""
     if m < 0:
         raise ValueError(f"alphabet length must be nonnegative, got m={m}")
     counts: dict[int, int] = {}
