@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import sys
 from collections import Counter
+from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations
 from math import comb
@@ -270,6 +271,8 @@ def eval_geometric(a: LinComb, m: int) -> "MultiPoly":
         raise ValueError(f"alphabet length must be nonnegative, got m={m}")
     counts: dict[int, int] = {}
     for i, c in a.terms.items():
+        if not isinstance(c, (int, Fraction)):
+            raise TypeError(f"coefficient {c!r} is not a number")
         for js in combinations(range(m), len(i)):
             e = sum(map(mul, i, js))
             counts[e] = counts.get(e, 0) + c

@@ -603,14 +603,18 @@ class RationalFn:
 
 def q_series_sum(terms) -> RationalFn:
     """The sum of c q^e m / prod_{k in ks} (1 - q^k) over the terms
-    (c, e, m, ks), m a packed monomial free of q.  Terms with equal e, m and
-    multiset ks are added first; every term then goes over one common
-    cyclotomic denominator, the numerators are added up in one dict by
-    packed monomial, and the sum is reduced to lowest terms once."""
+    (c, e, m, ks), c a number and m a packed monomial free of q.  Terms
+    with equal e, m and multiset ks are added first; every term then goes
+    over one common cyclotomic denominator, the numerators are added up in
+    one dict by packed monomial, and the sum is reduced to lowest terms
+    once."""
     grouped: dict = {}
     for c, e, m, ks in terms:
         key = e, m, tuple(sorted(ks))
         grouped[key] = grouped.get(key, 0) + c
+    for c in grouped.values():
+        if not isinstance(c, (int, Fraction)):
+            raise TypeError(f"coefficient {c!r} is not a number")
     shapes = list(dict.fromkeys(ks for _, _, ks in grouped))
     den, cofactors = _common_denominator(shapes)
     if grouped:  # q^(e + j), j at most the degree of the denominator

@@ -378,6 +378,17 @@ def test_eval_geometric_refuses_a_negative_alphabet_length():
                                              else 0)
 
 
+def test_evaluations_refuse_polynomial_coefficients():
+    # the exponents are counted in dicts of numbers: a polynomial
+    # coefficient raises rather than land inside a coefficient
+    a = LinComb({(1,): MultiPoly.var("x"), (2,): 1})
+    for evaluate in (lambda: ncsf.eval_geometric(a, 3),
+                     lambda: ncsf.eval_geometric_inf(a),
+                     lambda: ncsf.eval_xqt(a)):
+        with pytest.raises(TypeError):
+            evaluate()
+
+
 def _same_structure(got, want):
     return got.num.coeffs == want.num.coeffs and got.den == want.den
 
