@@ -141,7 +141,6 @@ def series_d(n: int, a: LaurentPoly) -> LinComb:
 # digit _DIGIT bits wide.  No digit exceeds the degree, so the multiset of a
 # concatenation is the sum of the multisets.
 
-
 _DIGIT = 16
 
 
@@ -151,14 +150,14 @@ def _root_row(shape: Forest) -> tuple:
     Tamari order counted by root count and arity multiset, grouped by root
     count, as ((r, sub-row), ...) with r increasing and each sub-row the
     pair (multisets, counts) of one r, multisets increasing: canonical, so
-    equal sub-rows are equal tuples, and hashable.  It follows the recursion of the
-    Tamari up-sets: W(T.G) is the convolution of W(T) and W(G), and each
-    (r, m) of W(H) gives (s, m + {r - s + 1}) in W(B+(H)) for s = 1..r+1,
-    the forests G1 . B+(G2) that split G >= H after s - 1 roots; s = 1 is
-    B+(H) itself.  The counts do not depend on a(z), so one row serves
-    every series, and the forests of one shape share one row, as the
-    convolution is commutative: a tree reads its children's shape S[0], any
-    other shape S[:1] and S[1:]."""
+    equal sub-rows are equal tuples, and hashable.  It follows the
+    recursion of the Tamari up-sets: W(T.G) is the convolution of W(T) and
+    W(G), and each (r, m) of W(H) gives (s, m + {r - s + 1}) in W(B+(H))
+    for s = 1..r+1, the forests G1 . B+(G2) that split G >= H after s - 1
+    roots; s = 1 is B+(H) itself.  The counts do not depend on a(z), so
+    one row serves every series, and the forests of one shape share one
+    row, as the convolution is commutative: a tree reads its children's
+    shape S[0], any other shape S[:1] and S[1:]."""
     if not shape:
         return ((0, ((0,), (1,))),)
     acc: dict[int, dict[int, int]] = {}
