@@ -24,6 +24,7 @@ one final division.
 
 from __future__ import annotations
 
+from _thread import allocate_lock
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import accumulate
@@ -37,16 +38,22 @@ _DIGIT = (1 << _WIDTH) - 1
 _SHIFTS: dict[str, int] = {}  # variable name -> bit offset of its digit
 _NAMES: list[str] = []  # digit -> variable name
 _GUARDS = 0  # the guard bits of the digits handed out
+_HANDING_OUT = allocate_lock()
 
 
 def _shift(name: str) -> int:
-    """The bit offset of the variable's digit, handed out on first use."""
+    """The bit offset of the variable's digit, handed out on first use,
+    under a lock: the name is published last, with its digit in place."""
     s = _SHIFTS.get(name)
     if s is None:
         global _GUARDS
-        s = _SHIFTS[name] = _WIDTH * len(_NAMES)
-        _NAMES.append(name)
-        _GUARDS |= _LIMIT << s
+        with _HANDING_OUT:
+            s = _SHIFTS.get(name)
+            if s is None:
+                s = _WIDTH * len(_NAMES)
+                _NAMES.append(name)
+                _GUARDS |= _LIMIT << s
+                _SHIFTS[name] = s
     return s
 
 
